@@ -18,7 +18,8 @@ from fractions import Fraction
 from pathlib import Path
 
 from .dops import dop_catalog, verify_dop
-from .errors import DegenerateParams, ParseError, QKrallError
+from .errors import (CrossCheckFailed, DegenerateParams, ParseError,
+                     QKrallError)
 from .exact import Poly, poly_to_json, rational, rational_str
 from .families import (LaguerreParams, MeixnerParams, PolynomialFamily,
                        alsalam_carlitz, derive_recurrence, laguerre, meixner,
@@ -82,6 +83,14 @@ def _int(cfg: dict, key: str, default: int | None = None) -> int:
         return int(raw)
     except (TypeError, ValueError) as exc:
         raise ParseError(f"cannot parse {key} = {raw!r} as an integer") from exc
+
+
+def _depth(cfg: dict, default: int) -> int:
+    """The index bound n; a negative one would leave nothing to check."""
+    n = _int(cfg, "n", default)
+    if n < 0:
+        raise DegenerateParams(f"n must be nonnegative, got n = {n}")
+    return n
 
 
 def _check_base(q: Fraction) -> None:
@@ -152,7 +161,7 @@ def _theorem_setup(cfg: dict):
 def _family_setup(cfg: dict) -> PolynomialFamily:
     kind = cfg.get("family", "q-meixner")
     q = _rat(cfg, "q", _DEFAULTS["q"])
-    n_cap = max(_int(cfg, "n", 8) + 4, 12)
+    n_cap = max(_depth(cfg, 8) + 4, 12)
     if kind == "q-meixner":
         b = _rat(cfg, "b", _DEFAULTS["b"])
         c = _rat(cfg, "c", _DEFAULTS["c"])
@@ -190,7 +199,7 @@ def _emit(payload: dict, elapsed: float, out_dir: str | None,
 
 def _cmd_families(cfg: dict):
     fam = _family_setup(cfg)
-    n_top = _int(cfg, "n", 8)
+    n_top = _depth(cfg, 8)
     rows = []
     theta_known = fam.kind != "al-salam-carlitz"
     for n in range(n_top + 1):
@@ -228,7 +237,7 @@ def _cmd_families(cfg: dict):
 
 def _cmd_verify_dop(cfg: dict):
     fam = _family_setup(cfg)
-    n_top = _int(cfg, "n", 10)
+    n_top = _depth(cfg, 10)
     entries = []
     all_ok = True
     for spec in dop_catalog(fam):
@@ -261,7 +270,7 @@ def _build_bundle(cfg: dict, n_top: int, beta_override=None):
 
 
 def _cmd_build_krall(cfg: dict):
-    n_top = _int(cfg, "n", 10)
+    n_top = _depth(cfg, 10)
     td, kc = _build_bundle(cfg, n_top)
     rows = []
     for n in range(n_top + 1):
@@ -306,13 +315,17 @@ def _input_echo(td) -> dict:
 
 
 def _cmd_verify_eigen(cfg: dict):
-    n_top = _int(cfg, "n", 10)
+    n_top = _depth(cfg, 10)
     beta_override = None
     perturb = cfg.get("perturb-beta")
     if perturb is not None:
         if len(perturb) != 2:
             raise ParseError("--perturb-beta needs INDEX VALUE")
-        beta_override = {int(perturb[0]): rational(perturb[1])}
+        try:
+            beta_override = {int(perturb[0]): rational(perturb[1])}
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ParseError("--perturb-beta needs an integer INDEX and a "
+                             f"rational VALUE; got {perturb!r}") from exc
     td, kc = _build_bundle(cfg, n_top, beta_override=beta_override)
     report = verify_eigen(kc)
     checks = [{"n": e["n"], "passed": e["passed"],
@@ -351,7 +364,7 @@ def _cmd_verify_eigen(cfg: dict):
 
 
 def _cmd_verify_orthogonality(cfg: dict):
-    n_top = _int(cfg, "n", 8)
+    n_top = _depth(cfg, 8)
     td, kc = _build_bundle(cfg, n_top)
     qpolys = [kc.qpoly(n) for n in range(n_top + 1)]
     gram = gram_matrix(td.measure, qpolys)
@@ -540,6 +553,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ParseError, DegenerateParams) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 2
+    except CrossCheckFailed as exc:
+        print(f"check failed: {exc}", file=sys.stderr)
+        return 1
     except QKrallError as exc:
         print(f"invalid input: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

@@ -2,15 +2,31 @@
 
 Pivoting is deterministic (first nonzero column, then smallest row index)
 so that every run of the package produces identical output.
+
+`nullspace` is certified rather than computed by `rref` directly.  It scales
+each row to a primitive integer row, keeps the rows that are independent of
+the rows kept before them modulo the prime 2^61 - 1, brings the kept rows to
+echelon form by fraction-free (Bareiss) elimination, and back-substitutes
+over Z for the standard RREF basis.  Rows independent mod p are independent
+over Q, so the kept rows R have full rank and nullspace(A) is contained in
+nullspace(R).  Every basis vector of nullspace(R) is then checked over Z
+against every row of A; when all checks pass the two nullspaces are equal,
+and since the RREF basis depends only on the nullspace, the result is the
+one `rref` gives.  When a check fails (a prime that drops a row of full
+rank over Q), the basis is recomputed from `rref`.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from operator import mul
 
 from .errors import SingularSystem
 
 Matrix = list[list[Fraction]]
+
+_PRIME = (1 << 61) - 1
 
 
 def _copy(rows: Matrix) -> Matrix:
@@ -74,10 +90,23 @@ def nullspace(a: Matrix) -> list[list[Fraction]]:
     """Basis of the right nullspace of a, one vector per free column.
 
     The basis is the standard one read off the RREF: free column j gives
-    the vector with 1 in slot j, so output order is deterministic.
+    the vector with 1 in slot j, so output order is deterministic.  It is
+    found from the rows chosen mod p and certified over Z against every row
+    (see the module docstring); if the certificate fails, `rref` decides.
     """
     if not a:
         return []
+    ncols = len(a[0])
+    rows = _integer_rows(a)
+    kept = [rows[i] for i in _independent_mod_p(rows, ncols)]
+    basis = _integer_nullspace(kept, ncols)
+    if all(sum(map(mul, row, w)) == 0 for w, _ in basis for row in rows):
+        return [[Fraction(c, w[f]) for c in w] for w, f in basis]
+    return _rref_nullspace(a)
+
+
+def _rref_nullspace(a: Matrix) -> list[list[Fraction]]:
+    """The nullspace basis read off `rref` of all rows: the fallback."""
     ncols = len(a[0])
     red, pivots = rref(a)
     pivot_set = set(pivots)
@@ -89,6 +118,101 @@ def nullspace(a: Matrix) -> list[list[Fraction]]:
         for r, col in enumerate(pivots):
             v[col] = -red[r][f]
         basis.append(v)
+    return basis
+
+
+def _integer_rows(a: Matrix) -> list[list[int]]:
+    """Each nonzero row scaled to a primitive integer row; zero rows go."""
+    out = []
+    for row in a:
+        row = [Fraction(c) for c in row]
+        den = math.lcm(*(c.denominator for c in row))
+        ints = [c.numerator * (den // c.denominator) for c in row]
+        g = math.gcd(*ints)
+        if g:
+            out.append([c // g for c in ints])
+    return out
+
+
+def _independent_mod_p(rows: list[list[int]], ncols: int) -> list[int]:
+    """Indices of the rows independent, mod p, of the rows before them.
+
+    Keeps the kept rows in reduced echelon form mod p, stored by column:
+    free column j holds, for each pivot in order, that pivot row's entry
+    in column j (pivot columns are unit vectors and need no storage).  A
+    row's residual is then nonzero only in free columns.
+    """
+    p = _PRIME
+    pivots: list[int] = []
+    free: dict[int, list[int]] = {j: [] for j in range(ncols)}
+    kept = []
+    for i, row in enumerate(rows):
+        if not free:
+            break
+        r = [c % p for c in row]
+        at_pivots = [r[c] for c in pivots]
+        residual = {j: (r[j] - sum(map(mul, at_pivots, col))) % p
+                    for j, col in free.items()}
+        new = next((j for j, v in residual.items() if v), None)
+        if new is None:
+            continue
+        kept.append(i)
+        inv = pow(residual[new], -1, p)
+        col_new = free.pop(new)
+        for j, col in free.items():
+            n_j = residual[j] * inv % p
+            free[j] = [(x - y * n_j) % p for x, y in zip(col, col_new)]
+            free[j].append(n_j)
+        pivots.append(new)
+    return kept
+
+
+def _integer_nullspace(rows: list[list[int]],
+                       ncols: int) -> list[tuple[list[int], int]]:
+    """Nullspace of integer rows of full row rank, as (vector, free column).
+
+    Fraction-free (Bareiss) elimination with the `rref` pivot rule gives an
+    echelon form whose last pivot d is, up to sign, the determinant of the
+    pivot columns; by Cramer's rule d times the RREF basis vector of free
+    column f is integral, so back-substitution divides exactly.  Each
+    vector is returned primitive; dividing by its entry at f gives the RREF
+    vector.
+    """
+    m = list(rows)
+    pivots: list[int] = []
+    prev = 1
+    k = 0
+    for col in range(ncols):
+        pivot_row = next((i for i in range(k, len(m)) if m[i][col]), None)
+        if pivot_row is None:
+            continue
+        m[k], m[pivot_row] = m[pivot_row], m[k]
+        top = m[k]
+        a = top[col]
+        tail = top[col + 1:]
+        for i in range(k + 1, len(m)):
+            row = m[i]
+            b = row[col]
+            m[i] = [0] * (col + 1) + [
+                (a * x - b * y) // prev for x, y in zip(row[col + 1:], tail)]
+        prev = a
+        pivots.append(col)
+        k += 1
+    d = prev
+    pivot_set = set(pivots)
+    basis = []
+    for f in range(ncols):
+        if f in pivot_set:
+            continue
+        w = [0] * ncols
+        w[f] = d
+        for i in range(len(pivots) - 1, -1, -1):
+            row = m[i]
+            s = sum(row[pivots[j]] * w[pivots[j]]
+                    for j in range(i + 1, len(pivots)))
+            w[pivots[i]] = -(d * row[f] + s) // row[pivots[i]]
+        g = math.gcd(*w)
+        basis.append(([c // g for c in w], f))
     return basis
 
 

@@ -15,13 +15,13 @@ reporting every attempt.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import CrossCheckFailed, NotQuasiDefinite, ParamDegeneracy
-from .exact import Poly, RationalFn, rational, rational_str
+from .exact import (Poly, RationalFn, _to_int_primitive, rational,
+                    rational_str)
 from .families import (LaguerreParams, MeixnerParams, q_power_exponent)
 from .krall import build, theorem_catalog
 from .linalg import nullspace
@@ -33,27 +33,6 @@ from .operators import QDiffOperator
 __all__ = ["SearchProblem", "SearchResult", "find_operator",
            "minimal_even_order", "check_conjecture_a", "check_conjecture_b1",
            "check_conjecture_b2"]
-
-
-def _primitive(p: Poly) -> Poly:
-    """Rescale to integer coefficients with content 1 (sign preserved)."""
-    if p.degree() < 0:
-        return p
-    coeffs = [p.coeff(i) for i in range(p.degree() + 1)]
-    den = math.lcm(*(c.denominator for c in coeffs))
-    num = math.gcd(*(abs(c.numerator) for c in coeffs))
-    if num == 0:
-        return p
-    return p * Fraction(den, num)
-
-
-def _primitive_row(row: list[Fraction]) -> list[Fraction]:
-    den = math.lcm(*(c.denominator for c in row))
-    num = math.gcd(*(abs(c.numerator) for c in row))
-    if num == 0:
-        return row
-    scale = Fraction(den, num)
-    return [c * scale for c in row]
 
 
 @dataclass(frozen=True)
@@ -86,7 +65,8 @@ class SearchResult:
 
 def _assemble(problem: SearchProblem) -> list[list[Fraction]]:
     h, d, t, q = problem.h, problem.d, problem.t, problem.q
-    polys = [_primitive(p) for p in problem.eigenpolys]
+    # q_n scaled to integers; a row's scale and sign leave the nullspace
+    polys = [_to_int_primitive(p) for p in problem.eigenpolys]
     n_cols_g = (2 * h + 1) * (d + 1)
     n_cols = n_cols_g + len(polys)
     rows: list[list[Fraction]] = []
@@ -98,7 +78,7 @@ def _assemble(problem: SearchProblem) -> list[list[Fraction]]:
         return q_pows[e]
 
     for n, poly in enumerate(polys):
-        deg = poly.degree()
+        deg = len(poly) - 1
         top = deg + max(d, t)
         for r in range(top + 1):
             row = [Fraction(0)] * n_cols
@@ -106,15 +86,15 @@ def _assemble(problem: SearchProblem) -> list[list[Fraction]]:
                 base = (j + h) * (d + 1)
                 m_lo = max(0, r - deg)
                 for m in range(m_lo, min(d, r) + 1):
-                    coeff = poly.coeff(r - m)
+                    coeff = poly[r - m]
                     if coeff:
                         row[base + m] = coeff * qp(j * (r - m))
             if 0 <= r - t <= deg:
-                coeff = poly.coeff(r - t)
+                coeff = poly[r - t]
                 if coeff:
                     row[n_cols_g + n] = -coeff
             if any(row):
-                rows.append(_primitive_row(row))
+                rows.append(row)
     return rows
 
 

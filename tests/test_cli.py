@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+import qkrall.search
 from qkrall.cli import main
 
 
@@ -182,3 +183,33 @@ def test_conjecture_b1_and_not_found_recording(capsys, tmp_path):
     assert payload["status"] == "not-found-within-ansatz"
     assert payload["found_order"] is None
     assert "not found" in out
+
+
+def test_failed_search_reverification_exits_one(capsys, monkeypatch):
+    # corrupt every nullspace vector, so the search's own re-verification
+    # of the eigen-equations fails: a failed check, not invalid input
+    solve = qkrall.search.nullspace
+    monkeypatch.setattr(qkrall.search, "nullspace", lambda a: [
+        [v + 1 for v in vec] for vec in solve(a)])
+    code, _, err = _run(capsys, "conjecture", "b1", "--f", "1")
+    assert code == 1
+    assert "re-verification" in err and "Traceback" not in err
+
+
+def test_negative_family_depth_is_invalid_input(capsys):
+    code, _, err = _run(capsys, "families", "--family", "q-meixner",
+                        "--n", "-2")
+    assert code == 2 and "n must be nonnegative" in err
+
+
+def test_non_integer_perturb_index_is_invalid_input(capsys):
+    code, _, err = _run(capsys, "verify-eigen", "--theorem", "meixner-i",
+                        "--perturb-beta", "x", "1")
+    assert code == 2 and "--perturb-beta" in err
+
+
+def test_negative_eigen_depth_is_not_a_pass(capsys):
+    code, out, err = _run(capsys, "verify-eigen", "--theorem", "meixner-i",
+                          "--n", "-3")
+    assert code == 2 and "n must be nonnegative" in err
+    assert "pass" not in out

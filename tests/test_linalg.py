@@ -1,0 +1,124 @@
+"""The certified nullspace against the basis read off `rref`.
+
+`reference` is the fallback path: the basis read off the RREF of all rows.
+"""
+from __future__ import annotations
+
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qkrall import linalg
+from qkrall.linalg import _rref_nullspace as reference
+from qkrall.linalg import nullspace, rref
+
+F = Fraction
+P = (1 << 61) - 1  # the prime the rows are chosen modulo
+
+# Small fractions, plus integers near multiples of the prime so that rows
+# which are independent over Q sometimes collide mod p.
+entries = st.one_of(
+    st.fractions(min_value=-5, max_value=5, max_denominator=7),
+    st.sampled_from([F(0), F(0), F(P), F(-P), F(2 * P), F(P + 1), F(P * P)]),
+)
+
+
+def _matrix(rows: int, cols: int, values=entries):
+    return st.lists(st.lists(values, min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows)
+
+
+shapes = st.tuples(st.integers(1, 7), st.integers(1, 7))
+
+
+@st.composite
+def random_matrices(draw):
+    rows, cols = draw(shapes)
+    return draw(_matrix(rows, cols))
+
+
+@st.composite
+def low_rank_products(draw):
+    """L R with inner size k below both sides, so the rank is at most k."""
+    rows, cols = draw(st.tuples(st.integers(2, 8), st.integers(2, 8)))
+    k = draw(st.integers(1, min(rows, cols) - 1))
+    left, right = draw(_matrix(rows, k)), draw(_matrix(k, cols))
+    return [[sum((left[i][s] * right[s][j] for s in range(k)), F(0))
+             for j in range(cols)] for i in range(rows)]
+
+
+@st.composite
+def with_zero_rows(draw):
+    a = draw(random_matrices())
+    cols = len(a[0])
+    for i in sorted(draw(st.lists(st.integers(0, len(a)), max_size=3))):
+        a.insert(i, [F(0)] * cols)
+    return a
+
+
+thin = st.one_of(
+    st.integers(1, 9).flatmap(lambda c: _matrix(1, c)),  # one row, wide
+    st.integers(1, 9).flatmap(lambda r: _matrix(r, 1)),  # one column, tall
+    shapes.map(lambda s: [[F(0)] * s[1] for _ in range(s[0])]),  # zero
+)
+
+matrices = st.one_of(random_matrices(), low_rank_products(), with_zero_rows(),
+                     thin)
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrices)
+def test_nullspace_equals_rref_basis(a):
+    assert nullspace(a) == reference(a)
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices)
+def test_every_vector_kills_every_row(a):
+    for v in nullspace(a):
+        for row in a:
+            assert sum((x * y for x, y in zip(row, v)), F(0)) == 0
+
+
+def test_edge_shapes():
+    assert nullspace([]) == []
+    assert nullspace([[F(0), F(0)]]) == [[F(1), F(0)], [F(0), F(1)]]
+    assert nullspace([[F(2)], [F(-3)]]) == []
+    assert nullspace([[1, 2, 3]]) == [[F(-2), F(1), F(0)],
+                                      [F(-3), F(0), F(1)]]
+
+
+def _counting_rref(monkeypatch) -> list:
+    calls = []
+
+    def counted(rows):
+        calls.append(len(rows))
+        return rref(rows)
+
+    monkeypatch.setattr(linalg, "rref", counted)
+    return calls
+
+
+def test_fast_path_needs_no_rref(monkeypatch):
+    a = [[F(1, 2), F(1), F(3, 2)], [F(2), F(4), F(6)], [F(0), F(1), F(-1)]]
+    want = reference(a)
+    calls = _counting_rref(monkeypatch)
+    assert nullspace(a) == want == [[F(-5), F(1), F(1)]]
+    assert calls == []
+
+
+def test_rows_dependent_mod_p_fall_back_to_rref(monkeypatch):
+    # [1, 0] and [1, p] are independent over Q but equal mod p, so only the
+    # first row is kept; (0, 1) fails the check against the second row.
+    calls = _counting_rref(monkeypatch)
+    assert nullspace([[F(1), F(0)], [F(1), F(P)]]) == []
+    assert calls == [2]
+
+
+def test_row_divisible_by_p_is_made_primitive_first(monkeypatch):
+    # [p, 0] is zero mod p as given, but scaling it to a primitive row
+    # makes it [1, 0], so the modular choice keeps it and no fallback runs.
+    calls = _counting_rref(monkeypatch)
+    assert nullspace([[F(P), F(0)], [F(0), F(1)]]) == []
+    assert calls == []
