@@ -3,7 +3,7 @@
 A moment functional is just the list of its moments; every transform here
 is an exact operation on that list.  We multiply by polynomials
 (Christoffel), divide back (Geronimus), attach point masses, and recover
-orthogonal polynomials from Hankel determinants -- all over the rationals.
+orthogonal polynomials from the moments -- all over the rationals.
 """
 from __future__ import annotations
 
@@ -33,9 +33,9 @@ withmass = add(mu, point_mass(lam, 0, F(7, 2)))
 print("after adding (7/2) delta at 1/4:",
       ", ".join(rational_str(withmass.moment(n)) for n in range(4)))
 
-# Hankel solve: monic orthogonal polynomials straight from the moments
+# Chebyshev algorithm: monic orthogonal polynomials straight from the moments
 gd = hankel_orthogonal(mu, 4)
-print("\nmonic orthogonal polynomials from the Hankel solve:")
+print("\nmonic orthogonal polynomials from the moments:")
 for n, p in enumerate(gd.polys):
     print(f"  pi_{n} = {p.pretty()}")
 print("squared norms:", ", ".join(rational_str(v) for v in gd.norms))

@@ -20,9 +20,11 @@ from .exact import (Poly, RationalFn, divmod_poly, exact_div, poly_from_json,
 from .families import (AL_SALAM_CARLITZ, LAGUERRE, MEIXNER,
                        AlSalamCarlitzParams, LaguerreParams, MeixnerParams,
                        PolynomialFamily, ThreeTermRecurrence,
-                       alsalam_carlitz, derive_recurrence, family_operator,
-                       laguerre, meixner, meixner_recurrence,
-                       polys_from_recurrence, q_power_exponent)
+                       alsalam_carlitz, alsalam_carlitz_recurrence,
+                       derive_recurrence, family_operator, family_recurrence,
+                       laguerre, laguerre_recurrence, meixner,
+                       meixner_recurrence, polys_from_recurrence,
+                       q_power_exponent)
 from .krall import (KrallConstruction, TheoremData, build, build_P1,
                     theorem_catalog, verify_eigen)
 from .linalg import leading_principal_minors, nullspace, rref, solve_exact
@@ -31,7 +33,7 @@ from .moments import (LAGUERRE_I, LAGUERRE_II, MEIXNER_I, MEIXNER_II,
                       agree_up_to, christoffel, dilate, favard_positivity,
                       geronimus, gram_matrix, gram_to_csv, hankel_orthogonal,
                       laguerre_moments, combine_with_point_mass, measure_catalog,
-                      meixner_moments, moments_from_recurrence, pair,
+                      meixner_moments, moments_from_recurrence,
                       point_mass, scale, shift)
 from .operators import QDiffOperator, poly_of_operator, q_derivative_ops
 from .search import (SearchProblem, SearchResult, check_conjecture_a,
@@ -52,15 +54,15 @@ __all__ = [
     "SearchResult", "SingularSystem", "THEOREMS", "TheoremData",
     "ThreeTermRecurrence", "UnknownTheorem", "UnsupportedFamily",
     "ZeroDenominator", "ZeroDilation", "add", "agree_up_to",
-    "alsalam_carlitz", "build", "build_P1", "check_conjecture_a",
-    "check_conjecture_b1", "check_conjecture_b2", "christoffel",
-    "derive_recurrence", "dilate", "divmod_poly",
+    "alsalam_carlitz", "alsalam_carlitz_recurrence", "build", "build_P1",
+    "check_conjecture_a", "check_conjecture_b1", "check_conjecture_b2",
+    "christoffel", "derive_recurrence", "dilate", "divmod_poly",
     "dop_action", "dop_catalog", "exact_div", "family_operator",
-    "favard_positivity", "find_operator", "geronimus", "gram_matrix",
-    "gram_to_csv", "hankel_orthogonal", "laguerre", "laguerre_moments",
-    "leading_principal_minors", "combine_with_point_mass", "measure_catalog",
+    "family_recurrence", "favard_positivity", "find_operator", "geronimus",
+    "gram_matrix", "gram_to_csv", "hankel_orthogonal", "laguerre",
+    "laguerre_moments", "laguerre_recurrence", "leading_principal_minors", "combine_with_point_mass", "measure_catalog",
     "meixner", "meixner_moments", "meixner_recurrence", "minimal_even_order",
-    "moments_from_recurrence", "nullspace", "pair", "point_mass",
+    "moments_from_recurrence", "nullspace", "point_mass",
     "poly_from_json", "poly_gcd", "poly_of_operator", "poly_to_json",
     "polys_from_recurrence", "q_derivative_ops", "q_power_exponent",
     "qpochhammer", "ratfn_from_json", "ratfn_to_json", "rational",

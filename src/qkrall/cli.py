@@ -22,8 +22,7 @@ from .errors import (CrossCheckFailed, DegenerateParams, ParseError,
                      QKrallError)
 from .exact import Poly, poly_to_json, rational, rational_str
 from .families import (LaguerreParams, MeixnerParams, PolynomialFamily,
-                       alsalam_carlitz, derive_recurrence, laguerre, meixner,
-                       meixner_recurrence)
+                       alsalam_carlitz, family_recurrence, laguerre, meixner)
 from .krall import build, theorem_catalog, verify_eigen
 from .moments import (LAGUERRE_I, LAGUERRE_II, MEIXNER_I, MEIXNER_II,
                       MEIXNER_III, THEOREMS, gram_matrix, hankel_orthogonal)
@@ -65,24 +64,48 @@ def parse_config(args: argparse.Namespace, keys: list[str]) -> dict:
     return cfg
 
 
+def _as_rat(key: str, raw) -> Fraction:
+    """raw as a rational, or ParseError naming the key it came from."""
+    try:
+        return rational(raw)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"cannot parse {key} = {raw!r} as a rational") from exc
+
+
 def _rat(cfg: dict, key: str, default: str | None = None) -> Fraction:
     raw = cfg.get(key, default)
     if raw is None:
         raise ParseError(f"missing required parameter {key!r}")
-    try:
-        return rational(raw)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"cannot parse {key} = {raw!r} as a rational") from exc
+    return _as_rat(key, raw)
+
+
+def _as_int(key: str, raw) -> int:
+    """raw (an int or a decimal string) as an integer, or ParseError naming
+    the key it came from; a float or bool is refused, not truncated."""
+    value = raw
+    if isinstance(value, str):
+        try:
+            value = int(value)
+        except ValueError:
+            pass
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParseError(f"cannot parse {key} = {raw!r} as an integer")
+    return value
 
 
 def _int(cfg: dict, key: str, default: int | None = None) -> int:
     raw = cfg.get(key, default)
     if raw is None:
         raise ParseError(f"missing required parameter {key!r}")
-    try:
-        return int(raw)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"cannot parse {key} = {raw!r} as an integer") from exc
+    return _as_int(key, raw)
+
+
+def _items(cfg: dict, key: str, parse=_as_int, default: tuple = ()) -> list:
+    """A list-valued key such as a factor set, each item read by parse."""
+    raw = cfg.get(key) or default
+    if not isinstance(raw, (list, tuple)):
+        raise ParseError(f"{key} must be a list, got {raw!r}")
+    return [parse(key, item) for item in raw]
 
 
 def _depth(cfg: dict, default: int) -> int:
@@ -207,10 +230,7 @@ def _cmd_families(cfg: dict):
         if theta_known:
             entry["theta"] = rational_str(fam.theta(n))
         rows.append(entry)
-    if fam.kind == "q-meixner":
-        rec = meixner_recurrence(fam.params)
-    else:
-        rec = derive_recurrence(fam, n_top + 1)
+    rec = family_recurrence(fam)
     recurrence = {
         "a": [rational_str(rec.a(n)) for n in range(n_top)],
         "b": [rational_str(rec.b(n)) for n in range(n_top)],
@@ -319,11 +339,12 @@ def _cmd_verify_eigen(cfg: dict):
     beta_override = None
     perturb = cfg.get("perturb-beta")
     if perturb is not None:
-        if len(perturb) != 2:
+        if not isinstance(perturb, (list, tuple)) or len(perturb) != 2:
             raise ParseError("--perturb-beta needs INDEX VALUE")
         try:
-            beta_override = {int(perturb[0]): rational(perturb[1])}
-        except (ValueError, ZeroDivisionError) as exc:
+            beta_override = {_as_int("perturb-beta", perturb[0]):
+                             _as_rat("perturb-beta", perturb[1])}
+        except ParseError as exc:
             raise ParseError("--perturb-beta needs an integer INDEX and a "
                              f"rational VALUE; got {perturb!r}") from exc
     td, kc = _build_bundle(cfg, n_top, beta_override=beta_override)
@@ -395,23 +416,22 @@ def _cmd_verify_orthogonality(cfg: dict):
 def _cmd_conjecture(cfg: dict, which: str):
     q = _rat(cfg, "q", _DEFAULTS["q"])
     order_max = cfg.get("order-max")
-    h_max = int(order_max) // 2 if order_max is not None else None
+    h_max = None if order_max is None else _as_int("order-max", order_max) // 2
     if which == "a":
         b = _rat(cfg, "b", _DEFAULTS["b"])
         c = _rat(cfg, "c", _DEFAULTS["c"])
         _check_meixner(q, b, c)
         report = check_conjecture_a(
             MeixnerParams(q, b, c),
-            f1=[int(f) for f in cfg.get("f1") or ()],
-            f2=[int(f) for f in cfg.get("f2") or ()],
-            f3=[int(f) for f in cfg.get("f3") or ()],
+            f1=_items(cfg, "f1"), f2=_items(cfg, "f2"),
+            f3=_items(cfg, "f3"),
             h_max=h_max)
     elif which == "b1":
         t = _rat(cfg, "t", _DEFAULTS["t"])
         _check_laguerre(q, t)
         report = check_conjecture_b1(
             LaguerreParams(q, t),
-            f_set=[int(f) for f in cfg.get("f") or ()],
+            f_set=_items(cfg, "f"),
             h_max=h_max)
     else:
         alpha = _int(cfg, "alpha", 2)
@@ -421,9 +441,9 @@ def _cmd_conjecture(cfg: dict, which: str):
         _check_laguerre(q, t)
         report = check_conjecture_b2(
             LaguerreParams(q, t),
-            f_set=[int(f) for f in cfg.get("f") or ()],
+            f_set=_items(cfg, "f"),
             k_upper=_int(cfg, "k-upper", 0),
-            masses=list(cfg.get("masses") or ("1",)),
+            masses=_items(cfg, "masses", _as_rat, ("1",)),
             h_max=h_max)
     status = report["status"]
     conjectured = report.get("conjectured_order")

@@ -299,13 +299,62 @@ def meixner_recurrence(params: MeixnerParams) -> ThreeTermRecurrence:
     return ThreeTermRecurrence(a_fn, b_fn, c_fn, label="q-meixner")
 
 
+def laguerre_recurrence(params: LaguerreParams) -> ThreeTermRecurrence:
+    """Closed-form recurrence for the q-Laguerre family (t = q^alpha),
+    normalized so the underlying functional has total mass 1.  c(0) is
+    returned as 0 since it multiplies the absent p_{-1}."""
+    q, t = params.q, params.t
+
+    def a_fn(n: int) -> Fraction:
+        return ((1 - t * q ** (n + 1)) * (1 - q ** (n + 1))
+                / (t * q ** (2 * n + 1)))
+
+    def b_fn(n: int) -> Fraction:
+        return (((1 - q ** (n + 1)) + q * (1 - t * q ** n))
+                / (t * q ** (2 * n + 1)))
+
+    def c_fn(n: int) -> Fraction:
+        if n == 0:
+            return Fraction(0)
+        return 1 / (t * q ** (2 * n))
+
+    return ThreeTermRecurrence(a_fn, b_fn, c_fn, label="q-laguerre")
+
+
+def alsalam_carlitz_recurrence(
+        params: AlSalamCarlitzParams) -> ThreeTermRecurrence:
+    """Closed-form recurrence for the Al-Salam-Carlitz family v_n(x; a).
+    c(0) is returned as 0 since it multiplies the absent p_{-1}."""
+    q, a = params.q, params.a
+
+    def c_fn(n: int) -> Fraction:
+        if n == 0:
+            return Fraction(0)
+        return (q ** n - 1) / q ** n
+
+    return ThreeTermRecurrence(lambda n: -a / q ** n,
+                               lambda n: (1 + a) / q ** n, c_fn,
+                               label="al-salam-carlitz")
+
+
+def family_recurrence(family: PolynomialFamily) -> ThreeTermRecurrence:
+    """The closed-form recurrence of any of the three families."""
+    if family.kind == MEIXNER:
+        return meixner_recurrence(family.params)
+    if family.kind == LAGUERRE:
+        return laguerre_recurrence(family.params)
+    return alsalam_carlitz_recurrence(family.params)
+
+
 def derive_recurrence(family: PolynomialFamily, n_top: int) -> ThreeTermRecurrence:
     """Recover a_n, b_n, c_n for n <= n_top by exact coefficient matching.
 
     x p_n must equal a_n p_{n+1} + b_n p_n + c_n p_{n-1} in every
     coefficient; if the full linear system has no unique solution the
     family is not a genuine orthogonal sequence and SingularSystem is
-    raised.
+    raised.  It builds every polynomial up to degree n_top + 1 and solves
+    one system per degree, so it serves as the slow reference that the
+    closed forms above are tested against.
     """
     a_t: list[Fraction] = []
     b_t: list[Fraction] = []

@@ -19,13 +19,15 @@ P1(theta_n), and both identities are re-checked during the build rather
 than assumed.
 
 theorem_catalog bundles the five ready-made instances: for each one the
-carrier polynomial P2, the displayed beta sequence, and the matching moment
-functional (with its product-identity cross-check) are returned together.
+carrier polynomial P2 and the displayed beta sequence are returned, and the
+matching moment functional (with its product-identity cross-check) is
+built when it is first read.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable
 
 from .errors import (CrossCheckFailed, DegenerateBase, GammaVanishes,
@@ -177,17 +179,28 @@ def verify_eigen(kc: KrallConstruction, n_top: int | None = None) -> list[dict]:
 
 @dataclass(frozen=True, eq=False)
 class TheoremData:
-    """One catalogued instance: everything needed to build and verify it."""
+    """One catalogued instance: everything needed to build and verify it.
+
+    ``measure`` is built by ``measure_catalog`` (moment depth ``n_depth``)
+    on first read, together with its product-identity cross-check, so a
+    caller that only builds or eigen-verifies never pays for it; later
+    reads return the same functional.
+    """
 
     name: str
     family: PolynomialFamily
     spec: DOperatorSpec
     p2: Poly
     displayed_beta: Callable[[int], Fraction]
-    measure: MomentFunctional
     expected_order: int
     k_or_alpha: int
     mass: Fraction | None
+    n_depth: int
+
+    @cached_property
+    def measure(self) -> MomentFunctional:
+        return measure_catalog(self.name, self.family.params, self.k_or_alpha,
+                               mass=self.mass, n_depth=self.n_depth)
 
 
 def theorem_catalog(name: str, params: MeixnerParams | LaguerreParams,
@@ -198,7 +211,8 @@ def theorem_catalog(name: str, params: MeixnerParams | LaguerreParams,
 
     k_or_alpha is the degree parameter k for the product-measure instances
     and the positive integer alpha for the point-mass one (whose t must be
-    q^alpha); mass is only used by the latter.
+    q^alpha); mass is only used by the latter.  n_depth is the moment
+    depth of the measure, which is built when ``.measure`` is first read.
     """
     k = k_or_alpha
     if k < 0:
@@ -236,10 +250,10 @@ def theorem_catalog(name: str, params: MeixnerParams | LaguerreParams,
                         * _c.poly(_k)(_q ** (n + 1)) / _c.poly(_k)(_q ** n))
 
             spec = specs[2]
-        mu = measure_catalog(name, params, k, n_depth=n_depth)
         return TheoremData(name=name, family=fam, spec=spec, p2=p2,
-                           displayed_beta=displayed_beta, measure=mu,
-                           expected_order=2 * k + 2, k_or_alpha=k, mass=None)
+                           displayed_beta=displayed_beta,
+                           expected_order=2 * k + 2, k_or_alpha=k, mass=None,
+                           n_depth=n_depth)
     if name == LAGUERRE_I:
         if not isinstance(params, LaguerreParams):
             raise UnknownTheorem(f"{name} needs Laguerre parameters")
@@ -251,10 +265,10 @@ def theorem_catalog(name: str, params: MeixnerParams | LaguerreParams,
         def displayed_beta(n: int, _v=vfam, _k=k, _q=q) -> Fraction:
             return _v.poly(_k)(_q ** (n + 1)) / _v.poly(_k)(_q ** n)
 
-        mu = measure_catalog(name, params, k, n_depth=n_depth)
         return TheoremData(name=name, family=fam, spec=dop_catalog(fam)[0],
-                           p2=p2, displayed_beta=displayed_beta, measure=mu,
-                           expected_order=2 * k + 2, k_or_alpha=k, mass=None)
+                           p2=p2, displayed_beta=displayed_beta,
+                           expected_order=2 * k + 2, k_or_alpha=k, mass=None,
+                           n_depth=n_depth)
     if name == LAGUERRE_II:
         if not isinstance(params, LaguerreParams):
             raise UnknownTheorem(f"{name} needs Laguerre parameters")
@@ -283,9 +297,8 @@ def theorem_catalog(name: str, params: MeixnerParams | LaguerreParams,
                     _q, _q, i)
             return gam(n) / ((1 - _t * _q ** n) * gam(n - 1))
 
-        mu = measure_catalog(name, params, alpha, mass=m_val, n_depth=n_depth)
         return TheoremData(name=name, family=fam, spec=dop_catalog(fam)[1],
-                           p2=p2, displayed_beta=displayed_beta, measure=mu,
+                           p2=p2, displayed_beta=displayed_beta,
                            expected_order=2 * alpha + 2, k_or_alpha=alpha,
-                           mass=m_val)
+                           mass=m_val, n_depth=n_depth)
     raise UnknownTheorem(f"unknown instance {name!r}")

@@ -18,10 +18,8 @@ from typing import Callable, Iterable
 from .errors import (CrossCheckFailed, DenominatorVanishes, NotQuasiDefinite,
                      UnknownTheorem, ZeroDilation)
 from .exact import Poly, qpochhammer, rational, rational_str
-from .families import (LaguerreParams, MeixnerParams, PolynomialFamily,
-                       ThreeTermRecurrence, derive_recurrence, laguerre,
-                       meixner, meixner_recurrence)
-from .linalg import leading_principal_minors, solve_exact
+from .families import (LaguerreParams, MeixnerParams, ThreeTermRecurrence,
+                       laguerre_recurrence, meixner, meixner_recurrence)
 
 Provider = Callable[[int, list[Fraction]], Fraction]
 
@@ -70,10 +68,6 @@ class MomentFunctional:
         return f"MomentFunctional(kind={kind!r}, max_n={self.max_n})"
 
 
-def pair(mu: MomentFunctional, p: Poly) -> Fraction:
-    return mu.pair(p)
-
-
 def agree_up_to(mu_a: MomentFunctional, mu_b: MomentFunctional,
                 n_top: int) -> int | None:
     """First index <= n_top where the moments differ, or None if they agree."""
@@ -92,27 +86,34 @@ def moments_from_recurrence(rec: ThreeTermRecurrence, n_depth: int,
     p_0-coordinate.  Exact at every step.
     """
     mu0 = rational(mu0)
+    # a_j, b_j, c_j are evaluated once each, since every step reads them all
+    a_t: list[Fraction] = []
+    b_t: list[Fraction] = []
+    c_t: list[Fraction] = []
     state: dict = {"n": 0, "w": [Fraction(1)]}
 
     def provider(n: int, _prev: list[Fraction]) -> Fraction:
-        if n < state["n"]:  # cache rebuilt from scratch; never happens in order
-            state["n"], state["w"] = 0, [Fraction(1)]
         while state["n"] < n:
             w = state["w"]
             m = state["n"]
             try:
-                nxt = [Fraction(0)] * (m + 2)
-                for i in range(m + 2):
-                    if i >= 1:
-                        nxt[i] += rec.a(i - 1) * w[i - 1]
-                    if i < len(w):
-                        nxt[i] += rec.b(i) * w[i]
-                    if i + 1 < len(w):
-                        nxt[i] += rec.c(i + 1) * w[i + 1]
+                a_m, b_m = rec.a(m), rec.b(m)
+                c_m = rec.c(m) if m else Fraction(0)
             except IndexError as exc:
                 raise ValueError(
                     f"recurrence depth exhausted while extending to moment {n}"
                 ) from exc
+            a_t.append(a_m)
+            b_t.append(b_m)
+            c_t.append(c_m)
+            nxt = [Fraction(0)] * (m + 2)
+            for i in range(m + 2):
+                if i >= 1:
+                    nxt[i] += a_t[i - 1] * w[i - 1]
+                if i < len(w):
+                    nxt[i] += b_t[i] * w[i]
+                if i + 1 < len(w):
+                    nxt[i] += c_t[i + 1] * w[i + 1]
             state["w"] = nxt
             state["n"] = m + 1
         return state["w"][0] * mu0
@@ -255,24 +256,43 @@ class GramData:
 
 
 def hankel_orthogonal(mu: MomentFunctional, n_top: int) -> GramData:
-    """Monic orthogonal polynomials pi_0..pi_{n_top} by exact linear solves.
+    """Monic orthogonal polynomials pi_0..pi_{n_top} by the Chebyshev
+    algorithm on the moments m_0..m_{2 n_top}.
 
+    With sigma_{k,l} = <mu, pi_k x^l>, the norm h_k = sigma_{k,k} gives
+    Delta_{k+1} = Delta_k h_k, and the recurrence
+    pi_{k+1} = (x - alpha_k) pi_k - beta_k pi_{k-1} has
+    alpha_k = sigma_{k,k+1}/h_k - sigma_{k-1,k}/h_{k-1} and
+    beta_k = h_k/h_{k-1}; the sigma rows advance by the same recurrence.
     Raises NotQuasiDefinite(n) at the first vanishing Hankel determinant
     Delta_n with n <= n_top + 1 (norms through degree n_top need them all).
     """
-    h = [[mu.moment(i + j) for j in range(n_top + 1)] for i in range(n_top + 1)]
-    minors = leading_principal_minors(h)
-    dets = [Fraction(1)] + minors
-    for n in range(1, n_top + 2):
-        if n < len(dets) and dets[n] == 0:
-            raise NotQuasiDefinite(n)
+    top = 2 * n_top
+    sigma = mu.moments(top)          # sigma_{k,l} at index l, l = k..top-k
+    prev_sigma = [Fraction(0)] * (top + 1)
+    dets = [Fraction(1)]
+    norms: list[Fraction] = []
     polys = [Poly.one()]
-    for n in range(1, n_top + 1):
-        mat = [[mu.moment(i + m) for m in range(n)] for i in range(n)]
-        rhs = [-mu.moment(i + n) for i in range(n)]
-        low = solve_exact(mat, rhs)
-        polys.append(Poly(low + [Fraction(1)]))
-    norms = [dets[n + 1] / dets[n] for n in range(n_top + 1)]
+    prev_poly = Poly.zero()
+    prev_ratio = Fraction(0)         # sigma_{k-1,k}/h_{k-1}
+    for k in range(n_top + 1):
+        h_k = sigma[k]
+        if h_k == 0:
+            raise NotQuasiDefinite(k + 1)
+        dets.append(dets[k] * h_k)
+        norms.append(h_k)
+        if k == n_top:
+            break
+        ratio = sigma[k + 1] / h_k
+        alpha = ratio - prev_ratio
+        beta = h_k / norms[k - 1] if k else Fraction(0)
+        nxt = [Fraction(0)] * (top + 1)
+        for l in range(k + 1, top - k):
+            nxt[l] = sigma[l + 1] - alpha * sigma[l] - beta * prev_sigma[l]
+        prev_sigma, sigma = sigma, nxt
+        pi_k = polys[k]
+        polys.append(Poly((0, *pi_k.coeffs)) - alpha * pi_k - beta * prev_poly)
+        prev_poly, prev_ratio = pi_k, ratio
     return GramData(hankel_dets=dets, polys=polys, norms=norms)
 
 
@@ -333,12 +353,9 @@ def meixner_moments(params: MeixnerParams, n_depth: int = 64) -> MomentFunctiona
 
 def laguerre_moments(params: LaguerreParams,
                      n_depth: int = 64) -> MomentFunctional:
-    """Moments of the q-Laguerre functional via the derived recurrence,
-    normalized to total mass 1.  The recurrence is recovered exactly from
-    the polynomials themselves."""
-    fam = PolynomialFamily("q-laguerre", params)
-    rec = derive_recurrence(fam, n_depth + 1)
-    return moments_from_recurrence(rec, n_depth)
+    """Moments of the q-Laguerre functional, normalized to total mass 1,
+    from its closed-form recurrence."""
+    return moments_from_recurrence(laguerre_recurrence(params), n_depth)
 
 
 def _product(factors: Iterable[Poly]) -> Poly:

@@ -9,7 +9,8 @@ nonzero (otherwise its order is lower than the window) and scalar multiples
 of the identity are excluded automatically by that same requirement.
 
 The conjecture checkers build a perturbed moment functional, extract its
-monic orthogonal polynomials from Hankel solves, and scan half-widths
+monic orthogonal polynomials with the Chebyshev algorithm on its moments
+(``moments.hankel_orthogonal``), and scan half-widths
 upward to locate the minimal even order admitting an eigenoperator,
 reporting every attempt.
 """
@@ -25,9 +26,9 @@ from .exact import (Poly, RationalFn, _to_int_primitive, rational,
 from .families import (LaguerreParams, MeixnerParams, q_power_exponent)
 from .krall import build, theorem_catalog
 from .linalg import nullspace
-from .moments import (LAGUERRE_II, MomentFunctional, add, christoffel,
-                      hankel_orthogonal, laguerre_moments, meixner_moments,
-                      point_mass)
+from .moments import (LAGUERRE_II, MomentFunctional, _product, add,
+                      christoffel, hankel_orthogonal, laguerre_moments,
+                      meixner_moments, point_mass)
 from .operators import QDiffOperator
 
 __all__ = ["SearchProblem", "SearchResult", "find_operator",
@@ -171,13 +172,6 @@ def minimal_even_order(eigenpolys: Sequence[Poly], q: Fraction, h_max: int,
     return None, None, attempts
 
 
-def _product_poly(factors: Iterable[Poly]) -> Poly:
-    out = Poly.one()
-    for f in factors:
-        out = out * f
-    return out
-
-
 def _search_report(conjecture: str, inputs: dict, conjectured_order: int | None,
                    mu: MomentFunctional, q: Fraction, h_max: int,
                    d: int | None, t: int | None) -> dict:
@@ -233,7 +227,7 @@ def check_conjecture_a(params: MeixnerParams,
     conjectured = 2 + sum(
         2 * sum(s) - len(s) * (len(s) - 1) for s in (s1, s2, s3))
     h_max = conjectured // 2 + 1 if h_max is None else h_max
-    r = _product_poly(
+    r = _product(
         [Poly((b * c / q ** f, Fraction(1))) for f in s1]
         + [Poly((-b * q ** (f + 1), Fraction(1))) for f in s2]
         + [Poly((Fraction(-1) / q ** f, Fraction(1))) for f in s3])
@@ -256,7 +250,7 @@ def check_conjecture_b1(params: LaguerreParams, f_set: Iterable[int] = (),
     q = params.q
     conjectured = 2 * sum(fs) - len(fs) * (len(fs) - 1) + 2
     h_max = conjectured // 2 + 1 if h_max is None else h_max
-    r = _product_poly([Poly((Fraction(1), q ** f)) for f in fs])
+    r = _product([Poly((Fraction(1), q ** f)) for f in fs])
     d_top = 2 * h_max + 2 if d is None else d
     depth = 2 * (2 * h_max + d_top + 7) + r.degree() + 2
     mu = christoffel(laguerre_moments(params, depth), r)
@@ -297,7 +291,7 @@ def check_conjecture_b2(params: LaguerreParams, f_set: Iterable[int] = (),
             raise ParamDegeneracy(
                 "no conjectured order for this shape; give h_max")
         h_max = conjectured // 2 + 1
-    r = _product_poly([Poly((Fraction(1), q ** f)) for f in fs])
+    r = _product([Poly((Fraction(1), q ** f)) for f in fs])
     d_top = 2 * h_max + 2 if d is None else d
     depth = 2 * (2 * h_max + d_top + 7) + r.degree() + 2
     lower = laguerre_moments(LaguerreParams(q, tv / q), depth)

@@ -6,7 +6,9 @@ import json
 
 import pytest
 
+import qkrall.krall
 import qkrall.search
+from qkrall import CrossCheckFailed
 from qkrall.cli import main
 
 
@@ -213,3 +215,61 @@ def test_negative_eigen_depth_is_not_a_pass(capsys):
                           "--n", "-3")
     assert code == 2 and "n must be nonnegative" in err
     assert "pass" not in out
+
+
+@pytest.mark.parametrize("which, config", [
+    ("a", {"f1": "ab"}),
+    ("a", {"f1": 5}),
+    ("a", {"order-max": "six"}),
+    ("a", {"order-max": 6.5}),
+    ("b2", {"masses": 5}),
+    ("b2", {"masses": ["ab"]}),
+])
+def test_malformed_conjecture_config_is_invalid_input(capsys, tmp_path,
+                                                      which, config):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(config))
+    code, _, err = _run(capsys, "conjecture", which, "--config", str(cfg))
+    assert code == 2
+    assert "cannot parse" in err or "must be a list" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("perturb", [5, [1.5, "2"], ["1", [2]]])
+def test_malformed_perturb_config_is_invalid_input(capsys, tmp_path,
+                                                   perturb):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"perturb-beta": perturb}))
+    code, _, err = _run(capsys, "verify-eigen", "--theorem", "meixner-i",
+                        "--config", str(cfg))
+    assert code == 2 and "--perturb-beta" in err
+
+
+def _failing_catalog(calls):
+    def measure_catalog(*args, **kwargs):
+        calls.append(args[0])
+        raise CrossCheckFailed(f"{args[0]}: cross-check fails at moment 3")
+    return measure_catalog
+
+
+def test_measure_cross_check_failure_exits_one(capsys, monkeypatch):
+    calls: list[str] = []
+    monkeypatch.setattr(qkrall.krall, "measure_catalog",
+                        _failing_catalog(calls))
+    code, _, err = _run(capsys, "verify-orthogonality", "--theorem",
+                        "meixner-i", "--k", "1", "--n", "4")
+    assert code == 1 and calls == ["meixner-i"]
+    assert "cross-check fails" in err and "Traceback" not in err
+
+
+def test_eigen_and_build_never_build_the_measure(capsys, monkeypatch):
+    calls: list[str] = []
+    monkeypatch.setattr(qkrall.krall, "measure_catalog",
+                        _failing_catalog(calls))
+    code, _, _ = _run(capsys, "verify-eigen", "--theorem", "meixner-i",
+                      "--k", "1", "--n", "4")
+    assert code == 0
+    code, _, _ = _run(capsys, "build-krall", "--theorem", "laguerre-i",
+                      "--k", "1", "--n", "4")
+    assert code == 0
+    assert calls == []

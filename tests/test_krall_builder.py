@@ -5,10 +5,12 @@ from fractions import Fraction
 
 import pytest
 
+import qkrall.krall
 from qkrall import (DOperatorSpec, DegenerateBase, GammaVanishes,
                     LaguerreParams, NoGeometricForm, ParamDegeneracy, Poly,
-                    UnknownTheorem, build, build_P1, dop_catalog, meixner,
-                    theorem_catalog, verify_eigen)
+                    UnknownTheorem, agree_up_to, build, build_P1,
+                    dop_catalog, measure_catalog, meixner, theorem_catalog,
+                    verify_eigen)
 from qkrall import LAGUERRE_I, LAGUERRE_II, MEIXNER_I, MEIXNER_II, THEOREMS
 from conftest import B0, C0, Q0, T0
 
@@ -133,3 +135,26 @@ def test_catalog_validates_inputs():
         # the degree label must match the exponent of t
         theorem_catalog(LAGUERRE_II, LaguerreParams(Q0, Q0 ** 2), 3,
                         mass=F(1))
+
+
+def test_catalog_measure_is_built_on_first_read_only(monkeypatch):
+    calls = []
+    real = qkrall.krall.measure_catalog
+
+    def counting(*args, **kwargs):
+        calls.append((args, kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(qkrall.krall, "measure_catalog", counting)
+    lp = LaguerreParams(Q0, Q0 ** 2)
+    td = theorem_catalog(LAGUERRE_II, lp, 2, mass=F(7, 3), n_depth=20)
+    kc = build(td.family, td.spec, td.p2, 6)
+    assert all(e["passed"] for e in verify_eigen(kc))
+    assert calls == []
+    mu = td.measure
+    assert len(calls) == 1
+    assert td.measure is mu and len(calls) == 1
+    # the same functional as the catalog builds directly, to the same depth
+    direct = measure_catalog(LAGUERRE_II, lp, 2, mass=F(7, 3), n_depth=20)
+    assert mu.max_n == direct.max_n
+    assert agree_up_to(mu, direct, 20) is None

@@ -4,11 +4,14 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qkrall import (LAGUERRE_I, LAGUERRE_II, MEIXNER_I, MEIXNER_II,
-                    MEIXNER_III, THEOREMS, DenominatorVanishes,
+                    MEIXNER_III, THEOREMS, DenominatorVanishes, GramData,
                     LaguerreParams, MeixnerParams, MomentFunctional,
-                    NotQuasiDefinite, Poly, UnknownTheorem, ZeroDilation,
+                    NotQuasiDefinite, ParamDegeneracy, Poly, UnknownTheorem,
+                    ZeroDilation, leading_principal_minors, solve_exact,
                     add, agree_up_to, christoffel, derive_recurrence, dilate,
                     favard_positivity, geronimus, gram_matrix, gram_to_csv,
                     hankel_orthogonal, laguerre, laguerre_moments,
@@ -111,6 +114,102 @@ def test_hankel_orthogonal_reproduces_family():
         assert gd.polys[n] == monic
         assert gd.norms[n] == gd.hankel_dets[n + 1] / gd.hankel_dets[n]
         assert gd.norms[n] == mu.pair(gd.polys[n] * gd.polys[n])
+
+
+def _hankel_reference(mu: MomentFunctional, n_top: int) -> GramData:
+    """The monic orthogonal polynomials by one Hankel solve per degree,
+    with the determinants from elimination on the full Hankel matrix."""
+    h = [[mu.moment(i + j) for j in range(n_top + 1)]
+         for i in range(n_top + 1)]
+    dets = [F(1)] + leading_principal_minors(h)
+    for n in range(1, n_top + 2):
+        if n < len(dets) and dets[n] == 0:
+            raise NotQuasiDefinite(n)
+    polys = [Poly.one()]
+    for n in range(1, n_top + 1):
+        mat = [[mu.moment(i + m) for m in range(n)] for i in range(n)]
+        rhs = [-mu.moment(i + n) for i in range(n)]
+        polys.append(Poly(solve_exact(mat, rhs) + [F(1)]))
+    norms = [dets[n + 1] / dets[n] for n in range(n_top + 1)]
+    return GramData(hankel_dets=dets, polys=polys, norms=norms)
+
+
+def _hankel_outcome(solver, mu: MomentFunctional, n_top: int):
+    try:
+        return solver(mu, n_top)
+    except NotQuasiDefinite as exc:
+        return ("not quasi-definite", exc.n)
+
+
+small = st.fractions(min_value=-3, max_value=3, max_denominator=5)
+nonzero = small.filter(lambda v: v != 0)
+
+
+@st.composite
+def recurrence_functionals(draw):
+    q = draw(st.sampled_from([F(2, 5), F(3, 7), F(3, 2), F(-1, 3)]))
+    try:
+        if draw(st.booleans()):
+            return meixner_moments(MeixnerParams(q, draw(nonzero),
+                                                 draw(nonzero)), 24)
+        return laguerre_moments(LaguerreParams(q, draw(nonzero)), 24)
+    except ParamDegeneracy:
+        return meixner_moments(MeixnerParams(Q0, B0, C0), 24)
+
+
+@st.composite
+def christoffel_functionals(draw):
+    r = Poly(draw(st.lists(small, min_size=1, max_size=3)) + [F(1)])
+    return christoffel(draw(recurrence_functionals()), r)
+
+
+@st.composite
+def geronimus_functionals(draw):
+    return geronimus(draw(recurrence_functionals()), draw(small),
+                     draw(nonzero), draw(small))
+
+
+@st.composite
+def point_mass_functionals(draw):
+    """A sum of point masses, some of them derivatives; degenerate once
+    the degree passes the number of conditions they impose."""
+    mu = point_mass(draw(small), draw(st.integers(0, 1)), draw(nonzero))
+    for _ in range(draw(st.integers(0, 4))):
+        mu = add(mu, point_mass(draw(small), draw(st.integers(0, 2)),
+                                draw(nonzero)))
+    return mu
+
+
+@st.composite
+def literal_functionals(draw):
+    return _from_list(draw(st.lists(small, min_size=17, max_size=17)))
+
+
+functionals = st.one_of(recurrence_functionals(), christoffel_functionals(),
+                        geronimus_functionals(), point_mass_functionals(),
+                        literal_functionals())
+
+
+@settings(max_examples=80, deadline=None)
+@given(functionals, st.integers(0, 8))
+def test_hankel_orthogonal_equals_hankel_solve_reference(mu, n_top):
+    assert (_hankel_outcome(hankel_orthogonal, mu, n_top)
+            == _hankel_outcome(_hankel_reference, mu, n_top))
+
+
+def test_point_mass_sums_are_degenerate_at_the_reference_index():
+    # j distinct point masses leave j orthogonal degrees: Delta_{j+1} = 0
+    points = [F(0), F(1), F(-2, 3), F(5, 2), F(7)]
+    mu = point_mass(points[0])
+    for j in range(1, len(points) + 1):
+        if j > 1:
+            mu = add(mu, point_mass(points[j - 1], 0, F(j, 3)))
+        gd = hankel_orthogonal(mu, j - 1)
+        assert gd == _hankel_reference(mu, j - 1)
+        for solver in (hankel_orthogonal, _hankel_reference):
+            with pytest.raises(NotQuasiDefinite) as info:
+                solver(mu, j)
+            assert info.value.n == j + 1
 
 
 def test_hankel_degeneracy_is_named_with_its_index():

@@ -7,8 +7,9 @@ import pytest
 
 from qkrall import (LaguerreParams, MeixnerParams, ParamDegeneracy, Poly,
                     UnsupportedFamily, alsalam_carlitz, derive_recurrence,
-                    family_operator, gram_matrix, laguerre, laguerre_moments,
-                    meixner, meixner_moments, meixner_recurrence,
+                    family_operator, family_recurrence, gram_matrix,
+                    laguerre, laguerre_moments, laguerre_recurrence, meixner,
+                    meixner_moments, meixner_recurrence,
                     polys_from_recurrence, q_power_exponent, qpochhammer)
 from conftest import B0, C0, Q0, T0
 
@@ -69,6 +70,32 @@ def test_derived_recurrence_matches_closed_form():
         assert derived.b(n) == closed.b(n)
         if n > 0:
             assert derived.c(n) == closed.c(n)
+
+
+def _same_recurrence(closed, derived, n_top: int) -> None:
+    for n in range(n_top + 1):
+        assert closed.a(n) == derived.a(n), ("a", n)
+        assert closed.b(n) == derived.b(n), ("b", n)
+        assert closed.c(n) == derived.c(n), ("c", n)
+
+
+@pytest.mark.parametrize("q, t", [
+    (Q0, T0),                # q < 1
+    (F(3, 2), F(5, 7)),      # q > 1
+    (Q0, Q0 ** 2),           # t = q^alpha, the point-mass instances' case
+])
+def test_laguerre_closed_form_equals_derived_recurrence(q, t):
+    fam = laguerre(q, t)
+    _same_recurrence(laguerre_recurrence(fam.params),
+                     derive_recurrence(fam, 64), 64)
+
+
+@pytest.mark.parametrize("fam", [
+    meixner(Q0, B0, C0), laguerre(F(3, 2), F(9, 4)),
+    alsalam_carlitz(Q0, F(4, 3)), alsalam_carlitz(F(3, 2), F(-2, 7)),
+], ids=["meixner", "laguerre", "al-salam-carlitz", "al-salam-carlitz-q>1"])
+def test_family_recurrence_equals_derived_recurrence(fam):
+    _same_recurrence(family_recurrence(fam), derive_recurrence(fam, 16), 16)
 
 
 def test_laguerre_recurrence_round_trip():
