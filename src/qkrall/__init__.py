@@ -14,9 +14,8 @@ from .errors import (CrossCheckFailed, DegenerateBase, DegenerateParams,
                      ParseError, QKrallError, SingularSystem,
                      UnknownTheorem, UnsupportedFamily, ZeroDenominator,
                      ZeroDilation)
-from .exact import (Poly, RationalFn, divmod_poly, exact_div, poly_from_json,
-                    poly_gcd, poly_to_json, qpochhammer, ratfn_from_json,
-                    ratfn_to_json, rational, rational_str)
+from .exact import (Laurent, Poly, divmod_poly, poly_from_json, poly_gcd,
+                    poly_to_json, qpochhammer, rational, rational_str)
 from .families import (AL_SALAM_CARLITZ, LAGUERRE, MEIXNER,
                        AlSalamCarlitzParams, LaguerreParams, MeixnerParams,
                        PolynomialFamily, ThreeTermRecurrence,
@@ -46,26 +45,25 @@ __all__ = [
     "AL_SALAM_CARLITZ", "AlSalamCarlitzParams", "CrossCheckFailed",
     "DOperatorSpec", "DegenerateBase", "DegenerateParams",
     "DenominatorVanishes", "GammaVanishes", "GramData", "KrallConstruction",
-    "LAGUERRE", "LAGUERRE_I", "LAGUERRE_II", "LaguerreParams", "MEIXNER",
-    "MEIXNER_I", "MEIXNER_II", "MEIXNER_III", "MeixnerParams", "MixedBase",
-    "MomentFunctional", "NoGeometricForm", "NotQuasiDefinite",
+    "LAGUERRE", "LAGUERRE_I", "LAGUERRE_II", "LaguerreParams", "Laurent",
+    "MEIXNER", "MEIXNER_I", "MEIXNER_II", "MEIXNER_III", "MeixnerParams",
+    "MixedBase", "MomentFunctional", "NoGeometricForm", "NotQuasiDefinite",
     "ParamDegeneracy", "ParseError", "Poly", "PolynomialFamily",
-    "QDiffOperator", "QKrallError", "RationalFn", "SearchProblem",
-    "SearchResult", "SingularSystem", "THEOREMS", "TheoremData",
-    "ThreeTermRecurrence", "UnknownTheorem", "UnsupportedFamily",
-    "ZeroDenominator", "ZeroDilation", "add", "agree_up_to",
-    "alsalam_carlitz", "alsalam_carlitz_recurrence", "build", "build_P1",
-    "check_conjecture_a", "check_conjecture_b1", "check_conjecture_b2",
-    "christoffel", "derive_recurrence", "dilate", "divmod_poly",
-    "dop_action", "dop_catalog", "exact_div", "family_operator",
+    "QDiffOperator", "QKrallError", "SearchProblem", "SearchResult",
+    "SingularSystem", "THEOREMS", "TheoremData", "ThreeTermRecurrence",
+    "UnknownTheorem", "UnsupportedFamily", "ZeroDenominator", "ZeroDilation",
+    "add", "agree_up_to", "alsalam_carlitz", "alsalam_carlitz_recurrence",
+    "build", "build_P1", "check_conjecture_a", "check_conjecture_b1",
+    "check_conjecture_b2", "christoffel", "derive_recurrence", "dilate",
+    "divmod_poly", "dop_action", "dop_catalog", "family_operator",
     "family_recurrence", "favard_positivity", "find_operator", "geronimus",
     "gram_matrix", "gram_to_csv", "hankel_orthogonal", "laguerre",
-    "laguerre_moments", "laguerre_recurrence", "leading_principal_minors", "combine_with_point_mass", "measure_catalog",
-    "meixner", "meixner_moments", "meixner_recurrence", "minimal_even_order",
-    "moments_from_recurrence", "nullspace", "point_mass",
-    "poly_from_json", "poly_gcd", "poly_of_operator", "poly_to_json",
-    "polys_from_recurrence", "q_derivative_ops", "q_power_exponent",
-    "qpochhammer", "ratfn_from_json", "ratfn_to_json", "rational",
+    "laguerre_moments", "laguerre_recurrence", "leading_principal_minors",
+    "combine_with_point_mass", "measure_catalog", "meixner",
+    "meixner_moments", "meixner_recurrence", "minimal_even_order",
+    "moments_from_recurrence", "nullspace", "point_mass", "poly_from_json",
+    "poly_gcd", "poly_of_operator", "poly_to_json", "polys_from_recurrence",
+    "q_derivative_ops", "q_power_exponent", "qpochhammer", "rational",
     "rational_str", "rref", "scale", "shift", "solve_exact",
     "theorem_catalog", "verify_dop", "verify_eigen",
 ]

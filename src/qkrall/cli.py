@@ -22,7 +22,8 @@ from .errors import (CrossCheckFailed, DegenerateParams, ParseError,
                      QKrallError)
 from .exact import Poly, poly_to_json, rational, rational_str
 from .families import (LaguerreParams, MeixnerParams, PolynomialFamily,
-                       alsalam_carlitz, family_recurrence, laguerre, meixner)
+                       alsalam_carlitz, family_recurrence, laguerre, meixner,
+                       q_power_exponent)
 from .krall import build, theorem_catalog, verify_eigen
 from .moments import (LAGUERRE_I, LAGUERRE_II, MEIXNER_I, MEIXNER_II,
                       MEIXNER_III, THEOREMS, gram_matrix, hankel_orthogonal)
@@ -31,7 +32,6 @@ from .search import (check_conjecture_a, check_conjecture_b1,
 
 __all__ = ["main", "entry", "parse_config"]
 
-_SCAN = 64
 _DEFAULTS = {"q": "2/5", "b": "1/3", "c": "3/2", "t": "3/4"}
 
 
@@ -125,27 +125,21 @@ def _check_meixner(q: Fraction, b: Fraction, c: Fraction) -> None:
     _check_base(q)
     if c == 0:
         raise DegenerateParams("c != 0 required")
-    power = Fraction(1)
-    for e in range(_SCAN + 1):
-        if b == power:
-            raise DegenerateParams(f"b = q^-{e}" if e else "b = 1")
-        power /= q
-    power = Fraction(1)
-    for e in range(_SCAN + 1):
-        if c == -power:
-            raise DegenerateParams(f"c = -q^{e}")
-        power *= q
+    e = q_power_exponent(b, q)
+    if e is not None and e <= 0:
+        raise DegenerateParams(f"b = q^{e}" if e else "b = 1")
+    e = q_power_exponent(-c, q)
+    if e is not None and e >= 0:
+        raise DegenerateParams(f"c = -q^{e}")
 
 
 def _check_laguerre(q: Fraction, t: Fraction) -> None:
     _check_base(q)
     if t == 0:
         raise DegenerateParams("t != 0 required")
-    power = Fraction(1)
-    for e in range(1, _SCAN + 1):
-        power /= q
-        if t == power:
-            raise DegenerateParams(f"t = q^-{e}")
+    e = q_power_exponent(t, q)
+    if e is not None and e < 0:
+        raise DegenerateParams(f"t = q^{e}")
 
 
 def _theorem_setup(cfg: dict):
@@ -184,22 +178,21 @@ def _theorem_setup(cfg: dict):
 def _family_setup(cfg: dict) -> PolynomialFamily:
     kind = cfg.get("family", "q-meixner")
     q = _rat(cfg, "q", _DEFAULTS["q"])
-    n_cap = max(_depth(cfg, 8) + 4, 12)
     if kind == "q-meixner":
         b = _rat(cfg, "b", _DEFAULTS["b"])
         c = _rat(cfg, "c", _DEFAULTS["c"])
         _check_meixner(q, b, c)
-        return meixner(q, b, c, n_max=n_cap)
+        return meixner(q, b, c)
     if kind == "q-laguerre":
         t = _rat(cfg, "t", _DEFAULTS["t"])
         _check_laguerre(q, t)
-        return laguerre(q, t, n_max=n_cap)
+        return laguerre(q, t)
     if kind == "al-salam-carlitz":
         a = _rat(cfg, "a", "4/3")
         _check_base(q)
         if a == 0:
             raise DegenerateParams("a != 0 required")
-        return alsalam_carlitz(q, a, n_max=n_cap)
+        return alsalam_carlitz(q, a)
     raise ParseError(f"unknown family {kind!r}")
 
 
@@ -221,8 +214,8 @@ def _emit(payload: dict, elapsed: float, out_dir: str | None,
 
 
 def _cmd_families(cfg: dict):
-    fam = _family_setup(cfg)
     n_top = _depth(cfg, 8)
+    fam = _family_setup(cfg)
     rows = []
     theta_known = fam.kind != "al-salam-carlitz"
     for n in range(n_top + 1):
@@ -256,8 +249,8 @@ def _cmd_families(cfg: dict):
 
 
 def _cmd_verify_dop(cfg: dict):
-    fam = _family_setup(cfg)
     n_top = _depth(cfg, 10)
+    fam = _family_setup(cfg)
     entries = []
     all_ok = True
     for spec in dop_catalog(fam):

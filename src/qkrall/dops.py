@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .errors import UnsupportedFamily
-from .exact import Poly, RationalFn
+from .exact import Poly
 from .families import (LAGUERRE, MEIXNER, PolynomialFamily, family_operator)
 from .operators import QDiffOperator, q_derivative_ops
 
@@ -62,7 +62,7 @@ def _meixner_specs(family: PolynomialFamily) -> tuple[DOperatorSpec, ...]:
     d_q, d_qinv = q_derivative_ops(q)
     ident = QDiffOperator.identity(q)
 
-    one_minus_x = RationalFn.from_poly(Poly((Fraction(1), Fraction(-1))))
+    one_minus_x = Poly((Fraction(1), Fraction(-1)))
     spec1 = DOperatorSpec(
         spec_id="q-meixner-1",
         eps=lambda n: Fraction(1),
@@ -78,7 +78,7 @@ def _meixner_specs(family: PolynomialFamily) -> tuple[DOperatorSpec, ...]:
         geometric=(Fraction(1), Fraction(1) / (c * (1 - q))),
         closed_form=d_qinv + second_order * (q / (2 * c * (q - 1))),
     )
-    minus_x_minus_bc = RationalFn.from_poly(Poly((-b * c, Fraction(-1))))
+    minus_x_minus_bc = Poly((-b * c, Fraction(-1)))
     spec3 = DOperatorSpec(
         spec_id="q-meixner-3",
         eps=lambda n: (c + q ** n) / (c * (1 - b * q ** n)),
@@ -96,8 +96,8 @@ def _laguerre_specs(family: PolynomialFamily) -> tuple[DOperatorSpec, ...]:
     d_q, d_qinv = q_derivative_ops(q)
     ident = QDiffOperator.identity(q)
 
-    one_minus_x = RationalFn.from_poly(Poly((Fraction(1), Fraction(-1))))
-    one_plus_x = RationalFn.from_poly(Poly((Fraction(1), Fraction(1))))
+    one_minus_x = Poly((Fraction(1), Fraction(-1)))
+    one_plus_x = Poly((Fraction(1), Fraction(1)))
     spec1 = DOperatorSpec(
         spec_id="q-laguerre-1",
         eps=lambda n: Fraction(1),
@@ -137,8 +137,7 @@ def verify_dop(spec: DOperatorSpec, family: PolynomialFamily,
     report = []
     for n in range(n_top + 1):
         via_closed = spec.closed_form.apply(family.poly(n))
-        via_action = RationalFn.from_poly(dop_action(spec, family, n))
-        residual = via_closed - via_action
+        residual = via_closed - dop_action(spec, family, n)
         report.append({
             "spec_id": spec.spec_id,
             "n": n,

@@ -1,10 +1,10 @@
-"""Exact arithmetic over Q: scalars, polynomials, rational functions.
+"""Exact arithmetic over Q: scalars, polynomials, Laurent polynomials.
 
 Everything in the package funnels through this module, and nothing here
 ever touches a float.  Scalars are ``fractions.Fraction``; polynomials
-store coefficients lowest degree first; rational functions are kept in a
-canonical form (coprime numerator/denominator, monic denominator) so that
-syntactic equality is mathematical equality.
+store coefficients lowest degree first; Laurent polynomials x^val * p
+(the coefficients of q-difference operators) are kept in a normal form
+(p(0) != 0) so that syntactic equality is mathematical equality.
 """
 
 from __future__ import annotations
@@ -57,7 +57,8 @@ class Poly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: object = ()):
-        cs = [Fraction(c) for c in coeffs]  # type: ignore[union-attr]
+        cs = [c if type(c) is Fraction else Fraction(c)  # type: ignore[union-attr]
+              for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -219,14 +220,6 @@ def divmod_poly(a: Poly, b: Poly) -> tuple[Poly, Poly]:
     return Poly(quo), Poly(rem[:db])
 
 
-def exact_div(a: Poly, b: Poly) -> Poly:
-    """Divide a by b, insisting on zero remainder."""
-    q, r = divmod_poly(a, b)
-    if not r.is_zero():
-        raise ValueError("polynomial division left a remainder")
-    return q
-
-
 def _int_content(v: list[int]) -> int:
     g = 0
     for c in v:
@@ -282,117 +275,129 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     return monic * (1 / monic.leading())
 
 
-class RationalFn:
-    """Quotient of polynomials in canonical form.
+class Laurent:
+    """Laurent polynomial x^val * poly over Q.
 
-    The canonical form has coprime numerator/denominator and a monic
-    denominator, so == on the pair decides mathematical equality.
+    The normal form has poly(0) != 0, or poly zero with val = 0, so == on
+    the pair decides mathematical equality.  Sums and products are
+    shift-and-add on coefficients and never need a gcd.  As a quotient
+    num / den it reads num = x^max(val, 0) * poly and den = x^max(-val, 0):
+    coprime, with a monic denominator.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("poly", "val")
 
-    def __init__(self, num: Poly, den: Poly = Poly.one()):
-        if den.is_zero():
-            raise ZeroDenominator("rational function with zero denominator")
-        if num.is_zero():
-            num, den = Poly.zero(), Poly.one()
-        else:
-            g = poly_gcd(num, den)
-            if g.degree() > 0:
-                num, den = exact_div(num, g), exact_div(den, g)
-            lc = den.leading()
-            if lc != 1:
-                inv = 1 / lc
-                num, den = num * inv, den * inv
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+    def __init__(self, poly: Poly, val: int = 0):
+        cs = poly.coeffs
+        low = 0
+        while low < len(cs) and cs[low] == 0:
+            low += 1
+        if low == len(cs):
+            poly, val = Poly.zero(), 0
+        elif low:
+            poly, val = Poly(cs[low:]), val + low
+        object.__setattr__(self, "poly", poly)
+        object.__setattr__(self, "val", val)
 
     def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("RationalFn is immutable")
+        raise AttributeError("Laurent is immutable")
 
     @classmethod
-    def zero(cls) -> RationalFn:
+    def zero(cls) -> Laurent:
         return cls(Poly.zero())
 
     @classmethod
-    def one(cls) -> RationalFn:
+    def one(cls) -> Laurent:
         return cls(Poly.one())
 
     @classmethod
-    def from_poly(cls, p: Poly) -> RationalFn:
-        return cls(p)
-
-    @classmethod
-    def constant(cls, c: Fraction | int | str) -> RationalFn:
+    def constant(cls, c: Fraction | int | str) -> Laurent:
         return cls(Poly.constant(c))
 
+    @property
+    def num(self) -> Poly:
+        if self.val <= 0:
+            return self.poly
+        return Poly((0,) * self.val + self.poly.coeffs)
+
+    @property
+    def den(self) -> Poly:
+        return Poly.monomial(max(-self.val, 0))
+
     def is_zero(self) -> bool:
-        return self.num.is_zero()
+        return self.poly.is_zero()
 
     def is_polynomial(self) -> bool:
-        return self.den == Poly.one()
+        return self.val >= 0
 
     def as_poly(self) -> Poly:
-        if not self.is_polynomial():
-            raise ValueError("rational function is not a polynomial")
+        if self.val < 0:
+            raise ValueError("Laurent polynomial has a pole at 0")
         return self.num
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Poly):
-            other = RationalFn(other)
-        if not isinstance(other, RationalFn):
+            other = Laurent(other)
+        if not isinstance(other, Laurent):
             return NotImplemented
-        return self.num == other.num and self.den == other.den
+        return self.val == other.val and self.poly == other.poly
 
     def __hash__(self) -> int:
-        return hash((self.num, self.den))
+        return hash((self.poly, self.val))
 
-    def __add__(self, other: RationalFn | Poly) -> RationalFn:
+    def __add__(self, other: Laurent | Poly) -> Laurent:
         if isinstance(other, Poly):
-            other = RationalFn(other)
-        return RationalFn(self.num * other.den + other.num * self.den,
-                          self.den * other.den)
-
-    def __sub__(self, other: RationalFn | Poly) -> RationalFn:
-        return self + (-other if isinstance(other, RationalFn) else RationalFn(-other))
-
-    def __neg__(self) -> RationalFn:
-        return RationalFn(-self.num, self.den)
-
-    def __mul__(self, other: RationalFn | Poly | Fraction | int) -> RationalFn:
-        if isinstance(other, (Fraction, int)):
-            return RationalFn(self.num * other, self.den)
-        if isinstance(other, Poly):
-            other = RationalFn(other)
-        return RationalFn(self.num * other.num, self.den * other.den)
-
-    def __rmul__(self, other: Fraction | int) -> RationalFn:
-        return self.__mul__(other)
-
-    def __truediv__(self, other: RationalFn | Poly | Fraction | int) -> RationalFn:
-        if isinstance(other, (Fraction, int)):
-            if other == 0:
-                raise ZeroDenominator("division by zero scalar")
-            return self * (Fraction(1) / Fraction(other))
-        if isinstance(other, Poly):
-            other = RationalFn(other)
+            other = Laurent(other)
+        if not isinstance(other, Laurent):
+            return NotImplemented
         if other.is_zero():
-            raise ZeroDenominator("division by the zero rational function")
-        return RationalFn(self.num * other.den, self.den * other.num)
+            return self
+        if self.is_zero():
+            return other
+        lo, hi = (self, other) if self.val <= other.val else (other, self)
+        offset = hi.val - lo.val
+        out = list(lo.poly.coeffs)
+        top = offset + len(hi.poly.coeffs)
+        if len(out) < top:
+            out.extend([Fraction(0)] * (top - len(out)))
+        for i, c in enumerate(hi.poly.coeffs, offset):
+            out[i] += c
+        return Laurent(Poly(out), lo.val)
+
+    def __sub__(self, other: Laurent | Poly) -> Laurent:
+        return self + (-other)
+
+    def __neg__(self) -> Laurent:
+        return Laurent(-self.poly, self.val)
+
+    def __mul__(self, other: Laurent | Poly | Fraction | int) -> Laurent:
+        if isinstance(other, Laurent):
+            return Laurent(self.poly * other.poly, self.val + other.val)
+        if isinstance(other, (Poly, Fraction, int)):
+            return Laurent(self.poly * other, self.val)
+        return NotImplemented
+
+    def __rmul__(self, other: Poly | Fraction | int) -> Laurent:
+        return self.__mul__(other)
 
     def __call__(self, x0: Fraction | int | str) -> Fraction:
         x0 = rational(x0)
-        d = self.den(x0)
-        if d == 0:
-            raise ZeroDenominator(f"denominator vanishes at x = {x0}")
-        return self.num(x0) / d
+        if x0 == 0 and self.val < 0:
+            raise ZeroDenominator("Laurent polynomial has a pole at x = 0")
+        return self.poly(x0) * x0 ** self.val
 
-    def scale_arg(self, lam: Fraction | int | str) -> RationalFn:
+    def scale_arg(self, lam: Fraction | int | str) -> Laurent:
         """Substitute x -> lam * x."""
-        return RationalFn(self.num.scale_arg(lam), self.den.scale_arg(lam))
+        lam = rational(lam)
+        out = []
+        power = lam ** self.val
+        for c in self.poly.coeffs:
+            out.append(c * power)
+            power *= lam
+        return Laurent(Poly(out), self.val)
 
     def __repr__(self) -> str:
-        return f"RationalFn({self.num!r}, {self.den!r})"
+        return f"Laurent({self.poly!r}, {self.val})"
 
     def pretty(self, var: str = "x") -> str:
         if self.is_polynomial():
@@ -407,11 +412,3 @@ def poly_to_json(p: Poly) -> list[str]:
 
 def poly_from_json(data: list[str]) -> Poly:
     return Poly([rational(c) for c in data])
-
-
-def ratfn_to_json(f: RationalFn) -> dict[str, list[str]]:
-    return {"num": poly_to_json(f.num), "den": poly_to_json(f.den)}
-
-
-def ratfn_from_json(data: dict[str, list[str]]) -> RationalFn:
-    return RationalFn(poly_from_json(data["num"]), poly_from_json(data["den"]))

@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .errors import ParamDegeneracy, SingularSystem, UnsupportedFamily
-from .exact import Poly, RationalFn, rational
+from .exact import Laurent, Poly, rational
 from .linalg import solve_exact
 from .operators import QDiffOperator
 
@@ -29,24 +29,34 @@ MEIXNER = "q-meixner"
 LAGUERRE = "q-laguerre"
 AL_SALAM_CARLITZ = "al-salam-carlitz"
 
-# Exponent ceiling when testing whether a parameter equals a power of q.
-# Parameters are fixed rationals, so any collision shows up well below this.
-_POWER_SCAN = 512
 
+def q_power_exponent(value: Fraction, q: Fraction) -> int | None:
+    """Return e with q**e == value, or None; exact, with no bound on e.
 
-def q_power_exponent(value: Fraction, q: Fraction,
-                     limit: int = _POWER_SCAN) -> int | None:
-    """Return e with q**e == value (|e| <= limit), or None."""
+    For q = a/b in lowest terms, q**e is +-(a/b)**e in lowest terms, so
+    |num(value)| * den(value) must be (|a| * b)**|e|.  Integer division
+    gives the candidate |e| and one exact comparison settles the sign.
+    For q = +-1 the powers are 1 (e = 0) and, for q = -1, -1 (e = 1).
+    """
+    value, q = Fraction(value), Fraction(q)
     if value == 0 or q == 0:
         return None
-    pos, neg = Fraction(1), Fraction(1)
-    for e in range(limit + 1):
-        if pos == value:
-            return e
-        if neg == value:
-            return -e
-        pos *= q
-        neg /= q
+    if q in (1, -1):
+        if value == 1:
+            return 0
+        return 1 if value == q else None
+    base = abs(q.numerator) * q.denominator
+    size = abs(value.numerator) * value.denominator
+    m = 0
+    while size % base == 0:
+        size //= base
+        m += 1
+    if size != 1:
+        return None
+    if q ** m == value:
+        return m
+    if q ** -m == value:
+        return -m
     return None
 
 
@@ -176,12 +186,11 @@ def _alsalam_carlitz_poly(p: AlSalamCarlitzParams, n: int) -> Poly:
 class PolynomialFamily:
     """Memoized generator for one parametrized family."""
 
-    def __init__(self, kind: str, params: FamilyParams, n_max: int = 32):
+    def __init__(self, kind: str, params: FamilyParams):
         if kind not in (MEIXNER, LAGUERRE, AL_SALAM_CARLITZ):
             raise UnsupportedFamily(f"unknown family kind {kind!r}")
         self.kind = kind
         self.params = params
-        self.n_max = n_max
         self._cache: dict[int, Poly] = {}
         self._lock = threading.Lock()
 
@@ -221,19 +230,18 @@ class PolynomialFamily:
         return f"PolynomialFamily({self.kind!r}, {self.params!r})"
 
 
-def meixner(q, b, c, n_max: int = 32) -> PolynomialFamily:
+def meixner(q, b, c) -> PolynomialFamily:
     return PolynomialFamily(MEIXNER, MeixnerParams(rational(q), rational(b),
-                                                   rational(c)), n_max)
+                                                   rational(c)))
 
 
-def laguerre(q, t, n_max: int = 32) -> PolynomialFamily:
-    return PolynomialFamily(LAGUERRE, LaguerreParams(rational(q), rational(t)),
-                            n_max)
+def laguerre(q, t) -> PolynomialFamily:
+    return PolynomialFamily(LAGUERRE, LaguerreParams(rational(q), rational(t)))
 
 
-def alsalam_carlitz(q, a, n_max: int = 32) -> PolynomialFamily:
+def alsalam_carlitz(q, a) -> PolynomialFamily:
     return PolynomialFamily(AL_SALAM_CARLITZ,
-                            AlSalamCarlitzParams(rational(q), rational(a)), n_max)
+                            AlSalamCarlitzParams(rational(q), rational(a)))
 
 
 def family_operator(family: PolynomialFamily) -> QDiffOperator:
@@ -243,20 +251,18 @@ def family_operator(family: PolynomialFamily) -> QDiffOperator:
     q-Laguerre:  D(L_n) = t q^n L_n
     """
     q = family.q
-    x = Poly.x()
-    x2 = x * x
     if family.kind == MEIXNER:
         b, c = family.params.b, family.params.c
-        down = RationalFn(Poly((-b * q * c, c)), x2)
-        up = RationalFn(Poly((-1, 1)) * Poly((b * c, 1)), x2)
-        mid = RationalFn(x2 - down.num - up.num, x2)
-        return QDiffOperator(q, {-1: down, 0: mid, 1: up})
+        down = Poly((-b * q * c, c))
+        up = Poly((-1, 1)) * Poly((b * c, 1))
+        mid = Poly.monomial(2) - down - up
+        return QDiffOperator(q, {-1: Laurent(down, -2), 0: Laurent(mid, -2),
+                                 1: Laurent(up, -2)})
     if family.kind == LAGUERRE:
         t = family.params.t
-        down = RationalFn(Poly.one(), x)
-        mid = RationalFn(Poly.constant(-(1 + t)), x)
-        up = RationalFn(Poly((t, t)), x)
-        return QDiffOperator(q, {-1: down, 0: mid, 1: up})
+        return QDiffOperator(q, {-1: Laurent(Poly.one(), -1),
+                                 0: Laurent(Poly.constant(-(1 + t)), -1),
+                                 1: Laurent(Poly((t, t)), -1)})
     raise UnsupportedFamily("no canonical operator for Al-Salam-Carlitz")
 
 

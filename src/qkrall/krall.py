@@ -32,7 +32,7 @@ from typing import Callable
 
 from .errors import (CrossCheckFailed, DegenerateBase, GammaVanishes,
                      NoGeometricForm, ParamDegeneracy, UnknownTheorem)
-from .exact import Poly, RationalFn, qpochhammer, rational
+from .exact import Poly, qpochhammer, rational
 from .families import (LaguerreParams, MeixnerParams, PolynomialFamily,
                        alsalam_carlitz, family_operator, laguerre, meixner,
                        q_power_exponent)
@@ -166,9 +166,8 @@ def verify_eigen(kc: KrallConstruction, n_top: int | None = None) -> list[dict]:
     top = kc.n_top if n_top is None else min(n_top, kc.n_top)
     report = []
     for n in range(top + 1):
-        lhs = kc.operator.apply(kc.qpoly(n))
-        rhs = RationalFn.from_poly(kc.lam(n) * kc.qpoly(n))
-        residual = lhs - rhs
+        residual = (kc.operator.apply(kc.qpoly(n))
+                    - kc.lam(n) * kc.qpoly(n))
         report.append({
             "n": n,
             "passed": residual.is_zero(),
@@ -205,8 +204,7 @@ class TheoremData:
 
 def theorem_catalog(name: str, params: MeixnerParams | LaguerreParams,
                     k_or_alpha: int, mass: Fraction | int | str | None = None,
-                    n_depth: int = 40,
-                    n_max: int = 32) -> TheoremData:
+                    n_depth: int = 40) -> TheoremData:
     """Assemble the carrier data for one of the five catalogued instances.
 
     k_or_alpha is the degree parameter k for the product-measure instances
@@ -221,10 +219,10 @@ def theorem_catalog(name: str, params: MeixnerParams | LaguerreParams,
         if not isinstance(params, MeixnerParams):
             raise UnknownTheorem(f"{name} needs Meixner parameters")
         q, b, c = params.q, params.b, params.c
-        fam = meixner(q, b, c, n_max=n_max)
+        fam = meixner(q, b, c)
         specs = dop_catalog(fam)
         if name == MEIXNER_I:
-            carrier = meixner(q, -c, 1 / (b * c), n_max=max(n_max, k + 1))
+            carrier = meixner(q, -c, 1 / (b * c))
             p2 = carrier.poly(k).scale_arg(q)
 
             def displayed_beta(n: int, _c=carrier, _k=k, _q=q) -> Fraction:
@@ -232,7 +230,7 @@ def theorem_catalog(name: str, params: MeixnerParams | LaguerreParams,
 
             spec = specs[0]
         elif name == MEIXNER_II:
-            carrier = meixner(1 / q, b, c, n_max=max(n_max, k + 1))
+            carrier = meixner(1 / q, b, c)
             p2 = carrier.poly(k).scale_arg(b)
 
             def displayed_beta(n: int, _c=carrier, _k=k, _q=q, _b=b) -> Fraction:
@@ -241,7 +239,7 @@ def theorem_catalog(name: str, params: MeixnerParams | LaguerreParams,
 
             spec = specs[1]
         else:
-            carrier = meixner(q, 1 / b, b * c, n_max=max(n_max, k + 1))
+            carrier = meixner(q, 1 / b, b * c)
             p2 = carrier.poly(k).scale_arg(q)
 
             def displayed_beta(n: int, _c=carrier, _k=k, _q=q, _b=b,
@@ -258,8 +256,8 @@ def theorem_catalog(name: str, params: MeixnerParams | LaguerreParams,
         if not isinstance(params, LaguerreParams):
             raise UnknownTheorem(f"{name} needs Laguerre parameters")
         q, t = params.q, params.t
-        fam = laguerre(q, t, n_max=n_max)
-        vfam = alsalam_carlitz(q, 1 / t, n_max=max(n_max, k + 1))
+        fam = laguerre(q, t)
+        vfam = alsalam_carlitz(q, 1 / t)
         p2 = vfam.poly(k).scale_arg(q / t)
 
         def displayed_beta(n: int, _v=vfam, _k=k, _q=q) -> Fraction:
@@ -285,7 +283,7 @@ def theorem_catalog(name: str, params: MeixnerParams | LaguerreParams,
             raise ParamDegeneracy(
                 f"degree parameter {k} disagrees with alpha = {alpha} "
                 "implied by t")
-        fam = laguerre(q, t, n_max=n_max)
+        fam = laguerre(q, t)
         factors = Poly.one()
         for i in range(alpha):
             factors = factors * Poly((Fraction(1), -(q ** i) / q ** (alpha - 1)))

@@ -1,9 +1,10 @@
 """Algebra of q-difference operators.
 
-An operator is a finite sum  D(p) = sum_j f_j(x) * p(q^j x)  with rational
-function coefficients f_j and integer shifts j.  Operators over different
-bases q never mix.  The order of a nonzero operator is max shift minus min
-shift after dropping zero coefficients.
+An operator is a finite sum  D(p) = sum_j f_j(x) * p(q^j x)  with Laurent
+polynomial coefficients f_j (a polynomial over a power of x) and integer
+shifts j, so action and composition are shift-and-add on coefficients.
+Operators over different bases q never mix.  The order of a nonzero
+operator is max shift minus min shift after dropping zero coefficients.
 """
 
 from __future__ import annotations
@@ -13,25 +14,25 @@ from types import MappingProxyType
 from typing import Mapping
 
 from .errors import DegenerateBase, MixedBase
-from .exact import (Poly, RationalFn, poly_from_json, poly_to_json, rational,
+from .exact import (Laurent, Poly, poly_from_json, poly_to_json, rational,
                     rational_str)
 
 
 class QDiffOperator:
-    """Finite q-shift operator with rational function coefficients."""
+    """Finite q-shift operator with Laurent polynomial coefficients."""
 
     __slots__ = ("q", "terms")
 
     def __init__(self, q: Fraction | int | str,
-                 terms: Mapping[int, RationalFn | Poly]):
+                 terms: Mapping[int, Laurent | Poly]):
         q = rational(q)
         if q in (0, 1, -1):
             raise DegenerateBase("operator base q must avoid 0, 1 and -1")
-        canon: dict[int, RationalFn] = {}
+        canon: dict[int, Laurent] = {}
         for j in sorted(terms):
             f = terms[j]
             if isinstance(f, Poly):
-                f = RationalFn(f)
+                f = Laurent(f)
             if not f.is_zero():
                 canon[int(j)] = f
         object.__setattr__(self, "q", q)
@@ -42,7 +43,7 @@ class QDiffOperator:
 
     @classmethod
     def identity(cls, q: Fraction | int | str) -> QDiffOperator:
-        return cls(q, {0: RationalFn.one()})
+        return cls(q, {0: Laurent.one()})
 
     @classmethod
     def zero(cls, q: Fraction | int | str) -> QDiffOperator:
@@ -64,9 +65,9 @@ class QDiffOperator:
     def max_shift(self) -> int | None:
         return max(self.terms) if self.terms else None
 
-    def apply(self, p: Poly) -> RationalFn:
-        """D(p) as a rational function (a polynomial iff den reduces to 1)."""
-        out = RationalFn.zero()
+    def apply(self, p: Poly | Laurent) -> Laurent:
+        """D(p) as a Laurent polynomial (a polynomial iff its val >= 0)."""
+        out = Laurent.zero()
         for j, f in self.terms.items():
             out = out + f * p.scale_arg(self.q ** j)
         return out
@@ -100,16 +101,14 @@ class QDiffOperator:
     def __rmul__(self, scalar: Fraction | int) -> QDiffOperator:
         return self.__mul__(scalar)
 
-    def mul_fn(self, f: RationalFn | Poly) -> QDiffOperator:
+    def mul_fn(self, f: Laurent | Poly) -> QDiffOperator:
         """Left-multiply by a coefficient function: (f*D)(p) = f * D(p)."""
-        if isinstance(f, Poly):
-            f = RationalFn(f)
         return QDiffOperator(self.q, {j: f * g for j, g in self.terms.items()})
 
     def compose(self, other: QDiffOperator) -> QDiffOperator:
         """(self o other)(p) = self(other(p))."""
         self._require_same_base(other)
-        terms: dict[int, RationalFn] = {}
+        terms: dict[int, Laurent] = {}
         for j1, f in self.terms.items():
             scale = self.q ** j1
             for j2, g in other.terms.items():
@@ -146,11 +145,15 @@ class QDiffOperator:
 
     @classmethod
     def from_json(cls, data: dict) -> QDiffOperator:
-        terms = {
-            int(t["shift"]): RationalFn(poly_from_json(t["num"]),
-                                        poly_from_json(t["den"]))
-            for t in data["terms"]
-        }
+        """Inverse of to_json; every den must be a monic power of x."""
+        terms = {}
+        for t in data["terms"]:
+            den = poly_from_json(t["den"])
+            k = den.degree()
+            if k < 0 or den != Poly.monomial(k):
+                raise ValueError(
+                    f"coefficient denominator {den.pretty()} is not a power of x")
+            terms[int(t["shift"])] = Laurent(poly_from_json(t["num"]), -k)
         return cls(rational(data["q"]), terms)
 
 
@@ -164,10 +167,9 @@ def q_derivative_ops(q: Fraction | int | str) -> tuple[QDiffOperator, QDiffOpera
     q = rational(q)
     if q in (0, 1, -1):
         raise DegenerateBase("q-derivative needs q outside {0, 1, -1}")
-    x = Poly.x()
-    fwd = RationalFn(Poly.one(), x * (q - 1))
+    fwd = Laurent(Poly.constant(1 / (q - 1)), -1)
     d_q = QDiffOperator(q, {1: fwd, 0: -fwd})
-    bwd = RationalFn(Poly.constant(q), x * (1 - q))
+    bwd = Laurent(Poly.constant(q / (1 - q)), -1)
     d_inv = QDiffOperator(q, {-1: bwd, 0: -bwd})
     return d_q, d_inv
 
@@ -176,10 +178,10 @@ def poly_of_operator(p: Poly, d: QDiffOperator) -> QDiffOperator:
     """Evaluate the polynomial p at the operator d (Horner in the algebra)."""
     if p.is_zero():
         return QDiffOperator.zero(d.q)
-    acc = QDiffOperator(d.q, {0: RationalFn.constant(p.leading())})
+    acc = QDiffOperator(d.q, {0: Laurent.constant(p.leading())})
     for k in range(p.degree() - 1, -1, -1):
         acc = acc.compose(d)
         c = p.coeff(k)
         if c:
-            acc = acc + QDiffOperator(d.q, {0: RationalFn.constant(c)})
+            acc = acc + QDiffOperator(d.q, {0: Laurent.constant(c)})
     return acc

@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import CrossCheckFailed, NotQuasiDefinite, ParamDegeneracy
-from .exact import (Poly, RationalFn, _to_int_primitive, rational,
+from .exact import (Laurent, Poly, _to_int_primitive, rational,
                     rational_str)
 from .families import (LaguerreParams, MeixnerParams, q_power_exponent)
 from .krall import build, theorem_catalog
@@ -125,12 +125,11 @@ def find_operator(problem: SearchProblem) -> SearchResult:
     else:
         cand = [a + b for a, b in zip(u, w)]
 
-    x_t = Poly.monomial(t)
     terms = {}
     for j in range(-h, h + 1):
         g = Poly(_g_block(cand, j, h, d))
         if not g.is_zero():
-            terms[j] = RationalFn(g, x_t)
+            terms[j] = Laurent(g, -t)
     operator = QDiffOperator(q, terms)
     n_cols_g = (2 * h + 1) * (d + 1)
     eigenvalues = tuple(cand[n_cols_g + n]
@@ -139,8 +138,7 @@ def find_operator(problem: SearchProblem) -> SearchResult:
     if operator.order() != 2 * h:
         raise CrossCheckFailed("search produced a wrong-order operator")
     for n, p in enumerate(problem.eigenpolys):
-        residual = operator.apply(p) - RationalFn.from_poly(
-            eigenvalues[n] * p)
+        residual = operator.apply(p) - eigenvalues[n] * p
         if not residual.is_zero():
             raise CrossCheckFailed(
                 f"search solution fails re-verification at n={n}")

@@ -136,6 +136,18 @@ def test_perturbed_beta_fails_with_exit_one(capsys):
     assert "FAIL" in out
 
 
+def test_perturbed_beta_residual_is_reported_exactly(capsys, tmp_path):
+    out_dir = tmp_path / "r"
+    code, _, _ = _run(capsys, "verify-eigen", "--theorem", "meixner-i",
+                      "--k", "1", "--n", "6", "--perturb-beta", "3", "7",
+                      "--out", str(out_dir))
+    assert code == 1
+    checks = _payload(out_dir)["eigen_checks"]
+    assert [c["n"] for c in checks if not c["passed"]] == [3]
+    assert checks[3]["residual"] == (
+        "-151685999/3488940 + 4141102/623025*x - 357184/4361175*x^2")
+
+
 def test_families_tabulation(capsys, tmp_path):
     out_dir = tmp_path / "r"
     code, _, _ = _run(capsys, "families", "--family", "al-salam-carlitz",

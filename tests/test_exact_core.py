@@ -1,4 +1,4 @@
-"""Exact scalar, polynomial, and rational-function arithmetic."""
+"""Exact scalar, polynomial, and Laurent-polynomial arithmetic."""
 from __future__ import annotations
 
 from fractions import Fraction
@@ -7,16 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qkrall import (MixedBase, Poly, RationalFn, ZeroDenominator,
-                    divmod_poly, exact_div, poly_from_json, poly_gcd,
-                    poly_to_json, qpochhammer, ratfn_from_json,
-                    ratfn_to_json, rational, rational_str)
+from qkrall import (Laurent, Poly, ZeroDenominator, divmod_poly,
+                    poly_from_json, poly_gcd, poly_to_json, qpochhammer,
+                    rational, rational_str)
 
 F = Fraction
 
 small_fracs = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 small_polys = st.lists(small_fracs, min_size=0, max_size=5).map(
     lambda cs: Poly(cs))
+small_laurents = st.builds(Laurent, small_polys, st.integers(-3, 3))
+nonzero_points = st.fractions(min_value=-5, max_value=5,
+                              max_denominator=7).filter(lambda v: v != 0)
 
 
 def test_rational_parses_strings_ints_fractions():
@@ -85,11 +87,8 @@ def test_divmod_and_exact_division():
     b = Poly((1, 1))           # x + 1
     quot, rem = divmod_poly(a, b)
     assert quot == Poly((-1, 1)) and rem.is_zero()
-    assert exact_div(a, b) == Poly((-1, 1))
     with pytest.raises(ZeroDenominator):
         divmod_poly(a, Poly.zero())
-    with pytest.raises(ValueError):
-        exact_div(Poly((1, 1, 1)), b)  # remainder x is not zero
 
 
 def test_poly_gcd_normalizes_monic():
@@ -99,34 +98,43 @@ def test_poly_gcd_normalizes_monic():
     assert g == Poly((1, 1))  # monic representative of the common factor
 
 
-def test_rationalfn_canonical_form():
-    f = RationalFn(Poly((0, 2)), Poly((0, 0, 4)))  # 2x / 4x^2
-    assert f.den.leading() == 1  # denominator kept monic
-    assert f.num == Poly((F(1, 2),)) and f.den == Poly.x()
+def test_laurent_normal_form():
+    f = Laurent(Poly((0, 0, 2, 1)), -3)  # (2x^2 + x^3) / x^3
+    assert f.poly == Poly((2, 1)) and f.val == -1
+    assert f.num == Poly((2, 1)) and f.den == Poly.x()
+    assert f == Laurent(Poly((2, 1)), -1)
+    assert hash(f) == hash(Laurent(Poly((2, 1)), -1))
+    zero = Laurent(Poly.zero(), -4)
+    assert zero.is_zero() and zero.val == 0 and zero == Laurent.zero()
+    g = Laurent(Poly((3, 1)), 2)  # 3x^2 + x^3
+    assert g.is_polynomial() and g.as_poly() == Poly((0, 0, 3, 1))
+    assert g.den == Poly.one() and g == Poly((0, 0, 3, 1))
+    assert not f.is_polynomial()
+    with pytest.raises(ValueError):
+        f.as_poly()
     with pytest.raises(ZeroDenominator):
-        RationalFn(Poly.one(), Poly.zero())
-    assert RationalFn.from_poly(Poly((1, 1))).is_polynomial()
-    assert RationalFn(Poly((1, 1)), Poly((2,))).as_poly() == Poly(
-        (F(1, 2), F(1, 2)))
+        f(0)
+    assert f.pretty() == "(2 + x) / (x)" and g.pretty() == "3*x^2 + x^3"
 
 
-def test_rationalfn_field_ops():
-    x = Poly.x()
-    f = RationalFn(Poly.one(), x)        # 1/x
-    g = RationalFn(x, Poly((1, 1)))      # x/(x+1)
-    s = f + g
-    # common denominator x(x+1): (x+1+x^2) / (x(x+1))
-    assert s.num == Poly((1, 1, 1)) and s.den == x * Poly((1, 1))
-    assert (f * g) == RationalFn(Poly.one(), Poly((1, 1)))
-    assert (f - f).is_zero()
-    assert (f / g) == RationalFn(Poly((1, 1)), x * x)
+def test_laurent_ring_ops():
+    x_inv = Laurent(Poly.one(), -1)
+    one_plus_x = Laurent(Poly((1, 1)))
+    s = x_inv + one_plus_x
+    # 1/x + 1 + x = (1 + x + x^2) / x
+    assert s.num == Poly((1, 1, 1)) and s.den == Poly.x()
+    assert x_inv * one_plus_x == Laurent(Poly((1, 1)), -1)
+    assert (x_inv - x_inv).is_zero()
+    # cancellation of the lowest terms moves the valuation up
+    assert (s - x_inv) == one_plus_x
+    assert Poly.x() * x_inv == Laurent.one() == x_inv * Poly.x()
+    assert x_inv * F(3) == Laurent.constant(3) * x_inv
+    assert x_inv.scale_arg(F(2, 5)) == Laurent(Poly.constant(F(5, 2)), -1)
 
 
 def test_json_round_trips():
     p = Poly((F(1, 3), 0, F(-7, 2)))
     assert poly_from_json(poly_to_json(p)) == p
-    f = RationalFn(Poly((1, 2)), Poly((0, 0, 3)))
-    assert ratfn_from_json(ratfn_to_json(f)) == f
 
 
 @settings(max_examples=60, deadline=None)
@@ -159,10 +167,20 @@ def test_gcd_divides_both(a, b):
     assert ra.is_zero() and rb.is_zero()
 
 
-@settings(max_examples=40, deadline=None)
-@given(small_polys, small_polys, small_fracs)
-def test_rationalfn_eval_consistency(n, d, point):
-    if d.is_zero() or d(point) == 0:
-        return
-    f = RationalFn(n, d)
-    assert f.num(point) * d(point) == n(point) * f.den(point)
+@settings(max_examples=60, deadline=None)
+@given(small_laurents, small_laurents, nonzero_points, nonzero_points)
+def test_laurent_ops_agree_with_evaluation(f, g, lam, point):
+    assert (f + g)(point) == f(point) + g(point)
+    assert (f - g)(point) == f(point) - g(point)
+    assert (f * g)(point) == f(point) * g(point)
+    assert f.scale_arg(lam)(point) == f(lam * point)
+    assert f(point) == f.num(point) / f.den(point)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_laurents, small_laurents)
+def test_laurent_num_den_are_coprime_with_monic_den(f, g):
+    for h in (f, g, f + g, f * g):
+        assert poly_gcd(h.num, h.den) == Poly.one()
+        assert h.den.leading() == 1
+        assert Laurent(h.num, -h.den.degree()) == h

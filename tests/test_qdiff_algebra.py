@@ -4,12 +4,20 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qkrall import (MixedBase, Poly, QDiffOperator, RationalFn,
+from qkrall import (Laurent, MixedBase, Poly, QDiffOperator,
                     poly_of_operator, q_derivative_ops)
 
 F = Fraction
 Q = F(2, 5)
+
+small_fracs = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+small_laurents = st.builds(
+    Laurent, st.lists(small_fracs, max_size=3).map(Poly), st.integers(-2, 2))
+random_ops = st.dictionaries(st.integers(-2, 2), small_laurents,
+                             max_size=3).map(lambda t: QDiffOperator(Q, t))
 
 
 def _dq_by_hand(p: Poly, q: F) -> Poly:
@@ -65,7 +73,7 @@ def test_linear_structure():
 
 def test_mul_fn_left_multiplies():
     d_q, _ = q_derivative_ops(Q)
-    f = RationalFn(Poly((1, 1)), Poly.x())  # (x+1)/x
+    f = Laurent(Poly((1, 1)), -1)  # (x+1)/x
     op = d_q.mul_fn(f)
     p = Poly((0, 0, 1))
     # d_q(x^2) = (q+1) x, then times (x+1)/x stays polynomial
@@ -96,7 +104,7 @@ def test_composition_rejects_mixed_bases():
 def test_poly_of_operator_is_evaluation_on_eigenvectors():
     # On x^n the scaling operator S: p -> p(qx) acts by q^n, so any
     # polynomial r evaluated at S acts by r(q^n).
-    scaling = QDiffOperator(Q, {1: RationalFn.from_poly(Poly.one())})
+    scaling = QDiffOperator(Q, {1: Laurent.one()})
     r = Poly((2, -1, F(1, 3)))
     op = poly_of_operator(r, scaling)
     for n in range(5):
@@ -106,7 +114,7 @@ def test_poly_of_operator_is_evaluation_on_eigenvectors():
 
 def test_json_round_trip_and_equality():
     d_q, d_inv = q_derivative_ops(Q)
-    op = (d_q @ d_inv).mul_fn(RationalFn(Poly((1, 0, 1)), Poly.x())) + d_q
+    op = (d_q @ d_inv).mul_fn(Laurent(Poly((1, 0, 1)), -1)) + d_q
     payload = op.to_json()
     assert QDiffOperator.from_json(payload) == op
     assert hash(QDiffOperator.from_json(payload)) == hash(op)
@@ -114,7 +122,27 @@ def test_json_round_trip_and_equality():
 
 def test_apply_reports_nonpolynomial_results():
     # 1/x as a multiplier on constants leaves the polynomial ring
-    op = QDiffOperator(Q, {0: RationalFn(Poly.one(), Poly.x())})
+    op = QDiffOperator(Q, {0: Laurent(Poly.one(), -1)})
     out = op.apply(Poly.x())
     assert out.is_polynomial() and out.as_poly() == Poly.one()
     assert not op.apply(Poly.one()).is_polynomial()
+
+
+def test_from_json_rejects_a_denominator_that_is_not_a_power_of_x():
+    d_q, _ = q_derivative_ops(Q)
+    payload = d_q.to_json()
+    payload["terms"][0]["den"] = ["1", "1"]  # x + 1
+    with pytest.raises(ValueError):
+        QDiffOperator.from_json(payload)
+    payload["terms"][0]["den"] = ["0", "2"]  # 2x is not monic
+    with pytest.raises(ValueError):
+        QDiffOperator.from_json(payload)
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_ops, random_ops, random_ops, small_laurents)
+def test_random_operator_algebra_laws(a, b, c, f):
+    assert (a @ b) @ c == a @ (b @ c)
+    assert (a @ b).apply(f) == a.apply(b.apply(f))
+    assert (a + b).apply(f) == a.apply(f) + b.apply(f)
+    assert QDiffOperator.from_json(a.to_json()) == a

@@ -4,6 +4,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qkrall import (LaguerreParams, MeixnerParams, ParamDegeneracy, Poly,
                     UnsupportedFamily, alsalam_carlitz, derive_recurrence,
@@ -22,6 +24,12 @@ def test_meixner_eigen_equation():
     for n in range(11):
         assert op.apply(fam.poly(n)) == Q0 ** n * fam.poly(n)
         assert fam.theta(n) == Q0 ** n
+    # b = 0 puts a common factor x in the down and up coefficients; the
+    # operator must keep them as they are
+    fam = meixner(Q0, 0, C0)
+    op = family_operator(fam)
+    for n in range(6):
+        assert op.apply(fam.poly(n)) == Q0 ** n * fam.poly(n)
 
 
 def test_laguerre_eigen_equation():
@@ -137,6 +145,30 @@ def test_q_power_exponent():
     assert q_power_exponent(F(5, 2), Q0) == -1
     assert q_power_exponent(F(1), Q0) == 0
     assert q_power_exponent(F(3, 7), Q0) is None
+    # q = +-1 keep their answers: 1 = q^0, and -1 = (-1)^1
+    assert q_power_exponent(F(1), F(1)) == 0
+    assert q_power_exponent(F(-1), F(-1)) == 1
+    assert q_power_exponent(F(-1), F(1)) is None
+    assert q_power_exponent(F(2), F(-1)) is None
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.fractions(min_value=-9, max_value=9, max_denominator=9).filter(
+           lambda v: v not in (0, 1, -1)),
+       st.integers(-700, 700),
+       st.fractions(min_value=-4, max_value=4, max_denominator=5))
+def test_q_power_exponent_is_exact_with_no_scan_limit(q, e, other):
+    assert q_power_exponent(q ** e, q) == e
+    assert q_power_exponent(-(q ** e), q) is None
+    found = q_power_exponent(other, q)
+    assert found is None or q ** found == other
+
+
+def test_power_of_q_beyond_any_scan_is_still_rejected():
+    with pytest.raises(ParamDegeneracy):
+        MeixnerParams(Q0, Q0 ** -600, C0)
+    with pytest.raises(ParamDegeneracy):
+        LaguerreParams(Q0, Q0 ** -700)
 
 
 def test_parameter_degeneracies_raise():
