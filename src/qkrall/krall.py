@@ -219,6 +219,10 @@ def theorem_catalog(name: str, params: MeixnerParams | LaguerreParams,
         if not isinstance(params, MeixnerParams):
             raise UnknownTheorem(f"{name} needs Meixner parameters")
         q, b, c = params.q, params.b, params.c
+        if b == 0:
+            # the carriers divide by b, and for meixner-ii P2 = p_k(b x)
+            # collapses to a constant
+            raise ParamDegeneracy(f"{name} needs b != 0")
         fam = meixner(q, b, c)
         specs = dop_catalog(fam)
         if name == MEIXNER_I:

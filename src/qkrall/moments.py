@@ -326,7 +326,22 @@ def combine_with_point_mass(nu: MomentFunctional, lam: Fraction | int | str,
 
 
 def gram_matrix(mu: MomentFunctional, polys: list[Poly]) -> list[list[Fraction]]:
-    return [[mu.pair(pn * pm) for pm in polys] for pn in polys]
+    """G[n][m] = <mu, p_n p_m>, read from the moments m_0..m_{2d}.
+
+    With v_n[k] = <mu, x^k p_n> = sum_i c_{n,i} m_{i+k}, the entry is
+    G[n][m] = sum_k c_{m,k} v_n[k]; it is formed for m >= n and mirrored.
+    """
+    top = max((p.degree() for p in polys), default=-1)
+    moms = mu.moments(2 * top) if top >= 0 else []
+    gram = [[Fraction(0)] * len(polys) for _ in polys]
+    for n, pn in enumerate(polys):
+        v = [sum((c * moms[i + k] for i, c in enumerate(pn.coeffs) if c),
+                 Fraction(0)) for k in range(top + 1)]
+        for m in range(n, len(polys)):
+            gram[n][m] = gram[m][n] = sum(
+                (c * v[k] for k, c in enumerate(polys[m].coeffs) if c),
+                Fraction(0))
+    return gram
 
 
 def gram_to_csv(gram: list[list[Fraction]], path: str) -> None:

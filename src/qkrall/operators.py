@@ -3,6 +3,8 @@
 An operator is a finite sum  D(p) = sum_j f_j(x) * p(q^j x)  with Laurent
 polynomial coefficients f_j (a polynomial over a power of x) and integer
 shifts j, so action and composition are shift-and-add on coefficients.
+On a monomial D(x^e) = x^e g_e with g_e = sum_j q^(j e) f_j, so an operator
+acts through a table of the g_e that it fills as it is applied.
 Operators over different bases q never mix.  The order of a nonzero
 operator is max shift minus min shift after dropping zero coefficients.
 """
@@ -19,9 +21,16 @@ from .exact import (Laurent, Poly, poly_from_json, poly_to_json, rational,
 
 
 class QDiffOperator:
-    """Finite q-shift operator with Laurent polynomial coefficients."""
+    """Finite q-shift operator with Laurent polynomial coefficients.
 
-    __slots__ = ("q", "terms")
+    ``_images`` maps e to the dense coefficients of g_e (see the module
+    docstring) from x^lo on, lo the least valuation of the f_j.  It only
+    caches what ``terms`` determine, so it takes no part in ==, hash or
+    to_json.  It is never mutated: a grown table is a new dict, published
+    by one attribute store, so a thread that reads it sees a complete one.
+    """
+
+    __slots__ = ("q", "terms", "_images")
 
     def __init__(self, q: Fraction | int | str,
                  terms: Mapping[int, Laurent | Poly]):
@@ -37,6 +46,7 @@ class QDiffOperator:
                 canon[int(j)] = f
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "terms", MappingProxyType(canon))
+        object.__setattr__(self, "_images", {})
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("QDiffOperator is immutable")
@@ -66,11 +76,37 @@ class QDiffOperator:
         return max(self.terms) if self.terms else None
 
     def apply(self, p: Poly | Laurent) -> Laurent:
-        """D(p) as a Laurent polynomial (a polynomial iff its val >= 0)."""
-        out = Laurent.zero()
-        for j, f in self.terms.items():
-            out = out + f * p.scale_arg(self.q ** j)
-        return out
+        """D(p) as a Laurent polynomial (a polynomial iff its val >= 0).
+
+        With p = sum_e c_e x^e, D(p) = sum_e c_e x^e g_e: one accumulation
+        over the table of monomial images, no product of polynomials.
+        """
+        if isinstance(p, Poly):
+            coeffs, val = p.coeffs, 0
+        else:
+            coeffs, val = p.poly.coeffs, p.val
+        if not self.terms or not coeffs:
+            return Laurent.zero()
+        lo = min(f.val for f in self.terms.values())
+        width = max(f.val + len(f.poly.coeffs) for f in self.terms.values()) - lo
+        images = self._images
+        missing = [e for e in range(val, val + len(coeffs)) if e not in images]
+        if missing:
+            images = dict(images)
+            for e in missing:
+                g = [Fraction(0)] * width
+                for j, f in self.terms.items():
+                    s = self.q ** (j * e)
+                    for i, c in enumerate(f.poly.coeffs, f.val - lo):
+                        g[i] += s * c
+                images[e] = tuple(g)
+            object.__setattr__(self, "_images", images)
+        out = [Fraction(0)] * (len(coeffs) + width - 1)
+        for i, c in enumerate(coeffs):
+            if c:
+                for k, g in enumerate(images[val + i], i):
+                    out[k] += c * g
+        return Laurent(Poly(out), val + lo)
 
     def _require_same_base(self, other: QDiffOperator) -> None:
         if self.q != other.q:

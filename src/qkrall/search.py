@@ -207,6 +207,21 @@ def _search_report(conjecture: str, inputs: dict, conjectured_order: int | None,
     return report
 
 
+def _half_width_max(h_max: int | None, conjectured: int | None) -> int:
+    """The scan's top half-width: h_max, or one past the conjectured
+    order's; an empty range h = 1..h_max would decide nothing."""
+    if h_max is None:
+        if conjectured is None:
+            raise ParamDegeneracy(
+                "no conjectured order for this shape; give h_max")
+        h_max = conjectured // 2 + 1
+    if h_max < 1:
+        raise ParamDegeneracy(
+            f"empty search range: h_max = {h_max}, need h_max >= 1 "
+            "(an order bound of at least 2)")
+    return h_max
+
+
 def check_conjecture_a(params: MeixnerParams,
                        f1: Iterable[int] = (), f2: Iterable[int] = (),
                        f3: Iterable[int] = (), h_max: int | None = None,
@@ -224,7 +239,7 @@ def check_conjecture_a(params: MeixnerParams,
     q, b, c = params.q, params.b, params.c
     conjectured = 2 + sum(
         2 * sum(s) - len(s) * (len(s) - 1) for s in (s1, s2, s3))
-    h_max = conjectured // 2 + 1 if h_max is None else h_max
+    h_max = _half_width_max(h_max, conjectured)
     r = _product(
         [Poly((b * c / q ** f, Fraction(1))) for f in s1]
         + [Poly((-b * q ** (f + 1), Fraction(1))) for f in s2]
@@ -247,7 +262,7 @@ def check_conjecture_b1(params: LaguerreParams, f_set: Iterable[int] = (),
             raise ParamDegeneracy("factor exponents must be positive")
     q = params.q
     conjectured = 2 * sum(fs) - len(fs) * (len(fs) - 1) + 2
-    h_max = conjectured // 2 + 1 if h_max is None else h_max
+    h_max = _half_width_max(h_max, conjectured)
     r = _product([Poly((Fraction(1), q ** f)) for f in fs])
     d_top = 2 * h_max + 2 if d is None else d
     depth = 2 * (2 * h_max + d_top + 7) + r.degree() + 2
@@ -284,11 +299,7 @@ def check_conjecture_b2(params: LaguerreParams, f_set: Iterable[int] = (),
         raise ParamDegeneracy(
             "t must be q^alpha with alpha an integer >= K + 2")
     conjectured = 2 * alpha + 2 if (not fs and k_upper == 0) else None
-    if h_max is None:
-        if conjectured is None:
-            raise ParamDegeneracy(
-                "no conjectured order for this shape; give h_max")
-        h_max = conjectured // 2 + 1
+    h_max = _half_width_max(h_max, conjectured)
     r = _product([Poly((Fraction(1), q ** f)) for f in fs])
     d_top = 2 * h_max + 2 if d is None else d
     depth = 2 * (2 * h_max + d_top + 7) + r.degree() + 2

@@ -285,3 +285,33 @@ def test_eigen_and_build_never_build_the_measure(capsys, monkeypatch):
                       "--k", "1", "--n", "4")
     assert code == 0
     assert calls == []
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify-eigen", "--theorem", "meixner-i", "--b", "0"),
+    ("verify-eigen", "--theorem", "meixner-iii", "--b", "0"),
+    ("verify-eigen", "--theorem", "meixner-ii", "--b", "0", "--k", "1"),
+    ("build-krall", "--theorem", "meixner-i", "--b", "0"),
+    ("verify-orthogonality", "--theorem", "meixner-iii", "--b", "0"),
+])
+def test_meixner_instances_with_b_zero_are_invalid_input(capsys, argv):
+    code, out, err = _run(capsys, *argv)
+    assert code == 2 and "b != 0" in err
+    assert "Traceback" not in err and "pass" not in out
+
+
+def test_b_zero_families_stay_valid(capsys):
+    code, _, _ = _run(capsys, "families", "--b", "0")
+    assert code == 0
+    code, _, _ = _run(capsys, "verify-dop", "--b", "0")
+    assert code == 0
+
+
+@pytest.mark.parametrize("which, order_max", [
+    ("a", "1"), ("a", "0"), ("a", "-4"), ("b1", "1"), ("b2", "1"),
+])
+def test_empty_search_range_is_invalid_input(capsys, which, order_max):
+    code, out, err = _run(capsys, "conjecture", which,
+                          "--order-max", order_max)
+    assert code == 2 and "empty search range" in err
+    assert "Traceback" not in err and "not-found" not in out

@@ -11,7 +11,8 @@ from qkrall import (DOperatorSpec, DegenerateBase, GammaVanishes,
                     UnknownTheorem, agree_up_to, build, build_P1,
                     dop_catalog, measure_catalog, meixner, theorem_catalog,
                     verify_eigen)
-from qkrall import LAGUERRE_I, LAGUERRE_II, MEIXNER_I, MEIXNER_II, THEOREMS
+from qkrall import (LAGUERRE_I, LAGUERRE_II, MEIXNER_I, MEIXNER_II,
+                    MEIXNER_III, THEOREMS)
 from conftest import B0, C0, Q0, T0
 
 F = Fraction
@@ -135,6 +136,14 @@ def test_catalog_validates_inputs():
         # the degree label must match the exponent of t
         theorem_catalog(LAGUERRE_II, LaguerreParams(Q0, Q0 ** 2), 3,
                         mass=F(1))
+
+
+@pytest.mark.parametrize("name", [MEIXNER_I, MEIXNER_II, MEIXNER_III])
+def test_meixner_instances_reject_b_zero(name):
+    # the family itself is valid at b = 0; the instances built on it are not
+    params = meixner(Q0, 0, C0).params
+    with pytest.raises(ParamDegeneracy, match="b != 0"):
+        theorem_catalog(name, params, 1)
 
 
 def test_catalog_measure_is_built_on_first_read_only(monkeypatch):

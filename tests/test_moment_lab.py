@@ -197,6 +197,16 @@ def test_hankel_orthogonal_equals_hankel_solve_reference(mu, n_top):
             == _hankel_outcome(_hankel_reference, mu, n_top))
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(recurrence_functionals(), christoffel_functionals(),
+                 point_mass_functionals()),
+       st.lists(st.lists(small, max_size=9).map(Poly), max_size=5))
+def test_gram_matrix_equals_pairing_of_products(mu, polys):
+    # unequal degrees, zero polynomials and the empty list all occur
+    assert gram_matrix(mu, polys) == [[mu.pair(a * b) for b in polys]
+                                      for a in polys]
+
+
 def test_point_mass_sums_are_degenerate_at_the_reference_index():
     # j distinct point masses leave j orthogonal degrees: Delta_{j+1} = 0
     points = [F(0), F(1), F(-2, 3), F(5, 2), F(7)]

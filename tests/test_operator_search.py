@@ -103,6 +103,16 @@ def test_conjecture_a_rejects_bad_exponents():
         check_conjecture_a(MeixnerParams(Q0, B0, C0), f3=[-2])
 
 
+@pytest.mark.parametrize("h_max", [0, -2])
+def test_empty_search_range_is_rejected(h_max):
+    with pytest.raises(ParamDegeneracy, match="empty search range"):
+        check_conjecture_a(MeixnerParams(Q0, B0, C0), f1=[1], h_max=h_max)
+    with pytest.raises(ParamDegeneracy, match="empty search range"):
+        check_conjecture_b1(LaguerreParams(Q0, T0), f_set=[1], h_max=h_max)
+    with pytest.raises(ParamDegeneracy, match="empty search range"):
+        check_conjecture_b2(LaguerreParams(Q0, Q0 ** 2), h_max=h_max)
+
+
 def test_conjecture_b1_single_factor():
     report = check_conjecture_b1(LaguerreParams(Q0, T0), f_set=[1])
     assert report["status"] == "found"

@@ -1,6 +1,8 @@
 """q-difference operator algebra: action, composition, order bookkeeping."""
 from __future__ import annotations
 
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -18,6 +20,21 @@ small_laurents = st.builds(
     Laurent, st.lists(small_fracs, max_size=3).map(Poly), st.integers(-2, 2))
 random_ops = st.dictionaries(st.integers(-2, 2), small_laurents,
                              max_size=3).map(lambda t: QDiffOperator(Q, t))
+small_polys = st.lists(small_fracs, max_size=7).map(Poly)
+operands = st.one_of(small_polys,
+                     st.builds(Laurent, small_polys, st.integers(-4, 3)))
+
+
+def _apply_by_shifts(op: QDiffOperator, p: Poly | Laurent) -> Laurent:
+    """The definition D(p) = sum_j f_j * p(q^j x), one product per shift."""
+    out = Laurent.zero()
+    for j, f in op.terms.items():
+        out = out + f * p.scale_arg(op.q ** j)
+    return out
+
+
+def _top_exponent(p: Poly | Laurent) -> int:
+    return p.degree() if isinstance(p, Poly) else p.val + p.poly.degree()
 
 
 def _dq_by_hand(p: Poly, q: F) -> Poly:
@@ -146,3 +163,47 @@ def test_random_operator_algebra_laws(a, b, c, f):
     assert (a @ b).apply(f) == a.apply(b.apply(f))
     assert (a + b).apply(f) == a.apply(f) + b.apply(f)
     assert QDiffOperator.from_json(a.to_json()) == a
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_ops, st.lists(operands, min_size=1, max_size=5))
+def test_apply_equals_shift_and_multiply(op, ps):
+    # rising, then falling exponents, then drawn order: the operator's
+    # table of monomial images grows, is reused, and grows downwards
+    rising = sorted(ps, key=_top_exponent)
+    for p in rising + rising[::-1] + ps:
+        published = op._images
+        snapshot = dict(published)
+        assert op.apply(p) == _apply_by_shifts(op, p)
+        assert published == snapshot  # a grown table is a new dict
+    fresh = QDiffOperator(op.q, op.terms)
+    assert fresh == op and hash(fresh) == hash(op)
+    assert fresh.to_json() == op.to_json()
+
+
+def test_apply_from_many_threads_on_one_operator():
+    # threads that grow one operator's image table at the same time may
+    # each replace it, but every table a thread reads is complete
+    d_q, d_inv = q_derivative_ops(Q)
+    op = (d_q @ d_inv).mul_fn(Laurent(Poly((1, 2)), -1)) + d_q
+    polys = [Poly.monomial(k, F(k + 1, 3)) + Poly((1, -1)) for k in range(24)]
+    expected = [_apply_by_shifts(op, p) for p in polys]
+    results: dict[tuple[int, int], Laurent] = {}
+
+    def work(idx: int) -> None:
+        order = range(24) if idx % 2 else range(23, -1, -1)
+        for k in order:
+            results[idx, k] = op.apply(polys[k])
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == {(i, k): expected[k] for i in range(6) for k in range(24)}
