@@ -8,12 +8,11 @@ minimal-order operators behind the product/point-mass conjectures.
 from __future__ import annotations
 
 from .dops import DOperatorSpec, dop_action, dop_catalog, verify_dop
-from .errors import (CrossCheckFailed, DegenerateBase, DegenerateParams,
-                     DenominatorVanishes, GammaVanishes, MixedBase,
-                     NoGeometricForm, NotQuasiDefinite, ParamDegeneracy,
-                     ParseError, QKrallError, SingularSystem,
-                     UnknownTheorem, UnsupportedFamily, ZeroDenominator,
-                     ZeroDilation)
+from .errors import (CrossCheckFailed, DegenerateBase, DenominatorVanishes,
+                     GammaVanishes, MixedBase, NoGeometricForm,
+                     NotQuasiDefinite, ParamDegeneracy, ParseError,
+                     QKrallError, SingularSystem, UnknownTheorem,
+                     UnsupportedFamily, ZeroDenominator, ZeroDilation)
 from .exact import (Laurent, Poly, divmod_poly, poly_from_json, poly_gcd,
                     poly_to_json, qpochhammer, rational, rational_str)
 from .families import (AL_SALAM_CARLITZ, LAGUERRE, MEIXNER,
@@ -43,8 +42,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AL_SALAM_CARLITZ", "AlSalamCarlitzParams", "CrossCheckFailed",
-    "DOperatorSpec", "DegenerateBase", "DegenerateParams",
-    "DenominatorVanishes", "GammaVanishes", "GramData", "KrallConstruction",
+    "DOperatorSpec", "DegenerateBase", "DenominatorVanishes",
+    "GammaVanishes", "GramData", "KrallConstruction",
     "LAGUERRE", "LAGUERRE_I", "LAGUERRE_II", "LaguerreParams", "Laurent",
     "MEIXNER", "MEIXNER_I", "MEIXNER_II", "MEIXNER_III", "MeixnerParams",
     "MixedBase", "MomentFunctional", "NoGeometricForm", "NotQuasiDefinite",

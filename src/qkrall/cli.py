@@ -18,15 +18,15 @@ from fractions import Fraction
 from pathlib import Path
 
 from .dops import dop_catalog, verify_dop
-from .errors import (CrossCheckFailed, DegenerateParams, ParseError,
+from .errors import (CrossCheckFailed, ParamDegeneracy, ParseError,
                      QKrallError)
-from .exact import Poly, poly_to_json, rational, rational_str
+from .exact import poly_to_json, rational, rational_str
 from .families import (LaguerreParams, MeixnerParams, PolynomialFamily,
-                       alsalam_carlitz, family_recurrence, laguerre, meixner,
-                       q_power_exponent)
+                       _check_base, alsalam_carlitz, family_recurrence,
+                       laguerre, meixner)
 from .krall import build, theorem_catalog, verify_eigen
-from .moments import (LAGUERRE_I, LAGUERRE_II, MEIXNER_I, MEIXNER_II,
-                      MEIXNER_III, THEOREMS, gram_matrix, hankel_orthogonal)
+from .moments import (LAGUERRE_I, MEIXNER_I, MEIXNER_II, MEIXNER_III,
+                      THEOREMS, gram_matrix, hankel_orthogonal)
 from .search import (check_conjecture_a, check_conjecture_b1,
                      check_conjecture_b2)
 
@@ -112,34 +112,16 @@ def _depth(cfg: dict, default: int) -> int:
     """The index bound n; a negative one would leave nothing to check."""
     n = _int(cfg, "n", default)
     if n < 0:
-        raise DegenerateParams(f"n must be nonnegative, got n = {n}")
+        raise ParamDegeneracy(f"n must be nonnegative, got n = {n}")
     return n
 
 
-def _check_base(q: Fraction) -> None:
-    if q in (0, 1, -1):
-        raise DegenerateParams(f"q != +-1 and q != 0 required, got q = {q}")
-
-
-def _check_meixner(q: Fraction, b: Fraction, c: Fraction) -> None:
+def _point_mass_params(cfg: dict, q: Fraction) -> tuple[LaguerreParams, int]:
+    """The q-Laguerre data t = q^alpha of the point-mass shapes; q is
+    checked first, because 0 ** alpha has no value for alpha < 0."""
+    alpha = _int(cfg, "alpha", 2)
     _check_base(q)
-    if c == 0:
-        raise DegenerateParams("c != 0 required")
-    e = q_power_exponent(b, q)
-    if e is not None and e <= 0:
-        raise DegenerateParams(f"b = q^{e}" if e else "b = 1")
-    e = q_power_exponent(-c, q)
-    if e is not None and e >= 0:
-        raise DegenerateParams(f"c = -q^{e}")
-
-
-def _check_laguerre(q: Fraction, t: Fraction) -> None:
-    _check_base(q)
-    if t == 0:
-        raise DegenerateParams("t != 0 required")
-    e = q_power_exponent(t, q)
-    if e is not None and e < 0:
-        raise DegenerateParams(f"t = q^{e}")
+    return LaguerreParams(q, q ** alpha), alpha
 
 
 def _theorem_setup(cfg: dict):
@@ -149,50 +131,26 @@ def _theorem_setup(cfg: dict):
             f"--theorem must be one of {', '.join(THEOREMS)}; got {name!r}")
     q = _rat(cfg, "q", _DEFAULTS["q"])
     if name in (MEIXNER_I, MEIXNER_II, MEIXNER_III):
-        b = _rat(cfg, "b", _DEFAULTS["b"])
-        c = _rat(cfg, "c", _DEFAULTS["c"])
-        _check_meixner(q, b, c)
-        params = MeixnerParams(q, b, c)
-        k = _int(cfg, "k", 1)
-        mass = None
-    elif name == LAGUERRE_I:
-        t = _rat(cfg, "t", _DEFAULTS["t"])
-        _check_laguerre(q, t)
-        params = LaguerreParams(q, t)
-        k = _int(cfg, "k", 1)
-        mass = None
-    else:
-        alpha = _int(cfg, "alpha", 2)
-        if alpha < 1:
-            raise DegenerateParams("alpha must be a positive integer")
-        t = q ** alpha
-        _check_laguerre(q, t)
-        params = LaguerreParams(q, t)
-        k = alpha
-        mass = _rat(cfg, "m", "1")
-    if k < 0:
-        raise DegenerateParams("k must be nonnegative")
-    return name, params, k, mass
+        params = MeixnerParams(q, _rat(cfg, "b", _DEFAULTS["b"]),
+                               _rat(cfg, "c", _DEFAULTS["c"]))
+        return name, params, _int(cfg, "k", 1), None
+    if name == LAGUERRE_I:
+        params = LaguerreParams(q, _rat(cfg, "t", _DEFAULTS["t"]))
+        return name, params, _int(cfg, "k", 1), None
+    params, alpha = _point_mass_params(cfg, q)
+    return name, params, alpha, _rat(cfg, "m", "1")
 
 
 def _family_setup(cfg: dict) -> PolynomialFamily:
     kind = cfg.get("family", "q-meixner")
     q = _rat(cfg, "q", _DEFAULTS["q"])
     if kind == "q-meixner":
-        b = _rat(cfg, "b", _DEFAULTS["b"])
-        c = _rat(cfg, "c", _DEFAULTS["c"])
-        _check_meixner(q, b, c)
-        return meixner(q, b, c)
+        return meixner(q, _rat(cfg, "b", _DEFAULTS["b"]),
+                       _rat(cfg, "c", _DEFAULTS["c"]))
     if kind == "q-laguerre":
-        t = _rat(cfg, "t", _DEFAULTS["t"])
-        _check_laguerre(q, t)
-        return laguerre(q, t)
+        return laguerre(q, _rat(cfg, "t", _DEFAULTS["t"]))
     if kind == "al-salam-carlitz":
-        a = _rat(cfg, "a", "4/3")
-        _check_base(q)
-        if a == 0:
-            raise DegenerateParams("a != 0 required")
-        return alsalam_carlitz(q, a)
+        return alsalam_carlitz(q, _rat(cfg, "a", "4/3"))
     raise ParseError(f"unknown family {kind!r}")
 
 
@@ -411,30 +369,19 @@ def _cmd_conjecture(cfg: dict, which: str):
     order_max = cfg.get("order-max")
     h_max = None if order_max is None else _as_int("order-max", order_max) // 2
     if which == "a":
-        b = _rat(cfg, "b", _DEFAULTS["b"])
-        c = _rat(cfg, "c", _DEFAULTS["c"])
-        _check_meixner(q, b, c)
+        params = MeixnerParams(q, _rat(cfg, "b", _DEFAULTS["b"]),
+                               _rat(cfg, "c", _DEFAULTS["c"]))
         report = check_conjecture_a(
-            MeixnerParams(q, b, c),
-            f1=_items(cfg, "f1"), f2=_items(cfg, "f2"),
-            f3=_items(cfg, "f3"),
-            h_max=h_max)
+            params, f1=_items(cfg, "f1"), f2=_items(cfg, "f2"),
+            f3=_items(cfg, "f3"), h_max=h_max)
     elif which == "b1":
-        t = _rat(cfg, "t", _DEFAULTS["t"])
-        _check_laguerre(q, t)
         report = check_conjecture_b1(
-            LaguerreParams(q, t),
-            f_set=_items(cfg, "f"),
-            h_max=h_max)
+            LaguerreParams(q, _rat(cfg, "t", _DEFAULTS["t"])),
+            f_set=_items(cfg, "f"), h_max=h_max)
     else:
-        alpha = _int(cfg, "alpha", 2)
-        if alpha < 1:
-            raise DegenerateParams("alpha must be a positive integer")
-        t = q ** alpha
-        _check_laguerre(q, t)
+        params, _ = _point_mass_params(cfg, q)
         report = check_conjecture_b2(
-            LaguerreParams(q, t),
-            f_set=_items(cfg, "f"),
+            params, f_set=_items(cfg, "f"),
             k_upper=_int(cfg, "k-upper", 0),
             masses=_items(cfg, "masses", _as_rat, ("1",)),
             h_max=h_max)
@@ -563,7 +510,7 @@ def main(argv: list[str] | None = None) -> int:
             ok, payload, summary, csvs = _cmd_verify_orthogonality(cfg)
         else:
             ok, payload, summary, csvs = _cmd_conjecture(cfg, args.which)
-    except (ParseError, DegenerateParams) as exc:
+    except ParseError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 2
     except CrossCheckFailed as exc:

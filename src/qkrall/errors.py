@@ -75,9 +75,5 @@ class ZeroDilation(QKrallError):
     """dilate() was called with scale 0."""
 
 
-class DegenerateParams(QKrallError):
-    """CLI-level parameter validation failed."""
-
-
 class ParseError(QKrallError):
     """A config file or flag value could not be parsed."""

@@ -1,4 +1,4 @@
-"""Classical q-polynomial families defined by explicit basic hypergeometric sums.
+"""Classical q-polynomial families built from their three-term recurrences.
 
 Three kinds are implemented, all with exact rational data:
 
@@ -9,6 +9,9 @@ Three kinds are implemented, all with exact rational data:
 * ``al-salam-carlitz`` v_n(x; a)      used as a coefficient carrier; it has
   no attached operator here.
 
+Each family's p_n follow from p_0 = 1 by its closed-form three-term
+recurrence (Koekoek, Lesky and Swarttouw 2010, sections 14.13, 14.21 and
+14.25).
 Families memoize their polynomials; the cache is append-only and guarded
 by a lock so families can be shared across threads.
 """
@@ -62,7 +65,7 @@ def q_power_exponent(value: Fraction, q: Fraction) -> int | None:
 
 def _check_base(q: Fraction) -> None:
     if q in (0, 1, -1):
-        raise ParamDegeneracy("base q must avoid 0, 1 and -1")
+        raise ParamDegeneracy(f"q != +-1 and q != 0 required, got q = {q}")
 
 
 @dataclass(frozen=True)
@@ -127,62 +130,6 @@ class AlSalamCarlitzParams:
 FamilyParams = MeixnerParams | LaguerreParams | AlSalamCarlitzParams
 
 
-def _meixner_poly(p: MeixnerParams, n: int) -> Poly:
-    q, b, c = p.q, p.b, p.c
-    q_inv_n = q ** (-n)
-    ratio = -q ** (n + 1) / c
-    coef = Fraction(1)
-    xpoch = Poly.one()
-    acc = Poly.one()
-    for j in range(1, n + 1):
-        qj = q ** (j - 1)
-        coef *= (1 - q_inv_n * qj) * ratio / ((1 - b * q * qj) * (1 - q * qj))
-        xpoch = xpoch * Poly((1, -qj))
-        if coef:
-            acc = acc + xpoch * coef
-    pref = Fraction(1)
-    for i in range(n):
-        pref *= 1 - q ** (i + 1)
-    return acc * (Fraction(-1) ** n / pref)
-
-
-def _laguerre_poly(p: LaguerreParams, n: int) -> Poly:
-    q, t = p.q, p.t
-    q_inv_n = q ** (-n)
-    step = t * q ** (n + 1)
-    coef = Fraction(1)
-    xpoch = Poly.one()
-    acc = Poly.one()
-    for j in range(1, n + 1):
-        qj = q ** (j - 1)
-        coef *= (1 - q_inv_n * qj) * step / (1 - q * qj)
-        xpoch = xpoch * Poly((1, qj))
-        if coef:
-            acc = acc + xpoch * coef
-    pref = Fraction(1)
-    for i in range(n):
-        pref *= (1 - t * q ** (i + 1)) * (1 - q ** (i + 1))
-    if pref == 0:
-        raise ParamDegeneracy(f"Laguerre prefactor vanishes at n = {n}")
-    return acc * (Fraction(-1) ** n / pref)
-
-
-def _alsalam_carlitz_poly(p: AlSalamCarlitzParams, n: int) -> Poly:
-    q, a = p.q, p.a
-    q_inv_n = q ** (-n)
-    acc = Poly.one()
-    coef = Fraction(1)
-    xpoch = Poly.one()
-    for j in range(1, n + 1):
-        qj = q ** (j - 1)
-        # exponent -C(j,2) + jn advances by n - (j - 1) at step j
-        coef *= -(1 - q_inv_n * qj) * q ** (n - (j - 1)) / (a * (1 - q * qj))
-        xpoch = xpoch * Poly((1, -qj))
-        if coef:
-            acc = acc + xpoch * coef
-    return acc
-
-
 class PolynomialFamily:
     """Memoized generator for one parametrized family."""
 
@@ -191,7 +138,7 @@ class PolynomialFamily:
             raise UnsupportedFamily(f"unknown family kind {kind!r}")
         self.kind = kind
         self.params = params
-        self._cache: dict[int, Poly] = {}
+        self._cache: dict[int, Poly] = {0: Poly.one()}
         self._lock = threading.Lock()
 
     @property
@@ -199,21 +146,17 @@ class PolynomialFamily:
         return self.params.q
 
     def poly(self, n: int) -> Poly:
+        """p_n; the cache holds p_0..p_m and grows by the recurrence."""
         if n < 0:
             raise ValueError("polynomial index must be >= 0")
         with self._lock:
-            got = self._cache.get(n)
-        if got is not None:
-            return got
-        if self.kind == MEIXNER:
-            out = _meixner_poly(self.params, n)
-        elif self.kind == LAGUERRE:
-            out = _laguerre_poly(self.params, n)
-        else:
-            out = _alsalam_carlitz_poly(self.params, n)
-        with self._lock:
-            self._cache.setdefault(n, out)
-        return out
+            cache = self._cache
+            if n not in cache:
+                rec = family_recurrence(self)
+                for m in range(len(cache) - 1, n):
+                    cache[m + 1] = _recurrence_step(rec, m, cache[m],
+                                                    cache.get(m - 1))
+            return cache[n]
 
     def polys_up_to(self, n: int) -> list[Poly]:
         return [self.poly(k) for k in range(n + 1)]
@@ -385,15 +328,22 @@ def derive_recurrence(family: PolynomialFamily, n_top: int) -> ThreeTermRecurren
                                            label=f"derived:{family.kind}")
 
 
+def _recurrence_step(rec: ThreeTermRecurrence, n: int, p_n: Poly,
+                     p_prev: Poly | None) -> Poly:
+    """p_{n+1} = ((x - b_n) p_n - c_n p_{n-1}) / a_n; p_prev is unused at
+    n = 0, where c_0 multiplies the absent p_{-1}."""
+    a_n = rec.a(n)
+    if a_n == 0:
+        raise SingularSystem(f"a_{n} = 0, cannot advance the recurrence")
+    out = Poly((0, *p_n.coeffs)) - p_n * rec.b(n)
+    if n > 0:
+        out = out - p_prev * rec.c(n)
+    return out * (Fraction(1) / a_n)
+
+
 def polys_from_recurrence(rec: ThreeTermRecurrence, n_top: int) -> list[Poly]:
     """Regenerate p_0..p_{n_top} from the recurrence with p_0 = 1."""
     out = [Poly.one()]
     for n in range(n_top):
-        an = rec.a(n)
-        if an == 0:
-            raise SingularSystem(f"a_{n} = 0, cannot advance the recurrence")
-        nxt = Poly.x() * out[n] - rec.b(n) * out[n]
-        if n > 0:
-            nxt = nxt - rec.c(n) * out[n - 1]
-        out.append(nxt * (Fraction(1) / an))
+        out.append(_recurrence_step(rec, n, out[n], out[n - 1] if n else None))
     return out

@@ -38,7 +38,8 @@ from .families import (LaguerreParams, MeixnerParams, PolynomialFamily,
                        q_power_exponent)
 from .dops import DOperatorSpec, dop_catalog
 from .moments import (LAGUERRE_I, LAGUERRE_II, MEIXNER_I, MEIXNER_II,
-                      MEIXNER_III, MomentFunctional, measure_catalog)
+                      MEIXNER_III, MomentFunctional, _check_b_nonzero,
+                      _check_point_mass, measure_catalog)
 from .operators import QDiffOperator, poly_of_operator
 
 __all__ = ["KrallConstruction", "TheoremData", "build", "build_P1",
@@ -144,7 +145,8 @@ def build(family: PolynomialFamily, spec: DOperatorSpec, p2: Poly,
     if beta_override:
         for idx, value in beta_override.items():
             if not 1 <= idx <= n_top:
-                raise IndexError(f"beta override index {idx} out of range")
+                raise ParamDegeneracy(
+                    f"beta override index {idx} outside 1..{n_top}")
             betas[idx - 1] = rational(value)
 
     qpolys = [family.poly(0)]
@@ -219,10 +221,7 @@ def theorem_catalog(name: str, params: MeixnerParams | LaguerreParams,
         if not isinstance(params, MeixnerParams):
             raise UnknownTheorem(f"{name} needs Meixner parameters")
         q, b, c = params.q, params.b, params.c
-        if b == 0:
-            # the carriers divide by b, and for meixner-ii P2 = p_k(b x)
-            # collapses to a constant
-            raise ParamDegeneracy(f"{name} needs b != 0")
+        _check_b_nonzero(name, b)
         fam = meixner(q, b, c)
         specs = dop_catalog(fam)
         if name == MEIXNER_I:
@@ -277,6 +276,7 @@ def theorem_catalog(name: str, params: MeixnerParams | LaguerreParams,
         if mass is None:
             raise UnknownTheorem(f"{name} needs the point mass M")
         m_val = rational(mass)
+        _check_point_mass(m_val)
         q, t = params.q, params.t
         alpha = q_power_exponent(t, q)
         if alpha is None or alpha < 1:

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Callable, Iterable
 
 from .errors import (CrossCheckFailed, DenominatorVanishes, NotQuasiDefinite,
-                     UnknownTheorem, ZeroDilation)
+                     ParamDegeneracy, UnknownTheorem, ZeroDilation)
 from .exact import Poly, qpochhammer, rational, rational_str
 from .families import (LaguerreParams, MeixnerParams, ThreeTermRecurrence,
                        laguerre_recurrence, meixner, meixner_recurrence)
@@ -389,6 +389,20 @@ def _cross_check(built: MomentFunctional, divisor: Poly,
             f"{label}: cross-check fails first at moment {bad}")
 
 
+def _check_b_nonzero(name: str, b: Fraction) -> None:
+    """The q-Meixner instances' carriers divide by b, and at b = 0 the
+    meixner-ii carrier P2 = p_k(b x) collapses to a constant."""
+    if b == 0:
+        raise ParamDegeneracy(f"{name} needs b != 0")
+
+
+def _check_point_mass(mass: Fraction) -> None:
+    """With M = 0 the point mass vanishes and what is left is the plain
+    q-Laguerre functional, whose operator has order 2, not 2 alpha + 2."""
+    if mass == 0:
+        raise ParamDegeneracy(f"{LAGUERRE_II} needs a point mass M != 0")
+
+
 def measure_catalog(name: str, params: MeixnerParams | LaguerreParams,
                     k_or_alpha: int, mass: Fraction | int | str | None = None,
                     n_depth: int = 40,
@@ -405,6 +419,7 @@ def measure_catalog(name: str, params: MeixnerParams | LaguerreParams,
         if not isinstance(params, MeixnerParams):
             raise UnknownTheorem(f"{name} needs Meixner parameters")
         q, b, c = params.q, params.b, params.c
+        _check_b_nonzero(name, b)
         base = meixner_moments(params, n_depth + 2 * k + 4)
         if name == MEIXNER_I:
             shifted = meixner_moments(MeixnerParams(q, b, q ** (k + 1) * c),
@@ -461,6 +476,7 @@ def measure_catalog(name: str, params: MeixnerParams | LaguerreParams,
             raise UnknownTheorem(f"{name} needs Laguerre parameters")
         if mass is None:
             raise UnknownTheorem(f"{name} needs the point mass M")
+        _check_point_mass(rational(mass))
         q, t = params.q, params.t
         lower = laguerre_moments(LaguerreParams(q, t / q), n_depth + 4)
         built = add(point_mass(0, 0, mass), lower)

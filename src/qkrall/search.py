@@ -26,9 +26,9 @@ from .exact import (Laurent, Poly, _to_int_primitive, rational,
 from .families import (LaguerreParams, MeixnerParams, q_power_exponent)
 from .krall import build, theorem_catalog
 from .linalg import nullspace
-from .moments import (LAGUERRE_II, MomentFunctional, _product, add,
-                      christoffel, hankel_orthogonal, laguerre_moments,
-                      meixner_moments, point_mass)
+from .moments import (LAGUERRE_II, MomentFunctional, _check_point_mass,
+                      _product, add, christoffel, hankel_orthogonal,
+                      laguerre_moments, meixner_moments, point_mass)
 from .operators import QDiffOperator
 
 __all__ = ["SearchProblem", "SearchResult", "find_operator",
@@ -298,7 +298,10 @@ def check_conjecture_b2(params: LaguerreParams, f_set: Iterable[int] = (),
     if alpha is None or alpha < k_upper + 2:
         raise ParamDegeneracy(
             "t must be q^alpha with alpha an integer >= K + 2")
-    conjectured = 2 * alpha + 2 if (not fs and k_upper == 0) else None
+    one_mass = not fs and k_upper == 0
+    if one_mass:
+        _check_point_mass(mass_vals[0])
+    conjectured = 2 * alpha + 2 if one_mass else None
     h_max = _half_width_max(h_max, conjectured)
     r = _product([Poly((Fraction(1), q ** f)) for f in fs])
     d_top = 2 * h_max + 2 if d is None else d
@@ -311,7 +314,7 @@ def check_conjecture_b2(params: LaguerreParams, f_set: Iterable[int] = (),
               "k_upper": k_upper,
               "masses": [rational_str(m) for m in mass_vals]}
     report = _search_report("B2", inputs, conjectured, mu, q, h_max, d, t)
-    if not fs and k_upper == 0 and report.get("status") == "found":
+    if one_mass and report.get("status") == "found":
         td = theorem_catalog(LAGUERRE_II, params, alpha, mass=mass_vals[0])
         kc = build(td.family, td.spec, td.p2, 12)
         lams = [kc.lam(n) for n in range(13)]

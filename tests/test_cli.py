@@ -1,10 +1,16 @@
 """Command-line interface: exit codes, reports, config handling."""
 from __future__ import annotations
 
+import contextlib
 import csv
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import qkrall.krall
 import qkrall.search
@@ -247,6 +253,12 @@ def test_malformed_conjecture_config_is_invalid_input(capsys, tmp_path,
     assert "Traceback" not in err
 
 
+def test_perturb_index_past_the_depth_is_invalid_input(capsys):
+    code, _, err = _run(capsys, "verify-eigen", "--theorem", "meixner-i",
+                        "--n", "0", "--perturb-beta", "1", "7")
+    assert code == 2 and "outside 1..0" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("perturb", [5, [1.5, "2"], ["1", [2]]])
 def test_malformed_perturb_config_is_invalid_input(capsys, tmp_path,
                                                    perturb):
@@ -315,3 +327,99 @@ def test_empty_search_range_is_invalid_input(capsys, which, order_max):
                           "--order-max", order_max)
     assert code == 2 and "empty search range" in err
     assert "Traceback" not in err and "not-found" not in out
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify-eigen", "--theorem", "laguerre-ii", "--m", "0"),
+    ("build-krall", "--theorem", "laguerre-ii", "--m", "0"),
+    ("conjecture", "b2", "--masses", "0"),
+])
+def test_vanishing_point_mass_is_invalid_input(capsys, argv):
+    code, out, err = _run(capsys, *argv)
+    assert code == 2 and "M != 0" in err
+    assert "Traceback" not in err and "FAIL" not in out
+
+
+# Flag values: valid ones, degenerate ones, and ones that do not parse.
+_VALUES = {
+    "q": ["2/5", "3/2", "-1/3", "0", "1", "-1", "1/0", "x"],
+    "b": ["1/3", "0", "5/2", "-3/2"],
+    "c": ["3/2", "0", "-1", "-2/5"],
+    "t": ["3/4", "0", "5/2", "4/25"],
+    "a": ["4/3", "0", "-2/7"],
+    "alpha": ["-1", "0", "1", "2"],
+    "k": ["-1", "0", "1", "2"],
+    "m": ["1", "0", "7/3", "-1"],
+    "n": ["-2", "0", "3", "x"],
+    "family": ["q-meixner", "q-laguerre", "al-salam-carlitz", "q-hermite"],
+    "theorem": ["meixner-i", "meixner-ii", "meixner-iii", "laguerre-i",
+                "laguerre-ii"],
+    "k-upper": ["0", "1"],
+    "order-max": ["-2", "1", "2", "4"],
+}
+_FLAGS = {
+    "families": ["family", "q", "b", "c", "t", "a", "n"],
+    "verify-dop": ["family", "q", "b", "c", "t", "n"],
+    "build-krall": ["theorem", "q", "b", "c", "t", "alpha", "k", "m", "n"],
+    "verify-eigen": ["theorem", "q", "b", "c", "t", "alpha", "k", "m", "n"],
+    "verify-orthogonality": ["theorem", "q", "b", "c", "t", "alpha", "k",
+                             "m", "n"],
+    "conjecture": ["q", "b", "c", "t", "alpha", "k-upper"],
+}
+_LISTS = ["f1", "f2", "f3", "f", "masses"]
+_JUNK = st.sampled_from([None, 1.5, True, [], {}, "", [1, [2]]])
+
+
+@st.composite
+def _command_lines(draw):
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    argv = [command]
+    keys = list(_FLAGS[command])
+    if command == "conjecture":
+        argv.append(draw(st.sampled_from(["a", "b1", "b2"])))
+        # every search gets a small bound, which the config leaves alone
+        bound = draw(st.sampled_from(_VALUES["order-max"]))
+        argv.append(f"--order-max={bound}")
+        for key in draw(st.lists(st.sampled_from(_LISTS), unique=True,
+                                 max_size=2)):
+            argv += [f"--{key}", *draw(st.lists(
+                st.sampled_from(["-1", "0", "1", "2", "x"]), max_size=2))]
+    elif "theorem" in keys:
+        argv.append(f"--theorem={draw(st.sampled_from(_VALUES['theorem']))}")
+    if command == "verify-eigen" and draw(st.booleans()):
+        argv += ["--perturb-beta", draw(st.sampled_from(["1", "2", "x"])),
+                 draw(st.sampled_from(["7", "1/2", "0"]))]
+    for key in draw(st.lists(st.sampled_from(_FLAGS[command]), unique=True,
+                             max_size=3)):
+        argv.append(f"--{key}={draw(st.sampled_from(_VALUES[key]))}")
+    config = draw(st.none() | st.none() | st.dictionaries(
+        st.sampled_from(keys + ["perturb-beta"]),
+        st.one_of(st.sampled_from(sum(_VALUES.values(), [])),
+                  st.integers(-2, 4), _JUNK,
+                  st.lists(st.integers(-1, 2), max_size=2)),
+        max_size=3))
+    return argv, config
+
+
+@settings(max_examples=60, deadline=None)
+@given(_command_lines())
+@example((["verify-eigen", "--theorem=laguerre-ii", "--q=0", "--alpha=-1"],
+          None))
+@example((["conjecture", "b2", "--order-max=4", "--q=0", "--alpha=-1"],
+          None))
+def test_cli_fuzz_exits_with_a_verdict(case):
+    argv, config = case
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        if config is not None:
+            path = Path(tmp) / "c.json"
+            path.write_text(json.dumps(config))
+            argv = [*argv, "--config", str(path)]
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            try:
+                code = main([*argv, "--out", tmp])
+            except SystemExit as exc:  # argparse rejects the command line
+                code = exc.code
+    assert code in (0, 1, 2), (argv, config, code)
+    assert "Traceback" not in err.getvalue()

@@ -144,6 +144,17 @@ def test_meixner_instances_reject_b_zero(name):
     params = meixner(Q0, 0, C0).params
     with pytest.raises(ParamDegeneracy, match="b != 0"):
         theorem_catalog(name, params, 1)
+    with pytest.raises(ParamDegeneracy, match="b != 0"):
+        measure_catalog(name, params, 1)
+
+
+def test_point_mass_instance_rejects_zero_mass():
+    # with M = 0 no point mass is left and the operator has order 2
+    params = LaguerreParams(Q0, Q0 ** 2)
+    with pytest.raises(ParamDegeneracy, match="M != 0"):
+        theorem_catalog(LAGUERRE_II, params, 2, mass=0)
+    with pytest.raises(ParamDegeneracy, match="M != 0"):
+        measure_catalog(LAGUERRE_II, params, 2, mass=0)
 
 
 def test_catalog_measure_is_built_on_first_read_only(monkeypatch):

@@ -4,9 +4,12 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from qkrall import (MEIXNER_I, LaguerreParams, MeixnerParams, ParamDegeneracy,
-                    Poly, QDiffOperator, SearchProblem, build,
+import qkrall.search
+from qkrall import (MEIXNER_I, GammaVanishes, LaguerreParams, MeixnerParams,
+                    ParamDegeneracy, Poly, QDiffOperator, SearchProblem, build,
                     check_conjecture_a, check_conjecture_b1,
                     check_conjecture_b2, find_operator, hankel_orthogonal,
                     measure_catalog, minimal_even_order, theorem_catalog)
@@ -37,6 +40,25 @@ def test_search_rediscovers_a_catalogued_operator():
     assert op.order() == 4
     for n, p in enumerate(polys[:10]):
         assert op.apply(p) == result.eigenvalues[n] * p
+
+
+@settings(max_examples=4, deadline=None)
+@given(st.sampled_from([F(2, 5), F(3, 7), F(7, 3)]),
+       st.fractions(min_value=F(1, 9), max_value=3, max_denominator=9),
+       st.fractions(min_value=F(1, 9), max_value=3, max_denominator=9))
+def test_search_finds_a_planted_operator_at_its_order(q, b, c):
+    # the q_n of a built meixner-i instance (k = 1) are eigenfunctions of
+    # an order-4 operator and of none of order 2
+    try:
+        td = theorem_catalog(MEIXNER_I, MeixnerParams(q, b, c), 1)
+        kc = build(td.family, td.spec, td.p2, 16)
+    except (ParamDegeneracy, GammaVanishes):
+        assume(False)
+    polys = [kc.qpoly(n) for n in range(17)]
+    found_order, result, _ = minimal_even_order(polys, q, h_max=2)
+    assert found_order == kc.operator.order() == 4
+    for n, p in enumerate(polys):
+        assert result.operator.apply(p) == result.eigenvalues[n] * p
 
 
 def test_search_eigenvalues_affinely_match_construction():
@@ -135,6 +157,12 @@ def test_conjecture_b2_requires_shape_information():
     with pytest.raises(ParamDegeneracy):
         # no conjectured order for F nonempty, so h_max is mandatory
         check_conjecture_b2(LaguerreParams(Q0, Q0 ** 3), f_set=[1])
+
+
+def test_conjecture_b2_rejects_zero_mass_before_searching(monkeypatch):
+    monkeypatch.setattr(qkrall.search, "_search_report", None)
+    with pytest.raises(ParamDegeneracy, match="M != 0"):
+        check_conjecture_b2(LaguerreParams(Q0, Q0 ** 2), masses=(0,))
 
 
 def test_conjecture_b2_pure_mass_matches_construction():

@@ -1,6 +1,7 @@
 """Classical families: series values, eigen equations, recurrences."""
 from __future__ import annotations
 
+import threading
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from qkrall import (LaguerreParams, MeixnerParams, ParamDegeneracy, Poly,
                     meixner_moments, meixner_recurrence,
                     polys_from_recurrence, q_power_exponent, qpochhammer)
 from conftest import B0, C0, Q0, T0
+from series_families import series_family
 
 F = Fraction
 
@@ -61,18 +63,68 @@ def test_alsalam_carlitz_first_polynomials():
         family_operator(fam)
 
 
+def _series(fam):
+    return series_family(fam.kind, fam.params)
+
+
 def test_meixner_recurrence_regenerates_family():
     fam = meixner(Q0, B0, C0)
     rec = meixner_recurrence(fam.params)
     regen = polys_from_recurrence(rec, 10)
     for n in range(11):
-        assert regen[n] == fam.poly(n)
+        assert regen[n] == _series(fam).poly(n)
+
+
+@pytest.mark.parametrize("fam", [
+    meixner(Q0, B0, C0),
+    meixner(Q0, 0, C0),                          # b = 0
+    meixner(F(3, 2), B0, C0),                    # q > 1
+    meixner(Q0, -C0, 1 / (B0 * C0)),             # meixner-i carrier
+    meixner(1 / Q0, B0, C0),                     # meixner-ii carrier
+    meixner(Q0, 1 / B0, B0 * C0),                # meixner-iii carrier
+    laguerre(Q0, T0),
+    laguerre(F(3, 2), F(5, 7)),                  # q > 1
+    laguerre(Q0, Q0 ** 2),                       # t = q^alpha
+    alsalam_carlitz(Q0, F(4, 3)),
+    alsalam_carlitz(F(3, 2), F(-2, 7)),          # a < 0, q > 1
+], ids=repr)
+def test_recurrence_polys_equal_series(fam):
+    for n in range(17):
+        assert fam.poly(n) == _series(fam).poly(n), n
+
+
+@pytest.mark.parametrize("q, t", [(Q0, T0), (F(3, 2), F(5, 7)), (Q0, Q0 ** 2)])
+def test_laguerre_recurrence_polys_equal_series_to_degree_64(q, t):
+    fam = laguerre(q, t)
+    for n in range(65):
+        assert fam.poly(n) == _series(fam).poly(n), n
+
+
+def test_threads_share_one_cache():
+    fam = meixner(Q0, B0, C0)
+    got: dict[int, list] = {}
+    start = threading.Barrier(6)
+
+    def work(i: int) -> None:
+        start.wait(timeout=10)
+        got[i] = [fam.poly(n) for n in (3 * i + 9, i, 2 * i + 4)]
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(6)]
+    for th in threads:
+        th.start()
+    for th in threads:
+        th.join(timeout=30)
+        assert not th.is_alive()
+    for i, polys in got.items():
+        for n, p in zip((3 * i + 9, i, 2 * i + 4), polys):
+            assert p is fam.poly(n) and p == _series(fam).poly(n)
+    assert len(got) == 6
 
 
 def test_derived_recurrence_matches_closed_form():
     fam = meixner(Q0, B0, C0)
     closed = meixner_recurrence(fam.params)
-    derived = derive_recurrence(fam, 8)
+    derived = derive_recurrence(_series(fam), 8)
     for n in range(9):
         assert derived.a(n) == closed.a(n)
         assert derived.b(n) == closed.b(n)
@@ -95,7 +147,7 @@ def _same_recurrence(closed, derived, n_top: int) -> None:
 def test_laguerre_closed_form_equals_derived_recurrence(q, t):
     fam = laguerre(q, t)
     _same_recurrence(laguerre_recurrence(fam.params),
-                     derive_recurrence(fam, 64), 64)
+                     derive_recurrence(_series(fam), 64), 64)
 
 
 @pytest.mark.parametrize("fam", [
@@ -103,15 +155,16 @@ def test_laguerre_closed_form_equals_derived_recurrence(q, t):
     alsalam_carlitz(Q0, F(4, 3)), alsalam_carlitz(F(3, 2), F(-2, 7)),
 ], ids=["meixner", "laguerre", "al-salam-carlitz", "al-salam-carlitz-q>1"])
 def test_family_recurrence_equals_derived_recurrence(fam):
-    _same_recurrence(family_recurrence(fam), derive_recurrence(fam, 16), 16)
+    _same_recurrence(family_recurrence(fam),
+                     derive_recurrence(_series(fam), 16), 16)
 
 
 def test_laguerre_recurrence_round_trip():
     fam = laguerre(Q0, T0)
-    rec = derive_recurrence(fam, 8)
+    rec = derive_recurrence(_series(fam), 8)
     regen = polys_from_recurrence(rec, 8)
     for n in range(9):
-        assert regen[n] == fam.poly(n)
+        assert regen[n] == _series(fam).poly(n) == fam.poly(n)
 
 
 def test_meixner_orthogonality_against_moments():
