@@ -1,20 +1,25 @@
 """Command-line front end.
 
 Subcommands: families, verify-dop, build-krall, verify-eigen,
-verify-orthogonality, conjecture {a,b1,b2}.  Flags mirror JSON config keys;
---config FILE overrides flags; --out DIR writes report files.  All numbers
-in reports are exact rational strings; the stdout summary may add decimal
-approximations, clearly marked non-authoritative.  Exit codes: 0 all checks
-pass, 1 a check failed, 2 invalid input.
+verify-orthogonality, conjecture {a,b1,b2}, each declared once in _COMMANDS
+as (handler, help, keys).  A key is a flag --key and a JSON config key;
+--config FILE overrides flags; --out DIR writes report files.  argparse
+only splits tokens (-2/7 is a value): one set of parsers reads every value,
+from a flag or the config, and a bad one exits 2 naming its key.  Reports
+hold exact rational strings; decimals in the stdout summary are marked
+non-authoritative.  Exit codes: 0 all checks pass, 1 a check failed, 2
+invalid input.
 """
 from __future__ import annotations
 
 import argparse
 import csv
 import json
+import re
 import sys
 import time
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 from .dops import dop_catalog, verify_dop
@@ -25,14 +30,15 @@ from .families import (LaguerreParams, MeixnerParams, PolynomialFamily,
                        _check_base, alsalam_carlitz, family_recurrence,
                        laguerre, meixner)
 from .krall import build, theorem_catalog, verify_eigen
-from .moments import (LAGUERRE_I, MEIXNER_I, MEIXNER_II, MEIXNER_III,
-                      THEOREMS, gram_matrix, hankel_orthogonal)
+from .moments import (LAGUERRE_I, LAGUERRE_II, THEOREMS, gram_matrix,
+                      hankel_orthogonal)
 from .search import (check_conjecture_a, check_conjecture_b1,
                      check_conjecture_b2)
 
 __all__ = ["main", "entry", "parse_config"]
 
-_DEFAULTS = {"q": "2/5", "b": "1/3", "c": "3/2", "t": "3/4"}
+_DEFAULTS = {"q": "2/5", "b": "1/3", "c": "3/2", "t": "3/4", "a": "4/3",
+             "m": "1", "k": 1, "alpha": 2, "k-upper": 0}
 
 
 def _approx(value: Fraction) -> str:
@@ -72,37 +78,29 @@ def _as_rat(key: str, raw) -> Fraction:
         raise ParseError(f"cannot parse {key} = {raw!r} as a rational") from exc
 
 
-def _rat(cfg: dict, key: str, default: str | None = None) -> Fraction:
-    raw = cfg.get(key, default)
-    if raw is None:
-        raise ParseError(f"missing required parameter {key!r}")
-    return _as_rat(key, raw)
+def _rat(cfg: dict, key: str) -> Fraction:
+    return _as_rat(key, cfg.get(key, _DEFAULTS[key]))
 
 
 def _as_int(key: str, raw) -> int:
     """raw (an int or a decimal string) as an integer, or ParseError naming
     the key it came from; a float or bool is refused, not truncated."""
-    value = raw
-    if isinstance(value, str):
-        try:
-            value = int(value)
-        except ValueError:
-            pass
+    try:
+        value = int(raw) if isinstance(raw, str) else raw
+    except ValueError:
+        value = None
     if isinstance(value, bool) or not isinstance(value, int):
         raise ParseError(f"cannot parse {key} = {raw!r} as an integer")
     return value
 
 
-def _int(cfg: dict, key: str, default: int | None = None) -> int:
-    raw = cfg.get(key, default)
-    if raw is None:
-        raise ParseError(f"missing required parameter {key!r}")
-    return _as_int(key, raw)
+def _int(cfg: dict, key: str) -> int:
+    return _as_int(key, cfg.get(key, _DEFAULTS[key]))
 
 
 def _items(cfg: dict, key: str, parse=_as_int, default: tuple = ()) -> list:
     """A list-valued key such as a factor set, each item read by parse."""
-    raw = cfg.get(key) or default
+    raw = cfg.get(key, default)
     if not isinstance(raw, (list, tuple)):
         raise ParseError(f"{key} must be a list, got {raw!r}")
     return [parse(key, item) for item in raw]
@@ -110,7 +108,7 @@ def _items(cfg: dict, key: str, parse=_as_int, default: tuple = ()) -> list:
 
 def _depth(cfg: dict, default: int) -> int:
     """The index bound n; a negative one would leave nothing to check."""
-    n = _int(cfg, "n", default)
+    n = _as_int("n", cfg.get("n", default))
     if n < 0:
         raise ParamDegeneracy(f"n must be nonnegative, got n = {n}")
     return n
@@ -119,7 +117,7 @@ def _depth(cfg: dict, default: int) -> int:
 def _point_mass_params(cfg: dict, q: Fraction) -> tuple[LaguerreParams, int]:
     """The q-Laguerre data t = q^alpha of the point-mass shapes; q is
     checked first, because 0 ** alpha has no value for alpha < 0."""
-    alpha = _int(cfg, "alpha", 2)
+    alpha = _int(cfg, "alpha")
     _check_base(q)
     return LaguerreParams(q, q ** alpha), alpha
 
@@ -129,29 +127,44 @@ def _theorem_setup(cfg: dict):
     if name not in THEOREMS:
         raise ParseError(
             f"--theorem must be one of {', '.join(THEOREMS)}; got {name!r}")
-    q = _rat(cfg, "q", _DEFAULTS["q"])
-    if name in (MEIXNER_I, MEIXNER_II, MEIXNER_III):
-        params = MeixnerParams(q, _rat(cfg, "b", _DEFAULTS["b"]),
-                               _rat(cfg, "c", _DEFAULTS["c"]))
-        return name, params, _int(cfg, "k", 1), None
+    q = _rat(cfg, "q")
+    if name == LAGUERRE_II:
+        params, alpha = _point_mass_params(cfg, q)
+        return name, params, alpha, _rat(cfg, "m")
     if name == LAGUERRE_I:
-        params = LaguerreParams(q, _rat(cfg, "t", _DEFAULTS["t"]))
-        return name, params, _int(cfg, "k", 1), None
-    params, alpha = _point_mass_params(cfg, q)
-    return name, params, alpha, _rat(cfg, "m", "1")
+        return name, LaguerreParams(q, _rat(cfg, "t")), _int(cfg, "k"), None
+    params = MeixnerParams(q, _rat(cfg, "b"), _rat(cfg, "c"))
+    return name, params, _int(cfg, "k"), None
 
 
 def _family_setup(cfg: dict) -> PolynomialFamily:
     kind = cfg.get("family", "q-meixner")
-    q = _rat(cfg, "q", _DEFAULTS["q"])
+    q = _rat(cfg, "q")
     if kind == "q-meixner":
-        return meixner(q, _rat(cfg, "b", _DEFAULTS["b"]),
-                       _rat(cfg, "c", _DEFAULTS["c"]))
+        return meixner(q, _rat(cfg, "b"), _rat(cfg, "c"))
     if kind == "q-laguerre":
-        return laguerre(q, _rat(cfg, "t", _DEFAULTS["t"]))
+        return laguerre(q, _rat(cfg, "t"))
     if kind == "al-salam-carlitz":
-        return alsalam_carlitz(q, _rat(cfg, "a", "4/3"))
+        return alsalam_carlitz(q, _rat(cfg, "a"))
     raise ParseError(f"unknown family {kind!r}")
+
+
+def _mark(ok: bool) -> str:
+    return "pass" if ok else "FAIL"
+
+
+def _params_echo(params) -> dict:
+    """The rational fields of a params dataclass, as exact strings."""
+    return {k: rational_str(v) for k, v in sorted(vars(params).items())
+            if isinstance(v, Fraction)}
+
+
+def _check_rows(report: list[dict]) -> list[dict]:
+    """verify_dop / verify_eigen entries as report rows, residuals printed."""
+    return [{"n": e["n"], "passed": e["passed"],
+             **({"residual": e["residual"].pretty()}
+                if e["residual"] is not None else {})}
+            for e in report]
 
 
 def _emit(payload: dict, elapsed: float, out_dir: str | None,
@@ -174,13 +187,10 @@ def _emit(payload: dict, elapsed: float, out_dir: str | None,
 def _cmd_families(cfg: dict):
     n_top = _depth(cfg, 8)
     fam = _family_setup(cfg)
-    rows = []
     theta_known = fam.kind != "al-salam-carlitz"
-    for n in range(n_top + 1):
-        entry = {"n": n, "coeffs": poly_to_json(fam.poly(n))}
-        if theta_known:
-            entry["theta"] = rational_str(fam.theta(n))
-        rows.append(entry)
+    rows = [{"n": n, "coeffs": poly_to_json(fam.poly(n)),
+             **({"theta": rational_str(fam.theta(n))} if theta_known else {})}
+            for n in range(n_top + 1)]
     rec = family_recurrence(fam)
     recurrence = {
         "a": [rational_str(rec.a(n)) for n in range(n_top)],
@@ -188,21 +198,15 @@ def _cmd_families(cfg: dict):
         "c": [rational_str(rec.c(n)) for n in range(1, n_top)],
     }
     payload = {"command": "families", "family": fam.kind,
-               "params": {k: rational_str(v)
-                          for k, v in sorted(vars(fam.params).items())
-                          if isinstance(v, Fraction)},
+               "params": _params_echo(fam.params),
                "polynomials": rows, "recurrence": recurrence}
+    leading = fam.poly(n_top).leading()
     summary = [f"{fam.kind}: tabulated p_0..p_{n_top}",
-               f"p_{n_top} leading coefficient "
-               f"{rational_str(fam.poly(n_top).leading())} "
-               f"(~{_approx(fam.poly(n_top).leading())}, non-authoritative)"]
+               f"p_{n_top} leading coefficient {rational_str(leading)} "
+               f"(~{_approx(leading)}, non-authoritative)"]
     csv_rows = [["n", "theta_n" if theta_known else "", "coefficients"]]
-    for n in range(n_top + 1):
-        csv_rows.append([
-            str(n),
-            rational_str(fam.theta(n)) if theta_known else "",
-            " ".join(poly_to_json(fam.poly(n))),
-        ])
+    csv_rows += [[str(r["n"]), r.get("theta", ""), " ".join(r["coeffs"])]
+                 for r in rows]
     return True, payload, summary, {"families.csv": csv_rows}
 
 
@@ -210,25 +214,19 @@ def _cmd_verify_dop(cfg: dict):
     n_top = _depth(cfg, 10)
     fam = _family_setup(cfg)
     entries = []
-    all_ok = True
     for spec in dop_catalog(fam):
-        report = verify_dop(spec, fam, n_top)
-        ok = all(e["passed"] for e in report)
-        all_ok &= ok
+        checks = _check_rows(verify_dop(spec, fam, n_top))
         entries.append({
             "spec_id": spec.spec_id,
             "closed_form_order": spec.closed_form.order(),
-            "all_passed": ok,
-            "checks": [
-                {"n": e["n"], "passed": e["passed"],
-                 **({"residual": e["residual"].pretty()}
-                    if e["residual"] is not None else {})}
-                for e in report],
+            "all_passed": all(e["passed"] for e in checks),
+            "checks": checks,
         })
+    all_ok = all(e["all_passed"] for e in entries)
     payload = {"command": "verify-dop", "family": fam.kind,
                "n_top": n_top, "specs": entries, "all_passed": all_ok}
     summary = [f"{e['spec_id']}: closed form == defining action for "
-               f"n <= {n_top}: {'pass' if e['all_passed'] else 'FAIL'}"
+               f"n <= {n_top}: {_mark(e['all_passed'])}"
                for e in entries]
     return all_ok, payload, summary, {}
 
@@ -236,53 +234,40 @@ def _cmd_verify_dop(cfg: dict):
 def _build_bundle(cfg: dict, n_top: int, beta_override=None):
     name, params, k, mass = _theorem_setup(cfg)
     td = theorem_catalog(name, params, k, mass=mass)
-    kc = build(td.family, td.spec, td.p2, n_top, beta_override=beta_override)
-    return td, kc
+    return td, build(td.family, td.spec, td.p2, n_top, beta_override)
+
+
+def _input_echo(td) -> dict:
+    mass = {} if td.mass is None else {"m": rational_str(td.mass)}
+    return {**_params_echo(td.family.params), "k_or_alpha": td.k_or_alpha,
+            **mass}
 
 
 def _cmd_build_krall(cfg: dict):
     n_top = _depth(cfg, 10)
     td, kc = _build_bundle(cfg, n_top)
-    rows = []
-    for n in range(n_top + 1):
-        rows.append({
-            "n": n,
-            "lambda": rational_str(kc.lam(n)),
-            **({"beta": rational_str(kc.beta(n))} if n >= 1 else {}),
-            "qpoly": poly_to_json(kc.qpoly(n)),
-        })
+    rows = [{"n": n, "lambda": rational_str(kc.lam(n)),
+             **({"beta": rational_str(kc.beta(n))} if n >= 1 else {}),
+             "qpoly": poly_to_json(kc.qpoly(n))}
+            for n in range(n_top + 1)]
+    order = kc.operator.order()
     payload = {"command": "build-krall", "theorem": td.name,
                "inputs": _input_echo(td),
                "expected_order": td.expected_order,
-               "operator_order": kc.operator.order(),
+               "operator_order": order,
                "operator": kc.operator.to_json(),
                "sequence": rows}
-    ok = kc.operator.order() == td.expected_order
     summary = [
         f"{td.name}: built q_0..q_{n_top}; operator order "
-        f"{kc.operator.order()} (expected {td.expected_order})",
-        f"lambda_{n_top} = {rational_str(kc.lam(n_top))} "
+        f"{order} (expected {td.expected_order})",
+        f"lambda_{n_top} = {rows[-1]['lambda']} "
         f"(~{_approx(kc.lam(n_top))}, non-authoritative)",
     ]
     csv_rows = [["n", "beta_n", "lambda_n", "q_n coefficients"]]
-    for n in range(n_top + 1):
-        csv_rows.append([
-            str(n),
-            rational_str(kc.beta(n)) if n >= 1 else "",
-            rational_str(kc.lam(n)),
-            " ".join(poly_to_json(kc.qpoly(n))),
-        ])
-    return ok, payload, summary, {"krall.csv": csv_rows}
-
-
-def _input_echo(td) -> dict:
-    params = td.family.params
-    echo = {k: rational_str(v) for k, v in sorted(vars(params).items())
-            if isinstance(v, Fraction)}
-    echo["k_or_alpha"] = td.k_or_alpha
-    if td.mass is not None:
-        echo["m"] = rational_str(td.mass)
-    return echo
+    csv_rows += [[str(r["n"]), r.get("beta", ""), r["lambda"],
+                  " ".join(r["qpoly"])] for r in rows]
+    return (order == td.expected_order, payload, summary,
+            {"krall.csv": csv_rows})
 
 
 def _cmd_verify_eigen(cfg: dict):
@@ -299,20 +284,17 @@ def _cmd_verify_eigen(cfg: dict):
             raise ParseError("--perturb-beta needs an integer INDEX and a "
                              f"rational VALUE; got {perturb!r}") from exc
     td, kc = _build_bundle(cfg, n_top, beta_override=beta_override)
-    report = verify_eigen(kc)
-    checks = [{"n": e["n"], "passed": e["passed"],
-               **({"residual": e["residual"].pretty()}
-                  if e["residual"] is not None else {})}
-              for e in report]
-    order_ok = kc.operator.order() == td.expected_order
+    checks = _check_rows(verify_eigen(kc))
+    order = kc.operator.order()
+    order_ok = order == td.expected_order
     beta_ok = all(kc.beta(n) == td.displayed_beta(n)
                   for n in range(1, n_top + 1)) if beta_override is None \
         else None
-    eigen_ok = all(e["passed"] for e in report)
+    eigen_ok = all(e["passed"] for e in checks)
     ok = eigen_ok and order_ok and (beta_ok is not False)
     payload = {"command": "verify-eigen", "theorem": td.name,
                "inputs": _input_echo(td), "n_top": n_top,
-               "operator_order": kc.operator.order(),
+               "operator_order": order,
                "expected_order": td.expected_order,
                "order_passed": order_ok,
                "beta_matches_displayed": beta_ok,
@@ -322,13 +304,13 @@ def _cmd_verify_eigen(cfg: dict):
                "eigen_checks": checks, "all_passed": ok}
     summary = [
         f"{td.name}: eigen equation exact for n <= {n_top}: "
-        f"{'pass' if eigen_ok else 'FAIL'}",
-        f"operator order {kc.operator.order()} vs expected "
-        f"{td.expected_order}: {'pass' if order_ok else 'FAIL'}",
+        f"{_mark(eigen_ok)}",
+        f"operator order {order} vs expected "
+        f"{td.expected_order}: {_mark(order_ok)}",
     ]
     if beta_ok is not None:
         summary.append(f"beta sequence matches displayed form: "
-                       f"{'pass' if beta_ok else 'FAIL'}")
+                       f"{_mark(beta_ok)}")
     if beta_override:
         summary.append(f"(beta perturbed at {sorted(beta_override)}; "
                        "failures above are the injected fault)")
@@ -338,7 +320,7 @@ def _cmd_verify_eigen(cfg: dict):
 def _cmd_verify_orthogonality(cfg: dict):
     n_top = _depth(cfg, 8)
     td, kc = _build_bundle(cfg, n_top)
-    qpolys = [kc.qpoly(n) for n in range(n_top + 1)]
+    qpolys = kc.qpolys()
     gram = gram_matrix(td.measure, qpolys)
     size = n_top + 1
     diagonal = all(gram[i][j] == 0
@@ -348,41 +330,38 @@ def _cmd_verify_orthogonality(cfg: dict):
     hankel_ok = all(gd.polys[n] * qpolys[n].leading() == qpolys[n]
                     for n in range(size))
     ok = diagonal and nonzero and hankel_ok
+    csv_rows = [[rational_str(v) for v in row] for row in gram]
     payload = {"command": "verify-orthogonality", "theorem": td.name,
-               "inputs": _input_echo(td), "n_top": n_top,
-               "gram": [[rational_str(v) for v in row] for row in gram],
+               "inputs": _input_echo(td), "n_top": n_top, "gram": csv_rows,
                "diagonal": diagonal, "nonzero_diagonal": nonzero,
                "hankel_monic_match": hankel_ok, "all_passed": ok}
     summary = [
         f"{td.name}: Gram matrix n,m <= {n_top} exactly diagonal: "
-        f"{'pass' if diagonal else 'FAIL'}",
-        f"diagonal entries nonzero: {'pass' if nonzero else 'FAIL'}",
-        f"Hankel monic polynomials match monic q_n: "
-        f"{'pass' if hankel_ok else 'FAIL'}",
+        f"{_mark(diagonal)}",
+        f"diagonal entries nonzero: {_mark(nonzero)}",
+        f"Hankel monic polynomials match monic q_n: {_mark(hankel_ok)}",
     ]
-    csv_rows = [[rational_str(v) for v in row] for row in gram]
     return ok, payload, summary, {"gram.csv": csv_rows}
 
 
 def _cmd_conjecture(cfg: dict, which: str):
-    q = _rat(cfg, "q", _DEFAULTS["q"])
+    q = _rat(cfg, "q")
     order_max = cfg.get("order-max")
     h_max = None if order_max is None else _as_int("order-max", order_max) // 2
     if which == "a":
-        params = MeixnerParams(q, _rat(cfg, "b", _DEFAULTS["b"]),
-                               _rat(cfg, "c", _DEFAULTS["c"]))
+        params = MeixnerParams(q, _rat(cfg, "b"), _rat(cfg, "c"))
         report = check_conjecture_a(
             params, f1=_items(cfg, "f1"), f2=_items(cfg, "f2"),
             f3=_items(cfg, "f3"), h_max=h_max)
     elif which == "b1":
         report = check_conjecture_b1(
-            LaguerreParams(q, _rat(cfg, "t", _DEFAULTS["t"])),
+            LaguerreParams(q, _rat(cfg, "t")),
             f_set=_items(cfg, "f"), h_max=h_max)
     else:
         params, _ = _point_mass_params(cfg, q)
         report = check_conjecture_b2(
             params, f_set=_items(cfg, "f"),
-            k_upper=_int(cfg, "k-upper", 0),
+            k_upper=_int(cfg, "k-upper"),
             masses=_items(cfg, "masses", _as_rat, ("1",)),
             h_max=h_max)
     status = report["status"]
@@ -407,109 +386,89 @@ def _cmd_conjecture(cfg: dict, which: str):
     return ok, payload, summary, {}
 
 
-def _add_common(p: argparse.ArgumentParser, *names: str) -> None:
-    text = {
-        "q": "base q (rational string, default 2/5)",
-        "b": "first family parameter (default 1/3)",
-        "c": "second family parameter (default 3/2)",
-        "t": "geometric eigenvalue scale (default 3/4)",
-        "a": "family parameter for the third family (default 4/3)",
-        "alpha": "positive integer exponent with t = q^alpha",
-        "k": "degree parameter of the instance (default 1)",
-        "m": "point mass at the origin (default 1)",
-        "n": "depth bound for the check",
-        "theorem": "instance name: " + ", ".join(THEOREMS),
-        "family": "family name: q-meixner, q-laguerre, al-salam-carlitz",
-    }
-    for name in names:
-        if name in ("alpha", "k", "n"):
-            p.add_argument(f"--{name}", type=int, help=text[name])
-        elif name == "theorem":
-            p.add_argument("--theorem", choices=THEOREMS, help=text[name])
-        elif name == "family":
-            p.add_argument("--family", help=text[name])
-        else:
-            p.add_argument(f"--{name}", help=text[name])
-    p.add_argument("--config", help="JSON config file; overrides flags")
-    p.add_argument("--out", help="directory for report.json and CSV files")
+# Every key is a flag --key and a config key of the same name.
+_FLAGS = {
+    "family": "family name: q-meixner, q-laguerre, al-salam-carlitz",
+    "theorem": "instance name: " + ", ".join(THEOREMS),
+    "q": "base q (rational string, default 2/5)",
+    "b": "first family parameter (default 1/3)",
+    "c": "second family parameter (default 3/2)",
+    "t": "geometric eigenvalue scale (default 3/4)",
+    "a": "family parameter for the third family (default 4/3)",
+    "alpha": "positive integer exponent with t = q^alpha",
+    "k": "degree parameter of the instance (default 1)",
+    "m": "point mass at the origin (default 1)",
+    "n": "depth bound for the check",
+    "perturb-beta": "inject a wrong beta value to demonstrate failure",
+    "f1": "first factor set",
+    "f2": "second factor set",
+    "f3": "third factor set",
+    "f": "factor set",
+    "k-upper": "highest derivative order of the point masses",
+    "masses": "point masses M_0..M_K",
+    "order-max": "largest operator order to scan",
+}
+# The keys that take several tokens.
+_MULTI = {"perturb-beta": {"nargs": 2, "metavar": ("INDEX", "VALUE")},
+          "f1": {"nargs": "*"}, "f2": {"nargs": "*"}, "f3": {"nargs": "*"},
+          "f": {"nargs": "*"}, "masses": {"nargs": "+"}}
+
+_THEOREM_KEYS = ("theorem", "q", "b", "c", "t", "alpha", "k", "m", "n")
+_COMMANDS = {
+    "families": (_cmd_families, "tabulate a classical family",
+                 ("family", "q", "b", "c", "t", "a", "n")),
+    "verify-dop": (_cmd_verify_dop, "check ladder closed forms against "
+                   "their defining action",
+                   ("family", "q", "b", "c", "t", "n")),
+    "build-krall": (_cmd_build_krall, "build q_n, beta_n, lambda_n and the "
+                    "higher-order operator", _THEOREM_KEYS),
+    "verify-eigen": (_cmd_verify_eigen,
+                     "verify the eigenfunction equation exactly",
+                     (*_THEOREM_KEYS, "perturb-beta")),
+    "verify-orthogonality": (_cmd_verify_orthogonality,
+                             "Gram matrix and Hankel cross-check",
+                             _THEOREM_KEYS),
+    "conjecture": (_cmd_conjecture, "run a conjecture regression",
+                   ("q", "b", "c", "t", "alpha", "f1", "f2", "f3", "f",
+                    "k-upper", "masses", "order-max")),
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads a negative fraction such as -2/7 as a
+    value; argparse's own test only knows negative integers and decimals."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-\d+(/\d+)?$|^-\d*\.\d+$")
 
 
 def _parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qkrall",
         description="Exact construction and verification of q-Krall "
                     "orthogonal polynomial families.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("families", help="tabulate a classical family")
-    _add_common(p, "family", "q", "b", "c", "t", "a", "n")
-
-    p = sub.add_parser("verify-dop",
-                       help="check ladder closed forms against their "
-                            "defining action")
-    _add_common(p, "family", "q", "b", "c", "t", "n")
-
-    p = sub.add_parser("build-krall",
-                       help="build q_n, beta_n, lambda_n and the "
-                            "higher-order operator")
-    _add_common(p, "theorem", "q", "b", "c", "t", "alpha", "k", "m", "n")
-
-    p = sub.add_parser("verify-eigen",
-                       help="verify the eigenfunction equation exactly")
-    _add_common(p, "theorem", "q", "b", "c", "t", "alpha", "k", "m", "n")
-    p.add_argument("--perturb-beta", nargs=2, metavar=("INDEX", "VALUE"),
-                   dest="perturb_beta",
-                   help="inject a wrong beta value to demonstrate failure")
-
-    p = sub.add_parser("verify-orthogonality",
-                       help="Gram matrix and Hankel cross-check")
-    _add_common(p, "theorem", "q", "b", "c", "t", "alpha", "k", "m", "n")
-
-    p = sub.add_parser("conjecture", help="run a conjecture regression")
-    p.add_argument("which", choices=("a", "b1", "b2"))
-    p.add_argument("--f1", nargs="*", type=int, help="first factor set")
-    p.add_argument("--f2", nargs="*", type=int, help="second factor set")
-    p.add_argument("--f3", nargs="*", type=int, help="third factor set")
-    p.add_argument("--f", nargs="*", type=int, help="factor set")
-    p.add_argument("--k-upper", type=int, dest="k_upper",
-                   help="highest derivative order of the point masses")
-    p.add_argument("--masses", nargs="+", help="point masses M_0..M_K")
-    p.add_argument("--order-max", dest="order_max", type=int,
-                   help="largest operator order to scan")
-    _add_common(p, "q", "b", "c", "t", "alpha")
+    for name, (_, help_text, keys) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if name == "conjecture":
+            p.add_argument("which", choices=("a", "b1", "b2"))
+        for key in keys:
+            p.add_argument(f"--{key}", help=_FLAGS[key], **_MULTI.get(key, {}))
+        p.add_argument("--config", help="JSON config file; overrides flags")
+        p.add_argument("--out", help="directory for report.json and CSV files")
     return parser
-
-
-_KEYS = {
-    "families": ["family", "q", "b", "c", "t", "a", "n"],
-    "verify-dop": ["family", "q", "b", "c", "t", "n"],
-    "build-krall": ["theorem", "q", "b", "c", "t", "alpha", "k", "m", "n"],
-    "verify-eigen": ["theorem", "q", "b", "c", "t", "alpha", "k", "m", "n",
-                     "perturb-beta"],
-    "verify-orthogonality": ["theorem", "q", "b", "c", "t", "alpha", "k",
-                             "m", "n"],
-    "conjecture": ["q", "b", "c", "t", "alpha", "f1", "f2", "f3", "f",
-                   "k-upper", "masses", "order-max"],
-}
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
+    handler, _, keys = _COMMANDS[args.command]
+    if "which" in args:  # conjecture's positional picks the search
+        handler = partial(handler, which=args.which)
     started = time.monotonic()
     try:
-        cfg = parse_config(args, _KEYS[args.command])
-        if args.command == "families":
-            ok, payload, summary, csvs = _cmd_families(cfg)
-        elif args.command == "verify-dop":
-            ok, payload, summary, csvs = _cmd_verify_dop(cfg)
-        elif args.command == "build-krall":
-            ok, payload, summary, csvs = _cmd_build_krall(cfg)
-        elif args.command == "verify-eigen":
-            ok, payload, summary, csvs = _cmd_verify_eigen(cfg)
-        elif args.command == "verify-orthogonality":
-            ok, payload, summary, csvs = _cmd_verify_orthogonality(cfg)
-        else:
-            ok, payload, summary, csvs = _cmd_conjecture(cfg, args.which)
+        ok, payload, summary, csvs = handler(parse_config(args, keys))
     except ParseError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 2
@@ -519,8 +478,7 @@ def main(argv: list[str] | None = None) -> int:
     except QKrallError as exc:
         print(f"invalid input: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    _emit(payload, time.monotonic() - started, getattr(args, "out", None),
-          summary, csvs)
+    _emit(payload, time.monotonic() - started, args.out, summary, csvs)
     return 0 if ok else 1
 
 

@@ -128,14 +128,21 @@ class AlSalamCarlitzParams:
 
 
 FamilyParams = MeixnerParams | LaguerreParams | AlSalamCarlitzParams
+_PARAMS = {MEIXNER: MeixnerParams, LAGUERRE: LaguerreParams,
+           AL_SALAM_CARLITZ: AlSalamCarlitzParams}
 
 
 class PolynomialFamily:
     """Memoized generator for one parametrized family."""
 
     def __init__(self, kind: str, params: FamilyParams):
-        if kind not in (MEIXNER, LAGUERRE, AL_SALAM_CARLITZ):
+        expected = _PARAMS.get(kind)
+        if expected is None:
             raise UnsupportedFamily(f"unknown family kind {kind!r}")
+        if not isinstance(params, expected):
+            raise UnsupportedFamily(
+                f"{kind} needs {expected.__name__}, got "
+                f"{type(params).__name__}")
         self.kind = kind
         self.params = params
         self._cache: dict[int, Poly] = {0: Poly.one()}

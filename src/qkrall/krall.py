@@ -75,7 +75,15 @@ class KrallConstruction:
     _lambdas: tuple[Fraction, ...]  # lambda_0 .. lambda_{n_top}
     _betas: tuple[Fraction, ...]    # beta_1 .. beta_{n_top}
     _qpolys: tuple[Poly, ...]       # q_0 .. q_{n_top}
-    operator: QDiffOperator
+
+    @cached_property
+    def operator(self) -> QDiffOperator:
+        """(1/2) P1(D_fam) + L o P2(D_fam); it does not depend on n_top
+        and is composed on first read, so a caller that only reads the
+        sequences never pays for it."""
+        d_fam = family_operator(self.family)
+        return (poly_of_operator(self.p1, d_fam) * Fraction(1, 2)
+                + self.spec.closed_form @ poly_of_operator(self.p2, d_fam))
 
     def gamma(self, n: int) -> Fraction:
         if not 1 <= n <= self.n_top + 1:
@@ -153,14 +161,10 @@ def build(family: PolynomialFamily, spec: DOperatorSpec, p2: Poly,
     for n in range(1, n_top + 1):
         qpolys.append(family.poly(n) + betas[n - 1] * family.poly(n - 1))
 
-    d_fam = family_operator(family)
-    operator = (poly_of_operator(p1, d_fam) * Fraction(1, 2)
-                + spec.closed_form @ poly_of_operator(p2, d_fam))
-
     return KrallConstruction(
         family=family, spec=spec, p2=p2, p1=p1, n_top=n_top,
         _gammas=tuple(gammas), _lambdas=tuple(lambdas), _betas=tuple(betas),
-        _qpolys=tuple(qpolys), operator=operator)
+        _qpolys=tuple(qpolys))
 
 
 def verify_eigen(kc: KrallConstruction, n_top: int | None = None) -> list[dict]:

@@ -18,7 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from functools import partial
+from typing import Callable, Iterable, Sequence
 
 from .errors import CrossCheckFailed, NotQuasiDefinite, ParamDegeneracy
 from .exact import (Laurent, Poly, _to_int_primitive, rational,
@@ -171,8 +172,11 @@ def minimal_even_order(eigenpolys: Sequence[Poly], q: Fraction, h_max: int,
 
 
 def _search_report(conjecture: str, inputs: dict, conjectured_order: int | None,
-                   mu: MomentFunctional, q: Fraction, h_max: int,
+                   base: Callable[[int], MomentFunctional], r: Poly,
+                   masses: Sequence[Fraction], q: Fraction, h_max: int,
                    d: int | None, t: int | None) -> dict:
+    """Search the functional r * base + sum_j masses[j] delta_0^(j), with
+    base(depth) read to the moment depth the widest window needs."""
     report: dict = {
         "conjecture": conjecture,
         "inputs": inputs,
@@ -181,6 +185,9 @@ def _search_report(conjecture: str, inputs: dict, conjectured_order: int | None,
     }
     d_top = 2 * h_max + 2 if d is None else d
     n_top = 2 * h_max + d_top + 7
+    mu = christoffel(base(2 * n_top + r.degree() + 2), r)
+    for j, m_j in enumerate(masses):
+        mu = add(mu, point_mass(Fraction(0), j, m_j))
     try:
         gram = hankel_orthogonal(mu, n_top)
     except NotQuasiDefinite as exc:
@@ -205,6 +212,14 @@ def _search_report(conjecture: str, inputs: dict, conjectured_order: int | None,
     report["operator"] = result.operator.to_json()
     report["eigenvalues"] = [rational_str(v) for v in result.eigenvalues]
     return report
+
+
+def _exponents(f_set: Iterable[int]) -> list[int]:
+    """A factor set as sorted distinct exponents, each of them positive."""
+    fs = sorted(set(f_set))
+    if any(f < 1 for f in fs):
+        raise ParamDegeneracy("factor exponents must be positive")
+    return fs
 
 
 def _half_width_max(h_max: int | None, conjectured: int | None) -> int:
@@ -232,10 +247,7 @@ def check_conjecture_a(params: MeixnerParams,
     (x - 1/q^f); the conjectured order is
     sum_i (2 sum_{f in F_i} f - n_i (n_i - 1)) + 2.
     """
-    s1, s2, s3 = sorted(set(f1)), sorted(set(f2)), sorted(set(f3))
-    for f in (*s1, *s2, *s3):
-        if f < 1:
-            raise ParamDegeneracy("factor exponents must be positive")
+    s1, s2, s3 = _exponents(f1), _exponents(f2), _exponents(f3)
     q, b, c = params.q, params.b, params.c
     conjectured = 2 + sum(
         2 * sum(s) - len(s) * (len(s) - 1) for s in (s1, s2, s3))
@@ -244,31 +256,26 @@ def check_conjecture_a(params: MeixnerParams,
         [Poly((b * c / q ** f, Fraction(1))) for f in s1]
         + [Poly((-b * q ** (f + 1), Fraction(1))) for f in s2]
         + [Poly((Fraction(-1) / q ** f, Fraction(1))) for f in s3])
-    d_top = 2 * h_max + 2 if d is None else d
-    depth = 2 * (2 * h_max + d_top + 7) + r.degree() + 2
-    mu = christoffel(meixner_moments(params, depth), r)
     inputs = {"q": rational_str(q), "b": rational_str(b),
               "c": rational_str(c), "f1": s1, "f2": s2, "f3": s3}
-    return _search_report("A", inputs, conjectured, mu, q, h_max, d, t)
+    return _search_report("A", inputs, conjectured,
+                          partial(meixner_moments, params), r, (), q, h_max,
+                          d, t)
 
 
 def check_conjecture_b1(params: LaguerreParams, f_set: Iterable[int] = (),
                         h_max: int | None = None, d: int | None = None,
                         t: int | None = None) -> dict:
     """Product perturbations of the q-Laguerre functional by (1 + x q^f)."""
-    fs = sorted(set(f_set))
-    for f in fs:
-        if f < 1:
-            raise ParamDegeneracy("factor exponents must be positive")
+    fs = _exponents(f_set)
     q = params.q
     conjectured = 2 * sum(fs) - len(fs) * (len(fs) - 1) + 2
     h_max = _half_width_max(h_max, conjectured)
     r = _product([Poly((Fraction(1), q ** f)) for f in fs])
-    d_top = 2 * h_max + 2 if d is None else d
-    depth = 2 * (2 * h_max + d_top + 7) + r.degree() + 2
-    mu = christoffel(laguerre_moments(params, depth), r)
     inputs = {"q": rational_str(q), "t": rational_str(params.t), "f": fs}
-    return _search_report("B1", inputs, conjectured, mu, q, h_max, d, t)
+    return _search_report("B1", inputs, conjectured,
+                          partial(laguerre_moments, params), r, (), q, h_max,
+                          d, t)
 
 
 def check_conjecture_b2(params: LaguerreParams, f_set: Iterable[int] = (),
@@ -285,10 +292,7 @@ def check_conjecture_b2(params: LaguerreParams, f_set: Iterable[int] = (),
     only for the pure one-mass case F = {}, K = 0; other shapes must supply
     h_max explicitly.
     """
-    fs = sorted(set(f_set))
-    for f in fs:
-        if f < 1:
-            raise ParamDegeneracy("factor exponents must be positive")
+    fs = _exponents(f_set)
     mass_vals = [rational(m) for m in masses]
     if len(mass_vals) != k_upper + 1:
         raise ParamDegeneracy(
@@ -304,16 +308,12 @@ def check_conjecture_b2(params: LaguerreParams, f_set: Iterable[int] = (),
     conjectured = 2 * alpha + 2 if one_mass else None
     h_max = _half_width_max(h_max, conjectured)
     r = _product([Poly((Fraction(1), q ** f)) for f in fs])
-    d_top = 2 * h_max + 2 if d is None else d
-    depth = 2 * (2 * h_max + d_top + 7) + r.degree() + 2
-    lower = laguerre_moments(LaguerreParams(q, tv / q), depth)
-    mu = christoffel(lower, r)
-    for j, m_j in enumerate(mass_vals):
-        mu = add(mu, point_mass(Fraction(0), j, m_j))
+    lower = partial(laguerre_moments, LaguerreParams(q, tv / q))
     inputs = {"q": rational_str(q), "alpha": alpha, "f": fs,
               "k_upper": k_upper,
               "masses": [rational_str(m) for m in mass_vals]}
-    report = _search_report("B2", inputs, conjectured, mu, q, h_max, d, t)
+    report = _search_report("B2", inputs, conjectured, lower, r, mass_vals,
+                            q, h_max, d, t)
     if one_mass and report.get("status") == "found":
         td = theorem_catalog(LAGUERRE_II, params, alpha, mass=mass_vals[0])
         kc = build(td.family, td.spec, td.p2, 12)

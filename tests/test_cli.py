@@ -242,6 +242,8 @@ def test_negative_eigen_depth_is_not_a_pass(capsys):
     ("a", {"order-max": 6.5}),
     ("b2", {"masses": 5}),
     ("b2", {"masses": ["ab"]}),
+    ("a", {"f1": 0}),
+    ("b1", {"f": None}),
 ])
 def test_malformed_conjecture_config_is_invalid_input(capsys, tmp_path,
                                                       which, config):
@@ -251,6 +253,13 @@ def test_malformed_conjecture_config_is_invalid_input(capsys, tmp_path,
     assert code == 2
     assert "cannot parse" in err or "must be a list" in err
     assert "Traceback" not in err
+
+
+def test_empty_mass_list_is_not_replaced_by_the_default(capsys, tmp_path):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"masses": [], "order-max": 2}))
+    code, _, err = _run(capsys, "conjecture", "b2", "--config", str(cfg))
+    assert code == 2 and "need 1 masses" in err
 
 
 def test_perturb_index_past_the_depth_is_invalid_input(capsys):
@@ -423,3 +432,73 @@ def test_cli_fuzz_exits_with_a_verdict(case):
                 code = exc.code
     assert code in (0, 1, 2), (argv, config, code)
     assert "Traceback" not in err.getvalue()
+
+
+# A bad value reads the same from a flag as from the config file.
+@pytest.mark.parametrize("command, key, value, message", [
+    (("verify-eigen", "--theorem", "meixner-i"), "n", "x",
+     "cannot parse n = 'x' as an integer"),
+    (("verify-eigen", "--theorem", "meixner-i"), "k", "1.5",
+     "cannot parse k = '1.5' as an integer"),
+    (("verify-eigen", "--theorem", "laguerre-ii"), "alpha", "two",
+     "cannot parse alpha = 'two' as an integer"),
+    (("build-krall", "--theorem", "meixner-i"), "q", "2/x",
+     "cannot parse q = '2/x' as a rational"),
+    (("verify-orthogonality",), "theorem", "foo",
+     "--theorem must be one of"),
+    (("conjecture", "a"), "f1", ["x"], "cannot parse f1 = 'x' as an integer"),
+    (("conjecture", "b2"), "k-upper", "1/2",
+     "cannot parse k-upper = '1/2' as an integer"),
+    (("conjecture", "b2"), "masses", ["1", "y"],
+     "cannot parse masses = 'y' as a rational"),
+])
+def test_bad_flag_value_reads_as_in_the_config(capsys, tmp_path, command,
+                                               key, value, message):
+    values = value if isinstance(value, list) else [value]
+    code, out, flag_err = _run(capsys, *command, f"--{key}", *values)
+    assert code == 2 and message in flag_err and out == ""
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({key: value}))
+    code, _, config_err = _run(capsys, *command, "--config", str(cfg))
+    assert code == 2 and config_err == flag_err
+
+
+def test_unknown_flag_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["verify-eigen", "--theorem", "meixner-i", "--bogus", "1"])
+    assert info.value.code == 2
+    with pytest.raises(SystemExit):
+        main(["conjecture", "c"])
+
+
+def test_negative_rational_as_separate_token(capsys, tmp_path):
+    payloads = []
+    for sub, argv in (("joined", ["--a=-2/7", "--q=-3/2"]),
+                      ("split", ["--a", "-2/7", "--q", "-3/2"])):
+        code, _, _ = _run(capsys, "families", "--family", "al-salam-carlitz",
+                          *argv, "--n", "3", "--out", str(tmp_path / sub))
+        assert code == 0
+        payloads.append(_payload(tmp_path / sub))
+    assert payloads[0] == payloads[1]
+    assert payloads[1]["params"] == {"a": "-2/7", "q": "-3/2"}
+    code, _, _ = _run(capsys, "conjecture", "b2", "--masses", "-1/2", "1",
+                      "--k-upper", "1", "--alpha", "3", "--order-max", "2",
+                      "--out", str(tmp_path / "b2"))
+    assert code == 1
+    assert _payload(tmp_path / "b2")["inputs"]["masses"] == ["-1/2", "1"]
+    code, _, err = _run(capsys, "verify-eigen", "--theorem", "meixner-i",
+                        "--c", "-2/0")
+    assert code == 2 and "cannot parse c = '-2/0'" in err
+
+
+def test_orthogonality_and_b2_agreement_never_compose_the_operator(
+        capsys, monkeypatch):
+    def fail(*args):
+        raise AssertionError("operator composed")
+
+    monkeypatch.setattr(qkrall.krall, "poly_of_operator", fail)
+    code, _, err = _run(capsys, "verify-orthogonality", "--theorem",
+                        "meixner-ii", "--k", "2", "--n", "5")
+    assert code == 0, err
+    code, _, err = _run(capsys, "conjecture", "b2", "--masses", "3/2")
+    assert code == 0, err

@@ -7,10 +7,10 @@ import pytest
 
 import qkrall.krall
 from qkrall import (DOperatorSpec, DegenerateBase, GammaVanishes,
-                    LaguerreParams, NoGeometricForm, ParamDegeneracy, Poly,
-                    UnknownTheorem, agree_up_to, build, build_P1,
-                    dop_catalog, measure_catalog, meixner, theorem_catalog,
-                    verify_eigen)
+                    LaguerreParams, MeixnerParams, NoGeometricForm,
+                    ParamDegeneracy, Poly, UnknownTheorem, agree_up_to,
+                    build, build_P1, dop_catalog, measure_catalog, meixner,
+                    theorem_catalog, verify_eigen)
 from qkrall import (LAGUERRE_I, LAGUERRE_II, MEIXNER_I, MEIXNER_II,
                     MEIXNER_III, THEOREMS)
 from conftest import B0, C0, Q0, T0
@@ -178,3 +178,23 @@ def test_catalog_measure_is_built_on_first_read_only(monkeypatch):
     direct = measure_catalog(LAGUERRE_II, lp, 2, mass=F(7, 3), n_depth=20)
     assert mu.max_n == direct.max_n
     assert agree_up_to(mu, direct, 20) is None
+
+
+def test_operator_is_composed_on_first_read_only(monkeypatch):
+    calls = []
+    real = qkrall.krall.poly_of_operator
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(qkrall.krall, "poly_of_operator", counting)
+    td = theorem_catalog(MEIXNER_I, MeixnerParams(Q0, B0, C0), 2)
+    kc = build(td.family, td.spec, td.p2, 6)
+    assert kc.qpolys() and kc.lam(6) is not None
+    assert calls == []
+    op = kc.operator
+    assert len(calls) == 2  # P1(D_fam) and P2(D_fam)
+    assert kc.operator is op and len(calls) == 2
+    assert op.order() == td.expected_order
+    assert all(e["passed"] for e in verify_eigen(kc))

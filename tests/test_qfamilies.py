@@ -9,11 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qkrall import (LaguerreParams, MeixnerParams, ParamDegeneracy, Poly,
-                    UnsupportedFamily, alsalam_carlitz, derive_recurrence,
-                    family_operator, family_recurrence, gram_matrix,
-                    laguerre, laguerre_moments, laguerre_recurrence, meixner,
-                    meixner_moments, meixner_recurrence,
-                    polys_from_recurrence, q_power_exponent, qpochhammer)
+                    PolynomialFamily, UnsupportedFamily, alsalam_carlitz,
+                    derive_recurrence, family_operator, family_recurrence,
+                    gram_matrix, laguerre, laguerre_moments,
+                    laguerre_recurrence, meixner, meixner_moments,
+                    meixner_recurrence, polys_from_recurrence,
+                    q_power_exponent, qpochhammer)
 from conftest import B0, C0, Q0, T0
 from series_families import series_family
 
@@ -61,6 +62,18 @@ def test_alsalam_carlitz_first_polynomials():
         fam.theta(0)
     with pytest.raises(UnsupportedFamily):
         family_operator(fam)
+
+
+def test_kind_contradicting_its_params_is_rejected():
+    with pytest.raises(UnsupportedFamily, match="q-meixner needs "
+                       "MeixnerParams, got LaguerreParams"):
+        PolynomialFamily("q-meixner", LaguerreParams(F(2, 5), F(3, 4)))
+    with pytest.raises(UnsupportedFamily, match="q-laguerre needs"):
+        PolynomialFamily("q-laguerre", MeixnerParams(Q0, B0, C0))
+    with pytest.raises(UnsupportedFamily, match="unknown family kind"):
+        PolynomialFamily("q-hermite", MeixnerParams(Q0, B0, C0))
+    fam = PolynomialFamily("q-laguerre", LaguerreParams(Q0, T0))
+    assert fam.poly(2) == laguerre(Q0, T0).poly(2)
 
 
 def _series(fam):
