@@ -48,7 +48,8 @@ def _approx(value: Fraction) -> str:
 def parse_config(args: argparse.Namespace, keys: list[str]) -> dict:
     """Collect the command's parameters: flags first, then config file.
 
-    Values from --config FILE override flag values key by key.
+    Values from --config FILE override flag values key by key; a config
+    key outside keys is a ParseError naming it.
     """
     cfg: dict = {}
     for key in keys:
@@ -66,6 +67,11 @@ def parse_config(args: argparse.Namespace, keys: list[str]) -> dict:
             raise ParseError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ParseError("config file must hold a JSON object")
+        unknown = sorted(set(loaded) - set(keys))
+        if unknown:
+            raise ParseError(
+                f"unknown config key(s) {', '.join(map(repr, unknown))}; "
+                f"this command reads {', '.join(keys)}")
         cfg.update(loaded)
     return cfg
 
@@ -232,8 +238,9 @@ def _cmd_verify_dop(cfg: dict):
 
 
 def _build_bundle(cfg: dict, n_top: int, beta_override=None):
+    # the measure reaches m_{2 n_top}, the last moment Gram and Hankel read
     name, params, k, mass = _theorem_setup(cfg)
-    td = theorem_catalog(name, params, k, mass=mass)
+    td = theorem_catalog(name, params, k, mass=mass, n_depth=2 * n_top)
     return td, build(td.family, td.spec, td.p2, n_top, beta_override)
 
 

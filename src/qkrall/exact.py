@@ -14,8 +14,6 @@ from math import gcd as _int_gcd
 
 from .errors import ZeroDenominator
 
-Rational = Fraction
-
 
 def rational(value: Fraction | int | str) -> Fraction:
     """Parse an exact rational from an int, Fraction or 'num/den' string."""
@@ -186,7 +184,7 @@ class Poly:
     def __repr__(self) -> str:
         return f"Poly({[str(c) for c in self.coeffs]})"
 
-    def pretty(self, var: str = "x") -> str:
+    def pretty(self) -> str:
         if not self.coeffs:
             return "0"
         parts = []
@@ -196,7 +194,7 @@ class Poly:
             if k == 0:
                 parts.append(str(c))
             else:
-                mono = var if k == 1 else f"{var}^{k}"
+                mono = "x" if k == 1 else f"x^{k}"
                 parts.append(mono if c == 1 else f"-{mono}" if c == -1 else f"{c}*{mono}")
         out = " + ".join(parts)
         return out.replace("+ -", "- ")
@@ -399,10 +397,10 @@ class Laurent:
     def __repr__(self) -> str:
         return f"Laurent({self.poly!r}, {self.val})"
 
-    def pretty(self, var: str = "x") -> str:
+    def pretty(self) -> str:
         if self.is_polynomial():
-            return self.num.pretty(var)
-        return f"({self.num.pretty(var)}) / ({self.den.pretty(var)})"
+            return self.num.pretty()
+        return f"({self.num.pretty()}) / ({self.den.pretty()})"
 
 
 def poly_to_json(p: Poly) -> list[str]:

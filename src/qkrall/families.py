@@ -19,7 +19,7 @@ by a lock so families can be shared across threads.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
@@ -223,13 +223,12 @@ class ThreeTermRecurrence:
     a: Callable[[int], Fraction]
     b: Callable[[int], Fraction]
     c: Callable[[int], Fraction]
-    label: str = field(default="recurrence")
 
     @classmethod
     def from_tables(cls, a: list[Fraction], b: list[Fraction],
-                    c: list[Fraction], label: str = "derived") -> ThreeTermRecurrence:
+                    c: list[Fraction]) -> ThreeTermRecurrence:
         a_t, b_t, c_t = list(a), list(b), list(c)
-        return cls(lambda n: a_t[n], lambda n: b_t[n], lambda n: c_t[n], label)
+        return cls(lambda n: a_t[n], lambda n: b_t[n], lambda n: c_t[n])
 
 
 def meixner_recurrence(params: MeixnerParams) -> ThreeTermRecurrence:
@@ -252,7 +251,7 @@ def meixner_recurrence(params: MeixnerParams) -> ThreeTermRecurrence:
             out += (1 - q ** n) * (c + q ** n) / q ** (2 * n)
         return out
 
-    return ThreeTermRecurrence(a_fn, b_fn, c_fn, label="q-meixner")
+    return ThreeTermRecurrence(a_fn, b_fn, c_fn)
 
 
 def laguerre_recurrence(params: LaguerreParams) -> ThreeTermRecurrence:
@@ -274,7 +273,7 @@ def laguerre_recurrence(params: LaguerreParams) -> ThreeTermRecurrence:
             return Fraction(0)
         return 1 / (t * q ** (2 * n))
 
-    return ThreeTermRecurrence(a_fn, b_fn, c_fn, label="q-laguerre")
+    return ThreeTermRecurrence(a_fn, b_fn, c_fn)
 
 
 def alsalam_carlitz_recurrence(
@@ -289,8 +288,7 @@ def alsalam_carlitz_recurrence(
         return (q ** n - 1) / q ** n
 
     return ThreeTermRecurrence(lambda n: -a / q ** n,
-                               lambda n: (1 + a) / q ** n, c_fn,
-                               label="al-salam-carlitz")
+                               lambda n: (1 + a) / q ** n, c_fn)
 
 
 def family_recurrence(family: PolynomialFamily) -> ThreeTermRecurrence:
@@ -331,8 +329,7 @@ def derive_recurrence(family: PolynomialFamily, n_top: int) -> ThreeTermRecurren
         a_t.append(sol[0])
         b_t.append(sol[1])
         c_t.append(sol[2] if n > 0 else Fraction(0))
-    return ThreeTermRecurrence.from_tables(a_t, b_t, c_t,
-                                           label=f"derived:{family.kind}")
+    return ThreeTermRecurrence.from_tables(a_t, b_t, c_t)
 
 
 def _recurrence_step(rec: ThreeTermRecurrence, n: int, p_n: Poly,

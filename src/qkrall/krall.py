@@ -31,15 +31,14 @@ from functools import cached_property
 from typing import Callable
 
 from .errors import (CrossCheckFailed, DegenerateBase, GammaVanishes,
-                     NoGeometricForm, ParamDegeneracy, UnknownTheorem)
+                     NoGeometricForm, ParamDegeneracy)
 from .exact import Poly, qpochhammer, rational
 from .families import (LaguerreParams, MeixnerParams, PolynomialFamily,
-                       alsalam_carlitz, family_operator, laguerre, meixner,
-                       q_power_exponent)
+                       alsalam_carlitz, family_operator, laguerre, meixner)
 from .dops import DOperatorSpec, dop_catalog
 from .moments import (LAGUERRE_I, LAGUERRE_II, MEIXNER_I, MEIXNER_II,
-                      MEIXNER_III, MomentFunctional, _check_b_nonzero,
-                      _check_point_mass, measure_catalog)
+                      MEIXNER_III, MomentFunctional, check_instance,
+                      measure_catalog)
 from .operators import QDiffOperator, poly_of_operator
 
 __all__ = ["KrallConstruction", "TheoremData", "build", "build_P1",
@@ -167,11 +166,10 @@ def build(family: PolynomialFamily, spec: DOperatorSpec, p2: Poly,
         _qpolys=tuple(qpolys))
 
 
-def verify_eigen(kc: KrallConstruction, n_top: int | None = None) -> list[dict]:
-    """Check operator(q_n) = lambda_n q_n exactly for n = 0..n_top."""
-    top = kc.n_top if n_top is None else min(n_top, kc.n_top)
+def verify_eigen(kc: KrallConstruction) -> list[dict]:
+    """Check operator(q_n) = lambda_n q_n exactly for n = 0..kc.n_top."""
     report = []
-    for n in range(top + 1):
+    for n in range(kc.n_top + 1):
         residual = (kc.operator.apply(kc.qpoly(n))
                     - kc.lam(n) * kc.qpoly(n))
         report.append({
@@ -208,6 +206,11 @@ class TheoremData:
                                mass=self.mass, n_depth=self.n_depth)
 
 
+# The ladder spec of each instance, as an index into dop_catalog(family).
+_LADDER = {MEIXNER_I: 0, MEIXNER_II: 1, MEIXNER_III: 2, LAGUERRE_I: 0,
+           LAGUERRE_II: 1}
+
+
 def theorem_catalog(name: str, params: MeixnerParams | LaguerreParams,
                     k_or_alpha: int, mass: Fraction | int | str | None = None,
                     n_depth: int = 40) -> TheoremData:
@@ -215,96 +218,57 @@ def theorem_catalog(name: str, params: MeixnerParams | LaguerreParams,
 
     k_or_alpha is the degree parameter k for the product-measure instances
     and the positive integer alpha for the point-mass one (whose t must be
-    q^alpha); mass is only used by the latter.  n_depth is the moment
-    depth of the measure, which is built when ``.measure`` is first read.
+    q^alpha); mass is only used by the latter.  The inputs are decided by
+    moments.check_instance.  n_depth is the moment depth of the measure,
+    which is built when ``.measure`` is first read.
     """
-    k = k_or_alpha
-    if k < 0:
-        raise ParamDegeneracy("the degree parameter must be nonnegative")
-    if name in (MEIXNER_I, MEIXNER_II, MEIXNER_III):
-        if not isinstance(params, MeixnerParams):
-            raise UnknownTheorem(f"{name} needs Meixner parameters")
-        q, b, c = params.q, params.b, params.c
-        _check_b_nonzero(name, b)
+    mass = check_instance(name, params, k_or_alpha, mass)
+    k, q = k_or_alpha, params.q
+    if isinstance(params, MeixnerParams):
+        b, c = params.b, params.c
         fam = meixner(q, b, c)
-        specs = dop_catalog(fam)
-        if name == MEIXNER_I:
-            carrier = meixner(q, -c, 1 / (b * c))
-            p2 = carrier.poly(k).scale_arg(q)
-
-            def displayed_beta(n: int, _c=carrier, _k=k, _q=q) -> Fraction:
-                return _c.poly(_k)(_q ** (n + 1)) / _c.poly(_k)(_q ** n)
-
-            spec = specs[0]
-        elif name == MEIXNER_II:
-            carrier = meixner(1 / q, b, c)
-            p2 = carrier.poly(k).scale_arg(b)
-
-            def displayed_beta(n: int, _c=carrier, _k=k, _q=q, _b=b) -> Fraction:
-                return (_c.poly(_k)(_b * _q ** n)
-                        / ((1 - _b * _q ** n) * _c.poly(_k)(_b * _q ** (n - 1))))
-
-            spec = specs[1]
-        else:
-            carrier = meixner(q, 1 / b, b * c)
-            p2 = carrier.poly(k).scale_arg(q)
-
-            def displayed_beta(n: int, _c=carrier, _k=k, _q=q, _b=b,
-                               _cc=c) -> Fraction:
-                return ((_cc + _q ** n) / (_cc * (1 - _b * _q ** n))
-                        * _c.poly(_k)(_q ** (n + 1)) / _c.poly(_k)(_q ** n))
-
-            spec = specs[2]
-        return TheoremData(name=name, family=fam, spec=spec, p2=p2,
-                           displayed_beta=displayed_beta,
-                           expected_order=2 * k + 2, k_or_alpha=k, mass=None,
-                           n_depth=n_depth)
-    if name == LAGUERRE_I:
-        if not isinstance(params, LaguerreParams):
-            raise UnknownTheorem(f"{name} needs Laguerre parameters")
-        q, t = params.q, params.t
+    else:
+        t = params.t
         fam = laguerre(q, t)
-        vfam = alsalam_carlitz(q, 1 / t)
-        p2 = vfam.poly(k).scale_arg(q / t)
+    if name == MEIXNER_I:
+        carrier = meixner(q, -c, 1 / (b * c))
+        p2 = carrier.poly(k).scale_arg(q)
 
-        def displayed_beta(n: int, _v=vfam, _k=k, _q=q) -> Fraction:
-            return _v.poly(_k)(_q ** (n + 1)) / _v.poly(_k)(_q ** n)
+        def displayed_beta(n: int) -> Fraction:
+            return carrier.poly(k)(q ** (n + 1)) / carrier.poly(k)(q ** n)
+    elif name == MEIXNER_II:
+        carrier = meixner(1 / q, b, c)
+        p2 = carrier.poly(k).scale_arg(b)
 
-        return TheoremData(name=name, family=fam, spec=dop_catalog(fam)[0],
-                           p2=p2, displayed_beta=displayed_beta,
-                           expected_order=2 * k + 2, k_or_alpha=k, mass=None,
-                           n_depth=n_depth)
-    if name == LAGUERRE_II:
-        if not isinstance(params, LaguerreParams):
-            raise UnknownTheorem(f"{name} needs Laguerre parameters")
-        if mass is None:
-            raise UnknownTheorem(f"{name} needs the point mass M")
-        m_val = rational(mass)
-        _check_point_mass(m_val)
-        q, t = params.q, params.t
-        alpha = q_power_exponent(t, q)
-        if alpha is None or alpha < 1:
-            raise ParamDegeneracy(
-                "the point-mass instance needs t = q^alpha with alpha a "
-                "positive integer")
-        if k != alpha:
-            raise ParamDegeneracy(
-                f"degree parameter {k} disagrees with alpha = {alpha} "
-                "implied by t")
-        fam = laguerre(q, t)
+        def displayed_beta(n: int) -> Fraction:
+            return (carrier.poly(k)(b * q ** n)
+                    / ((1 - b * q ** n) * carrier.poly(k)(b * q ** (n - 1))))
+    elif name == MEIXNER_III:
+        carrier = meixner(q, 1 / b, b * c)
+        p2 = carrier.poly(k).scale_arg(q)
+
+        def displayed_beta(n: int) -> Fraction:
+            return ((c + q ** n) / (c * (1 - b * q ** n))
+                    * carrier.poly(k)(q ** (n + 1)) / carrier.poly(k)(q ** n))
+    elif name == LAGUERRE_I:
+        carrier = alsalam_carlitz(q, 1 / t)
+        p2 = carrier.poly(k).scale_arg(q / t)
+
+        def displayed_beta(n: int) -> Fraction:
+            return carrier.poly(k)(q ** (n + 1)) / carrier.poly(k)(q ** n)
+    else:  # the point-mass instance: k = alpha with t = q^alpha
         factors = Poly.one()
-        for i in range(alpha):
-            factors = factors * Poly((Fraction(1), -(q ** i) / q ** (alpha - 1)))
-        p2 = Poly.one() + (m_val / qpochhammer(q, q, alpha)) * factors
+        for i in range(k):
+            factors = factors * Poly((Fraction(1), -(q ** i) / q ** (k - 1)))
+        p2 = Poly.one() + (mass / qpochhammer(q, q, k)) * factors
 
-        def displayed_beta(n: int, _q=q, _t=t, _m=m_val) -> Fraction:
-            def gam(i: int) -> Fraction:
-                return 1 + _m * qpochhammer(_t * _q, _q, i) / qpochhammer(
-                    _q, _q, i)
-            return gam(n) / ((1 - _t * _q ** n) * gam(n - 1))
+        def gam(i: int) -> Fraction:
+            return 1 + mass * qpochhammer(t * q, q, i) / qpochhammer(q, q, i)
 
-        return TheoremData(name=name, family=fam, spec=dop_catalog(fam)[1],
-                           p2=p2, displayed_beta=displayed_beta,
-                           expected_order=2 * alpha + 2, k_or_alpha=alpha,
-                           mass=m_val, n_depth=n_depth)
-    raise UnknownTheorem(f"unknown instance {name!r}")
+        def displayed_beta(n: int) -> Fraction:
+            return gam(n) / ((1 - t * q ** n) * gam(n - 1))
+    return TheoremData(name=name, family=fam,
+                       spec=dop_catalog(fam)[_LADDER[name]], p2=p2,
+                       displayed_beta=displayed_beta,
+                       expected_order=2 * k + 2, k_or_alpha=k, mass=mass,
+                       n_depth=n_depth)

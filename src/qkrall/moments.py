@@ -1,9 +1,9 @@
 """Exact moment functionals and their transform algebra.
 
 A moment functional is the list of its moments mu_n = <mu, x^n>, produced
-lazily from a provenance-tagged provider: a three-term recurrence, a
-Christoffel or Geronimus transform, a (derivative of a) point mass, a
-shift, a dilation, a scalar multiple, or a sum.  Moments are exact
+lazily by a provider: a three-term recurrence, a Christoffel or Geronimus
+transform, a (derivative of a) point mass, a shift, a dilation, a scalar
+multiple, or a sum.  Moments are exact
 rationals throughout; no representing measure is ever constructed.
 """
 
@@ -19,23 +19,22 @@ from .errors import (CrossCheckFailed, DenominatorVanishes, NotQuasiDefinite,
                      ParamDegeneracy, UnknownTheorem, ZeroDilation)
 from .exact import Poly, qpochhammer, rational, rational_str
 from .families import (LaguerreParams, MeixnerParams, ThreeTermRecurrence,
-                       laguerre_recurrence, meixner, meixner_recurrence)
+                       laguerre_recurrence, meixner, meixner_recurrence,
+                       q_power_exponent)
 
 Provider = Callable[[int, list[Fraction]], Fraction]
 
 
 class MomentFunctional:
-    """Lazily extended moment list with reproducible provenance.
+    """Lazily extended moment list.
 
     ``max_n`` bounds the available depth (None means unbounded); asking
     past it raises ValueError rather than inventing numbers.  Extension is
     append-only under a lock so functionals can be shared across threads.
     """
 
-    def __init__(self, provider: Provider, provenance: dict,
-                 max_n: int | None = None):
+    def __init__(self, provider: Provider, max_n: int | None = None):
         self._provider = provider
-        self.provenance = provenance
         self.max_n = max_n
         self._cache: list[Fraction] = []
         self._lock = threading.Lock()
@@ -59,13 +58,8 @@ class MomentFunctional:
         return sum((c * self.moment(n) for n, c in enumerate(p.coeffs)
                     if c != 0), Fraction(0))
 
-    def to_json(self, n_top: int) -> dict:
-        return {"provenance": self.provenance,
-                "moments": [rational_str(m) for m in self.moments(n_top)]}
-
     def __repr__(self) -> str:
-        kind = self.provenance.get("kind", "?")
-        return f"MomentFunctional(kind={kind!r}, max_n={self.max_n})"
+        return f"MomentFunctional(max_n={self.max_n})"
 
 
 def agree_up_to(mu_a: MomentFunctional, mu_b: MomentFunctional,
@@ -77,15 +71,15 @@ def agree_up_to(mu_a: MomentFunctional, mu_b: MomentFunctional,
     return None
 
 
-def moments_from_recurrence(rec: ThreeTermRecurrence, n_depth: int,
-                            mu0: Fraction | int | str = 1) -> MomentFunctional:
-    """Moments of the functional that makes the recurrence family orthogonal.
+def moments_from_recurrence(rec: ThreeTermRecurrence,
+                            n_depth: int) -> MomentFunctional:
+    """Moments of the functional, of total mass 1, that makes the
+    recurrence family orthogonal.
 
     Writes x^n in the p-basis by iterated tridiagonal multiplication
-    (x p_j = a_j p_{j+1} + b_j p_j + c_j p_{j-1}); mu_n is mu0 times the
+    (x p_j = a_j p_{j+1} + b_j p_j + c_j p_{j-1}); mu_n is the
     p_0-coordinate.  Exact at every step.
     """
-    mu0 = rational(mu0)
     # a_j, b_j, c_j are evaluated once each, since every step reads them all
     a_t: list[Fraction] = []
     b_t: list[Fraction] = []
@@ -116,12 +110,9 @@ def moments_from_recurrence(rec: ThreeTermRecurrence, n_depth: int,
                     nxt[i] += c_t[i + 1] * w[i + 1]
             state["w"] = nxt
             state["n"] = m + 1
-        return state["w"][0] * mu0
+        return state["w"][0]
 
-    return MomentFunctional(
-        provider,
-        {"kind": "recurrence", "label": rec.label, "mu0": rational_str(mu0)},
-        max_n=n_depth)
+    return MomentFunctional(provider, max_n=n_depth)
 
 
 def christoffel(mu: MomentFunctional, r: Poly) -> MomentFunctional:
@@ -133,11 +124,7 @@ def christoffel(mu: MomentFunctional, r: Poly) -> MomentFunctional:
                    Fraction(0))
 
     max_n = None if mu.max_n is None else mu.max_n - max(r.degree(), 0)
-    return MomentFunctional(
-        provider,
-        {"kind": "christoffel", "r": [rational_str(c) for c in coeffs],
-         "base": mu.provenance},
-        max_n=max_n)
+    return MomentFunctional(provider, max_n=max_n)
 
 
 def geronimus(mu: MomentFunctional, lam: Fraction | int | str,
@@ -154,12 +141,7 @@ def geronimus(mu: MomentFunctional, lam: Fraction | int | str,
         return lam * prev[n - 1] + c_scale * mu.moment(n - 1)
 
     max_n = None if mu.max_n is None else mu.max_n + 1
-    return MomentFunctional(
-        provider,
-        {"kind": "geronimus", "lambda": rational_str(lam),
-         "C": rational_str(c_scale), "seed0": rational_str(seed0),
-         "base": mu.provenance},
-        max_n=max_n)
+    return MomentFunctional(provider, max_n=max_n)
 
 
 def point_mass(lam: Fraction | int | str, j: int = 0,
@@ -178,10 +160,7 @@ def point_mass(lam: Fraction | int | str, j: int = 0,
             falling *= n - i
         return mass * Fraction(-1) ** j * falling * lam ** (n - j)
 
-    return MomentFunctional(
-        provider,
-        {"kind": "point-mass", "lambda": rational_str(lam), "order": j,
-         "mass": rational_str(mass)})
+    return MomentFunctional(provider)
 
 
 def add(mu_a: MomentFunctional, mu_b: MomentFunctional) -> MomentFunctional:
@@ -194,10 +173,7 @@ def add(mu_a: MomentFunctional, mu_b: MomentFunctional) -> MomentFunctional:
         max_n = mu_a.max_n
     else:
         max_n = min(mu_a.max_n, mu_b.max_n)
-    return MomentFunctional(
-        provider,
-        {"kind": "sum", "parts": [mu_a.provenance, mu_b.provenance]},
-        max_n=max_n)
+    return MomentFunctional(provider, max_n=max_n)
 
 
 def scale(mu: MomentFunctional, s: Fraction | int | str) -> MomentFunctional:
@@ -206,10 +182,7 @@ def scale(mu: MomentFunctional, s: Fraction | int | str) -> MomentFunctional:
     def provider(n: int, _prev: list[Fraction]) -> Fraction:
         return s * mu.moment(n)
 
-    return MomentFunctional(
-        provider,
-        {"kind": "scale", "factor": rational_str(s), "base": mu.provenance},
-        max_n=mu.max_n)
+    return MomentFunctional(provider, max_n=mu.max_n)
 
 
 def shift(mu: MomentFunctional, lam: Fraction | int | str) -> MomentFunctional:
@@ -220,10 +193,7 @@ def shift(mu: MomentFunctional, lam: Fraction | int | str) -> MomentFunctional:
         shifted = Poly.monomial(n).shift_arg(-lam)
         return mu.pair(shifted)
 
-    return MomentFunctional(
-        provider,
-        {"kind": "shift", "lambda": rational_str(lam), "base": mu.provenance},
-        max_n=mu.max_n)
+    return MomentFunctional(provider, max_n=mu.max_n)
 
 
 def dilate(mu: MomentFunctional, lam: Fraction | int | str) -> MomentFunctional:
@@ -235,11 +205,7 @@ def dilate(mu: MomentFunctional, lam: Fraction | int | str) -> MomentFunctional:
     def provider(n: int, _prev: list[Fraction]) -> Fraction:
         return lam ** n * mu.moment(n)
 
-    return MomentFunctional(
-        provider,
-        {"kind": "dilation", "lambda": rational_str(lam),
-         "base": mu.provenance},
-        max_n=mu.max_n)
+    return MomentFunctional(provider, max_n=mu.max_n)
 
 
 @dataclass(frozen=True)
@@ -381,65 +347,98 @@ def _product(factors: Iterable[Poly]) -> Poly:
 
 
 def _cross_check(built: MomentFunctional, divisor: Poly,
-                 reference: MomentFunctional, n_top: int, label: str) -> None:
+                 reference: MomentFunctional, label: str) -> None:
     lhs = christoffel(built, divisor)
-    bad = agree_up_to(lhs, reference, n_top)
+    bad = agree_up_to(lhs, reference, CHECK_TO)
     if bad is not None:
         raise CrossCheckFailed(
             f"{label}: cross-check fails first at moment {bad}")
 
 
-def _check_b_nonzero(name: str, b: Fraction) -> None:
-    """The q-Meixner instances' carriers divide by b, and at b = 0 the
-    meixner-ii carrier P2 = p_k(b x) collapses to a constant."""
-    if b == 0:
+# The parameter kind each catalogued instance is built from.
+_INSTANCE_PARAMS = {MEIXNER_I: MeixnerParams, MEIXNER_II: MeixnerParams,
+                    MEIXNER_III: MeixnerParams, LAGUERRE_I: LaguerreParams,
+                    LAGUERRE_II: LaguerreParams}
+
+# How many moments of its product identity a catalog measure is checked on.
+CHECK_TO = 20
+
+
+def check_instance(name: str, params: MeixnerParams | LaguerreParams,
+                   k_or_alpha: int,
+                   mass: Fraction | int | str | None = None) -> Fraction | None:
+    """The one check of a catalogued instance's inputs; returns the point
+    mass M as an exact rational (None for the other four instances).
+
+    UnknownTheorem: an unknown name, params of the wrong kind, or no M.
+    ParamDegeneracy: k_or_alpha < 0; b = 0 for a q-Meixner instance (the
+    carriers divide by b); for the point-mass instance M = 0 (the plain
+    q-Laguerre functional is left, with an order-2 operator), t != q^alpha
+    for an integer alpha >= 1, or k_or_alpha != alpha.
+    """
+    kind = _INSTANCE_PARAMS.get(name)
+    if kind is None:
+        raise UnknownTheorem(f"unknown instance {name!r}")
+    if not isinstance(params, kind):
+        raise UnknownTheorem(
+            f"{name} needs {kind.__name__.removesuffix('Params')} parameters")
+    if k_or_alpha < 0:
+        raise ParamDegeneracy("the degree parameter must be nonnegative")
+    if kind is MeixnerParams and params.b == 0:
         raise ParamDegeneracy(f"{name} needs b != 0")
-
-
-def _check_point_mass(mass: Fraction) -> None:
-    """With M = 0 the point mass vanishes and what is left is the plain
-    q-Laguerre functional, whose operator has order 2, not 2 alpha + 2."""
+    if name != LAGUERRE_II:
+        return None
+    if mass is None:
+        raise UnknownTheorem(f"{name} needs the point mass M")
+    mass = rational(mass)
     if mass == 0:
-        raise ParamDegeneracy(f"{LAGUERRE_II} needs a point mass M != 0")
+        raise ParamDegeneracy(f"{name} needs a point mass M != 0")
+    alpha = q_power_exponent(params.t, params.q)
+    if alpha is None or alpha < 1:
+        raise ParamDegeneracy(
+            "the point-mass instance needs t = q^alpha with alpha a "
+            "positive integer")
+    if k_or_alpha != alpha:
+        raise ParamDegeneracy(
+            f"degree parameter {k_or_alpha} disagrees with alpha = {alpha} "
+            "implied by t")
+    return mass
 
 
 def measure_catalog(name: str, params: MeixnerParams | LaguerreParams,
                     k_or_alpha: int, mass: Fraction | int | str | None = None,
-                    n_depth: int = 40,
-                    check_to: int = 20) -> MomentFunctional:
+                    n_depth: int = 40) -> MomentFunctional:
     """The five theorem measures, each built by transform algebra and then
     validated against its displayed product identity before being returned.
 
-    n_depth bounds the usable moment range of the result; check_to is how
-    many moments of the identity are compared (CrossCheckFailed on any
-    mismatch).
+    The inputs are decided by check_instance.  n_depth bounds the usable
+    moment range of the result from below; the first CHECK_TO moments of
+    the identity are compared (CrossCheckFailed on any mismatch).
     """
+    mass = check_instance(name, params, k_or_alpha, mass)
     k = k_or_alpha
+    # sources deep enough for both the result and the cross-check
+    top = max(n_depth, CHECK_TO) + 4
     if name in (MEIXNER_I, MEIXNER_II, MEIXNER_III):
-        if not isinstance(params, MeixnerParams):
-            raise UnknownTheorem(f"{name} needs Meixner parameters")
         q, b, c = params.q, params.b, params.c
-        _check_b_nonzero(name, b)
-        base = meixner_moments(params, n_depth + 2 * k + 4)
+        base = meixner_moments(params, top + 2 * k)
         if name == MEIXNER_I:
             shifted = meixner_moments(MeixnerParams(q, b, q ** (k + 1) * c),
-                                      n_depth + 2 * k + 4)
+                                      top + 2 * k)
             r = _product(Poly((b * c * q ** i, 1)) for i in range(1, k + 1))
             built = christoffel(shifted, r)
             _cross_check(built, Poly((b * c * q ** (k + 1), 1)),
-                         scale(base, qpochhammer(-c, q, k + 1)),
-                         check_to, name)
+                         scale(base, qpochhammer(-c, q, k + 1)), name)
             return built
         if name == MEIXNER_II:
             shifted = meixner_moments(
                 MeixnerParams(q, b / q ** (k + 1), q ** (k + 1) * c),
-                n_depth + 2 * k + 4)
+                top + 2 * k)
             r = _product(Poly((-b / q ** i, 1)) for i in range(k))
             built = christoffel(shifted, r)
             _cross_check(built, Poly((-b / q ** k, 1)),
                          scale(base, qpochhammer(b / q ** k, q, k + 1)
-                               * qpochhammer(-c, q, k + 1)),
-                         check_to, name)
+                               * qpochhammer(-c, q, k + 1)), name)
             return built
         # Meixner III: Geronimus from the displayed relation
         # (x - q^{k+1}) rho~ = c^{k+1} q^C(k+1,2) (b/q^k; q)_{k+1} rho,
@@ -452,13 +451,11 @@ def measure_catalog(name: str, params: MeixnerParams | LaguerreParams,
                  * q ** ((k + 1) * k // 2) * carrier.poly(k)(q))
         built = geronimus(base, q ** (k + 1), c_scale, seed0)
         _cross_check(built, Poly((-q ** (k + 1), 1)), scale(base, c_scale),
-                     check_to, name)
+                     name)
         return built
+    q, t = params.q, params.t
     if name == LAGUERRE_I:
-        if not isinstance(params, LaguerreParams):
-            raise UnknownTheorem(f"{name} needs Laguerre parameters")
-        q, t = params.q, params.t
-        base = laguerre_moments(params, n_depth + 2 * k + 4)
+        base = laguerre_moments(params, top + 2 * k)
         r = _product(Poly((1, Fraction(1) / q ** i)) for i in range(1, k + 1))
         # Density-substitution reading of the dilated base: replacing x by
         # x/lambda in a weight multiplies moment n by lambda^(n+1), the extra
@@ -468,23 +465,13 @@ def measure_catalog(name: str, params: MeixnerParams | LaguerreParams,
         lam = q ** (k + 1)
         built = christoffel(scale(dilate(base, lam), lam), r)
         _cross_check(built, Poly((1, Fraction(1) / q ** (k + 1))),
-                     scale(base, Fraction(1) / t ** (k + 1)),
-                     check_to, name)
+                     scale(base, Fraction(1) / t ** (k + 1)), name)
         return built
-    if name == LAGUERRE_II:
-        if not isinstance(params, LaguerreParams):
-            raise UnknownTheorem(f"{name} needs Laguerre parameters")
-        if mass is None:
-            raise UnknownTheorem(f"{name} needs the point mass M")
-        _check_point_mass(rational(mass))
-        q, t = params.q, params.t
-        lower = laguerre_moments(LaguerreParams(q, t / q), n_depth + 4)
-        built = add(point_mass(0, 0, mass), lower)
-        # x kills the delta mass, so x * rho~ must be proportional to the
-        # alpha-level functional; the constant is the first moment of
-        # rho_{alpha-1} since <rho_alpha, 1> = 1.
-        upper = laguerre_moments(params, n_depth + 4)
-        _cross_check(built, Poly.x(), scale(upper, lower.moment(1)),
-                     check_to, name)
-        return built
-    raise UnknownTheorem(f"unknown theorem measure {name!r}")
+    lower = laguerre_moments(LaguerreParams(q, t / q), top)
+    built = add(point_mass(0, 0, mass), lower)
+    # x kills the delta mass, so x * rho~ must be proportional to the
+    # alpha-level functional; the constant is the first moment of
+    # rho_{alpha-1} since <rho_alpha, 1> = 1.
+    upper = laguerre_moments(params, top)
+    _cross_check(built, Poly.x(), scale(upper, lower.moment(1)), name)
+    return built

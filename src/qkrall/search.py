@@ -27,8 +27,8 @@ from .exact import (Laurent, Poly, _to_int_primitive, rational,
 from .families import (LaguerreParams, MeixnerParams, q_power_exponent)
 from .krall import build, theorem_catalog
 from .linalg import nullspace
-from .moments import (LAGUERRE_II, MomentFunctional, _check_point_mass,
-                      _product, add, christoffel, hankel_orthogonal,
+from .moments import (LAGUERRE_II, MomentFunctional, _product, add,
+                      check_instance, christoffel, hankel_orthogonal,
                       laguerre_moments, meixner_moments, point_mass)
 from .operators import QDiffOperator
 
@@ -147,18 +147,17 @@ def find_operator(problem: SearchProblem) -> SearchResult:
 
 
 def minimal_even_order(eigenpolys: Sequence[Poly], q: Fraction, h_max: int,
-                       d: int | None = None, t: int | None = None,
                        ) -> tuple[int | None, SearchResult | None, list[dict]]:
-    """Scan h = 1..h_max; return (found order, result, attempt log)."""
+    """Scan h = 1..h_max with coefficient degree d = 2h + 2 and denominator
+    power t = 2h; return (found order, result, attempt log)."""
     attempts: list[dict] = []
     for h in range(1, h_max + 1):
-        d_h = 2 * h + 2 if d is None else d
-        t_h = 2 * h if t is None else t
-        need = 2 * h + d_h + 6 + 1
+        need = 4 * h + 9             # 2h + d + 7 eigenpolynomials
         if len(eigenpolys) < need:
             raise ValueError(
                 f"h={h} needs {need} eigenpolynomials, got {len(eigenpolys)}")
-        problem = SearchProblem(tuple(eigenpolys[:need]), h, d_h, t_h, q)
+        problem = SearchProblem(tuple(eigenpolys[:need]), h, 2 * h + 2,
+                                2 * h, q)
         result = find_operator(problem)
         attempts.append({
             "half_width": h,
@@ -173,8 +172,8 @@ def minimal_even_order(eigenpolys: Sequence[Poly], q: Fraction, h_max: int,
 
 def _search_report(conjecture: str, inputs: dict, conjectured_order: int | None,
                    base: Callable[[int], MomentFunctional], r: Poly,
-                   masses: Sequence[Fraction], q: Fraction, h_max: int,
-                   d: int | None, t: int | None) -> dict:
+                   masses: Sequence[Fraction], q: Fraction,
+                   h_max: int) -> dict:
     """Search the functional r * base + sum_j masses[j] delta_0^(j), with
     base(depth) read to the moment depth the widest window needs."""
     report: dict = {
@@ -183,8 +182,7 @@ def _search_report(conjecture: str, inputs: dict, conjectured_order: int | None,
         "conjectured_order": conjectured_order,
         "half_width_max": h_max,
     }
-    d_top = 2 * h_max + 2 if d is None else d
-    n_top = 2 * h_max + d_top + 7
+    n_top = 4 * h_max + 9        # the widest window's 2h + d + 7
     mu = christoffel(base(2 * n_top + r.degree() + 2), r)
     for j, m_j in enumerate(masses):
         mu = add(mu, point_mass(Fraction(0), j, m_j))
@@ -199,8 +197,7 @@ def _search_report(conjecture: str, inputs: dict, conjectured_order: int | None,
         })
         return report
     report["quasi_definite"] = True
-    found_order, result, attempts = minimal_even_order(
-        gram.polys, q, h_max, d=d, t=t)
+    found_order, result, attempts = minimal_even_order(gram.polys, q, h_max)
     report["attempts"] = attempts
     report["found_order"] = found_order
     if found_order is None:
@@ -239,8 +236,8 @@ def _half_width_max(h_max: int | None, conjectured: int | None) -> int:
 
 def check_conjecture_a(params: MeixnerParams,
                        f1: Iterable[int] = (), f2: Iterable[int] = (),
-                       f3: Iterable[int] = (), h_max: int | None = None,
-                       d: int | None = None, t: int | None = None) -> dict:
+                       f3: Iterable[int] = (),
+                       h_max: int | None = None) -> dict:
     """Product perturbations of the q-Meixner functional.
 
     The three factor families are (x + bc/q^f), (x - b q^{f+1}) and
@@ -259,13 +256,11 @@ def check_conjecture_a(params: MeixnerParams,
     inputs = {"q": rational_str(q), "b": rational_str(b),
               "c": rational_str(c), "f1": s1, "f2": s2, "f3": s3}
     return _search_report("A", inputs, conjectured,
-                          partial(meixner_moments, params), r, (), q, h_max,
-                          d, t)
+                          partial(meixner_moments, params), r, (), q, h_max)
 
 
 def check_conjecture_b1(params: LaguerreParams, f_set: Iterable[int] = (),
-                        h_max: int | None = None, d: int | None = None,
-                        t: int | None = None) -> dict:
+                        h_max: int | None = None) -> dict:
     """Product perturbations of the q-Laguerre functional by (1 + x q^f)."""
     fs = _exponents(f_set)
     q = params.q
@@ -274,15 +269,13 @@ def check_conjecture_b1(params: LaguerreParams, f_set: Iterable[int] = (),
     r = _product([Poly((Fraction(1), q ** f)) for f in fs])
     inputs = {"q": rational_str(q), "t": rational_str(params.t), "f": fs}
     return _search_report("B1", inputs, conjectured,
-                          partial(laguerre_moments, params), r, (), q, h_max,
-                          d, t)
+                          partial(laguerre_moments, params), r, (), q, h_max)
 
 
 def check_conjecture_b2(params: LaguerreParams, f_set: Iterable[int] = (),
                         k_upper: int = 0,
                         masses: Sequence[Fraction | int | str] = (1,),
-                        h_max: int | None = None, d: int | None = None,
-                        t: int | None = None) -> dict:
+                        h_max: int | None = None) -> dict:
     """Point-mass-and-product perturbations at the origin.
 
     params carries t = q^alpha for the alpha of the catalogued point-mass
@@ -297,23 +290,23 @@ def check_conjecture_b2(params: LaguerreParams, f_set: Iterable[int] = (),
     if len(mass_vals) != k_upper + 1:
         raise ParamDegeneracy(
             f"need {k_upper + 1} masses for derivative orders 0..{k_upper}")
-    q, tv = params.q, params.t
-    alpha = q_power_exponent(tv, q)
+    q, t = params.q, params.t
+    alpha = q_power_exponent(t, q)
     if alpha is None or alpha < k_upper + 2:
         raise ParamDegeneracy(
             "t must be q^alpha with alpha an integer >= K + 2")
     one_mass = not fs and k_upper == 0
-    if one_mass:
-        _check_point_mass(mass_vals[0])
+    if one_mass:  # the catalogued point-mass instance
+        check_instance(LAGUERRE_II, params, alpha, mass_vals[0])
     conjectured = 2 * alpha + 2 if one_mass else None
     h_max = _half_width_max(h_max, conjectured)
     r = _product([Poly((Fraction(1), q ** f)) for f in fs])
-    lower = partial(laguerre_moments, LaguerreParams(q, tv / q))
+    lower = partial(laguerre_moments, LaguerreParams(q, t / q))
     inputs = {"q": rational_str(q), "alpha": alpha, "f": fs,
               "k_upper": k_upper,
               "masses": [rational_str(m) for m in mass_vals]}
     report = _search_report("B2", inputs, conjectured, lower, r, mass_vals,
-                            q, h_max, d, t)
+                            q, h_max)
     if one_mass and report.get("status") == "found":
         td = theorem_catalog(LAGUERRE_II, params, alpha, mass=mass_vals[0])
         kc = build(td.family, td.spec, td.p2, 12)

@@ -129,6 +129,32 @@ def test_bad_rational_and_bad_config_are_invalid_input(capsys, tmp_path):
     assert code == 2 and "JSON" in err
 
 
+def test_unknown_config_key_is_invalid_input(capsys, tmp_path):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"order_max": 2, "kk": 3}))
+    code, out, err = _run(capsys, "verify-eigen", "--theorem", "meixner-i",
+                          "--n", "2", "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert "unknown config key(s) 'kk', 'order_max'" in err
+    # a key that another subcommand reads is foreign here too
+    cfg.write_text(json.dumps({"f1": [1]}))
+    code, _, err = _run(capsys, "verify-eigen", "--theorem", "meixner-i",
+                        "--config", str(cfg))
+    assert code == 2 and "'f1'" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("--theorem", "laguerre-ii", "--alpha", "2", "--m", "1", "--n", "23"),
+    ("--theorem", "laguerre-i", "--k", "1", "--n", "23"),
+    ("--theorem", "meixner-i", "--n", "25"),
+])
+def test_deep_orthogonality_check_sizes_its_measure(capsys, argv):
+    # the Gram and Hankel checks read moments up to 2n, past the default
+    # moment depth of 40
+    code, out, err = _run(capsys, "verify-orthogonality", *argv)
+    assert code == 0 and "FAIL" not in out and err == ""
+
+
 def test_unknown_subcommand_is_usage_error(capsys):
     with pytest.raises(SystemExit) as info:
         main(["no-such-command"])

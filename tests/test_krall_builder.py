@@ -8,9 +8,9 @@ import pytest
 import qkrall.krall
 from qkrall import (DOperatorSpec, DegenerateBase, GammaVanishes,
                     LaguerreParams, MeixnerParams, NoGeometricForm,
-                    ParamDegeneracy, Poly, UnknownTheorem, agree_up_to,
-                    build, build_P1, dop_catalog, measure_catalog, meixner,
-                    theorem_catalog, verify_eigen)
+                    ParamDegeneracy, Poly, QKrallError, UnknownTheorem,
+                    agree_up_to, build, build_P1, dop_catalog,
+                    measure_catalog, meixner, theorem_catalog, verify_eigen)
 from qkrall import (LAGUERRE_I, LAGUERRE_II, MEIXNER_I, MEIXNER_II,
                     MEIXNER_III, THEOREMS)
 from conftest import B0, C0, Q0, T0
@@ -155,6 +155,42 @@ def test_point_mass_instance_rejects_zero_mass():
         theorem_catalog(LAGUERRE_II, params, 2, mass=0)
     with pytest.raises(ParamDegeneracy, match="M != 0"):
         measure_catalog(LAGUERRE_II, params, 2, mass=0)
+
+
+_MP = MeixnerParams(Q0, B0, C0)
+_LP2 = LaguerreParams(Q0, Q0 ** 2)   # t = q^2, the point-mass instance
+# (name, params, k_or_alpha, mass, error, part of its message): inputs
+# that are not a catalogued instance.
+_REJECTED = [
+    ("no-such-instance", _MP, 1, None, UnknownTheorem, "unknown instance"),
+    (LAGUERRE_I, _MP, 1, None, UnknownTheorem, "needs Laguerre parameters"),
+    (MEIXNER_III, _LP2, 1, None, UnknownTheorem, "needs Meixner parameters"),
+    *[(name, params, -1, mass, ParamDegeneracy, "must be nonnegative")
+      for name, params, mass in [
+          (MEIXNER_I, _MP, None), (MEIXNER_II, _MP, None),
+          (MEIXNER_III, _MP, None), (LAGUERRE_I, LaguerreParams(Q0, T0), None),
+          (LAGUERRE_II, _LP2, F(1))]],
+    (MEIXNER_II, MeixnerParams(Q0, 0, C0), 1, None, ParamDegeneracy,
+     "b != 0"),
+    (LAGUERRE_II, _LP2, 2, None, UnknownTheorem, "needs the point mass M"),
+    (LAGUERRE_II, _LP2, 2, 0, ParamDegeneracy, "M != 0"),
+    (LAGUERRE_II, LaguerreParams(Q0, T0), 1, F(1), ParamDegeneracy,
+     "t = q^alpha"),
+    (LAGUERRE_II, _LP2, 1, F(1), ParamDegeneracy,
+     "degree parameter 1 disagrees with alpha = 2"),
+]
+
+
+@pytest.mark.parametrize("name, params, k, mass, error, message", _REJECTED)
+def test_both_catalogs_give_the_same_verdict(name, params, k, mass, error,
+                                             message):
+    verdicts = []
+    for catalog in (theorem_catalog, measure_catalog):
+        with pytest.raises(QKrallError) as info:
+            catalog(name, params, k, mass=mass)
+        verdicts.append((type(info.value), str(info.value)))
+    assert verdicts[0] == verdicts[1]
+    assert verdicts[0][0] is error and message in verdicts[0][1]
 
 
 def test_catalog_measure_is_built_on_first_read_only(monkeypatch):

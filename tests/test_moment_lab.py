@@ -27,8 +27,7 @@ F = Fraction
 
 def _from_list(values) -> MomentFunctional:
     vals = [F(v) for v in values]
-    return MomentFunctional(lambda n, _prev: vals[n], {"kind": "literal"},
-                            max_n=len(vals) - 1)
+    return MomentFunctional(lambda n, _prev: vals[n], max_n=len(vals) - 1)
 
 
 def test_meixner_moments_mass_one_and_recurrence_consistency():
@@ -284,6 +283,23 @@ def test_measure_catalog_builds_all_five(tmp_path):
     gram_to_csv(gram, str(out))
     text = out.read_text().strip().splitlines()
     assert len(text) == 2 and "," in text[0]
+
+
+@pytest.mark.parametrize("name", THEOREMS)
+@pytest.mark.parametrize("n_depth", [0, 15, 50])
+def test_catalog_measure_reaches_any_requested_depth(name, n_depth):
+    # the cross-check reads its own 20 moments however shallow the request
+    if name == LAGUERRE_II:
+        mu = measure_catalog(name, LaguerreParams(Q0, Q0 ** 2), 2, mass=1,
+                             n_depth=n_depth)
+    elif name == LAGUERRE_I:
+        mu = measure_catalog(name, LaguerreParams(Q0, T0), 1,
+                             n_depth=n_depth)
+    else:
+        mu = measure_catalog(name, MeixnerParams(Q0, B0, C0), 1,
+                             n_depth=n_depth)
+    assert mu.max_n >= n_depth
+    assert mu.moment(n_depth) is not None
 
 
 def test_moment_depth_is_bounded_honestly():
