@@ -128,11 +128,38 @@ def _point_mass_params(cfg: dict, q: Fraction) -> tuple[LaguerreParams, int]:
     return LaguerreParams(q, q ** alpha), alpha
 
 
+# The keys each family, instance and search reads; a key given for one
+# choice that only the others read is invalid input.
+_FAMILIES = {"q-meixner": (meixner, ("q", "b", "c")),
+             "q-laguerre": (laguerre, ("q", "t")),
+             "al-salam-carlitz": (alsalam_carlitz, ("q", "a"))}
+_FAMILY_KEYS = {kind: keys for kind, (_, keys) in _FAMILIES.items()}
+_INSTANCE_KEYS = {**dict.fromkeys(THEOREMS, ("q", "b", "c", "k")),
+                  LAGUERRE_I: ("q", "t", "k"),
+                  LAGUERRE_II: ("q", "alpha", "m")}
+_SEARCH_KEYS = {"a": ("q", "b", "c", "f1", "f2", "f3"),
+                "b1": ("q", "t", "f"),
+                "b2": ("q", "alpha", "f", "k-upper", "masses")}
+
+
+def _refuse_unread(cfg: dict, what: str, choice: str, table: dict) -> None:
+    """ParseError naming each given key that the other choices of table
+    read and choice does not."""
+    reads = table[choice]
+    unread = sorted({key for keys in table.values() for key in keys}
+                    .intersection(cfg).difference(reads))
+    if unread:
+        raise ParseError(
+            f"{what} {choice} does not read {', '.join(map(repr, unread))}; "
+            f"it reads {', '.join(reads)}")
+
+
 def _theorem_setup(cfg: dict):
     name = cfg.get("theorem")
     if name not in THEOREMS:
         raise ParseError(
             f"--theorem must be one of {', '.join(THEOREMS)}; got {name!r}")
+    _refuse_unread(cfg, "instance", name, _INSTANCE_KEYS)
     q = _rat(cfg, "q")
     if name == LAGUERRE_II:
         params, alpha = _point_mass_params(cfg, q)
@@ -145,14 +172,12 @@ def _theorem_setup(cfg: dict):
 
 def _family_setup(cfg: dict) -> PolynomialFamily:
     kind = cfg.get("family", "q-meixner")
-    q = _rat(cfg, "q")
-    if kind == "q-meixner":
-        return meixner(q, _rat(cfg, "b"), _rat(cfg, "c"))
-    if kind == "q-laguerre":
-        return laguerre(q, _rat(cfg, "t"))
-    if kind == "al-salam-carlitz":
-        return alsalam_carlitz(q, _rat(cfg, "a"))
-    raise ParseError(f"unknown family {kind!r}")
+    # a tuple test compares without hashing: a config value may be a list
+    if kind not in tuple(_FAMILIES):
+        raise ParseError(f"unknown family {kind!r}")
+    _refuse_unread(cfg, "family", kind, _FAMILY_KEYS)
+    make, keys = _FAMILIES[kind]
+    return make(*(_rat(cfg, key) for key in keys))
 
 
 def _mark(ok: bool) -> str:
@@ -352,6 +377,7 @@ def _cmd_verify_orthogonality(cfg: dict):
 
 
 def _cmd_conjecture(cfg: dict, which: str):
+    _refuse_unread(cfg, "conjecture", which, _SEARCH_KEYS)
     q = _rat(cfg, "q")
     order_max = cfg.get("order-max")
     h_max = None if order_max is None else _as_int("order-max", order_max) // 2

@@ -1,10 +1,10 @@
 """Exact moment functionals and their transform algebra.
 
 A moment functional is the list of its moments mu_n = <mu, x^n>, produced
-lazily by a provider: a three-term recurrence, a Christoffel or Geronimus
-transform, a (derivative of a) point mass, a shift, a dilation, a scalar
-multiple, or a sum.  Moments are exact
-rationals throughout; no representing measure is ever constructed.
+lazily by a provider: a family's moment recurrence, a three-term
+recurrence, a Christoffel or Geronimus transform, a (derivative of a)
+point mass, a shift, a dilation, a scalar multiple, or a sum.  Moments are
+exact rationals throughout; no representing measure is ever constructed.
 """
 
 from __future__ import annotations
@@ -19,8 +19,7 @@ from .errors import (CrossCheckFailed, DenominatorVanishes, NotQuasiDefinite,
                      ParamDegeneracy, UnknownTheorem, ZeroDilation)
 from .exact import Poly, qpochhammer, rational, rational_str
 from .families import (LaguerreParams, MeixnerParams, ThreeTermRecurrence,
-                       laguerre_recurrence, meixner, meixner_recurrence,
-                       q_power_exponent)
+                       meixner, meixner_recurrence, q_power_exponent)
 
 Provider = Callable[[int, list[Fraction]], Fraction]
 
@@ -78,7 +77,9 @@ def moments_from_recurrence(rec: ThreeTermRecurrence,
 
     Writes x^n in the p-basis by iterated tridiagonal multiplication
     (x p_j = a_j p_{j+1} + b_j p_j + c_j p_{j-1}); mu_n is the
-    p_0-coordinate.  Exact at every step.
+    p_0-coordinate.  Exact at every step.  This is the general path, at
+    O(n) operations per moment; meixner_moments and laguerre_moments use
+    their families' shorter moment recurrences and are tested against it.
     """
     # a_j, b_j, c_j are evaluated once each, since every step reads them all
     a_t: list[Fraction] = []
@@ -328,15 +329,72 @@ THEOREMS = (MEIXNER_I, MEIXNER_II, MEIXNER_III, LAGUERRE_I, LAGUERRE_II)
 
 
 def meixner_moments(params: MeixnerParams, n_depth: int = 64) -> MomentFunctional:
-    """Moments of the q-Meixner functional, normalized to total mass 1."""
-    return moments_from_recurrence(meixner_recurrence(params), n_depth)
+    """Moments of the q-Meixner functional, normalized to total mass 1,
+    from its moment recurrence: O(1) exact operations per moment.
+
+    For 0 < q < 1, 0 <= bq < 1 and c > 0 the functional is the discrete
+    measure with masses w(q^-x) = (bq; q)_x c^x q^C(x,2) /
+    ((q; q)_x (-bcq; q)_x) at the points q^-x, x = 0, 1, ... (Koekoek,
+    Lesky and Swarttouw 2010, section 14.13).  The ratio of neighbouring
+    masses is the q-Pearson equation
+
+        q (y - 1)(y + bc) w(y) = c (y - b) w(qy),   y = q^-x, x >= 1,
+
+    and at y = 1 both sides vanish, q being outside the support.  Summing
+    y^n times both sides over the support, and writing y = q^-x on the
+    right, gives
+    q <mu, x^n (x - 1)(x + bc)> = c <mu, (x/q)^n (x/q - b)>, that is
+
+        q^n mu_{n+2} = (c/q^2 - (bc - 1) q^n) mu_{n+1} - bc (1/q - q^n) mu_n.
+
+    It needs mu_0 = 1 and mu_1 = b_0 of meixner_recurrence, since
+    x p_0 = a_0 p_1 + b_0 p_0 and <mu, p_1> = 0.  (Pairing with 1/x, the
+    case n = -1, gives the same value: the coefficient of mu_{-1} is 0.)
+    Both sides are rational in q, b and c, and so are the moments of the
+    normalized functional (moments_from_recurrence), so the recurrence
+    holds for every admissible parameter set.
+    """
+    q, b, c = params.q, params.b, params.c
+    mu_1 = meixner_recurrence(params).b(0)
+    bc = b * c
+
+    def provider(n: int, prev: list[Fraction]) -> Fraction:
+        if n < 2:
+            return Fraction(1) if n == 0 else mu_1
+        # the recurrence above at n - 2, divided through by q^(n-2)
+        r = 1 / q ** (n - 1)
+        return (c * r / q + 1 - bc) * prev[n - 1] + bc * (1 - r) * prev[n - 2]
+
+    return MomentFunctional(provider, max_n=n_depth)
 
 
 def laguerre_moments(params: LaguerreParams,
                      n_depth: int = 64) -> MomentFunctional:
     """Moments of the q-Laguerre functional, normalized to total mass 1,
-    from its closed-form recurrence."""
-    return moments_from_recurrence(laguerre_recurrence(params), n_depth)
+    from its moment recurrence: O(1) exact operations per moment.
+
+    For 0 < q < 1 and t = q^alpha > 0 the functional has the weight
+    w(x) = x^alpha / (-x; q)_oo on (0, oo) (Koekoek, Lesky and Swarttouw
+    2010, section 14.21).  Since (-x; q)_oo = (1 + x)(-qx; q)_oo, it
+    satisfies the q-Pearson equation w(qx) = t (1 + x) w(x).  Integrating
+    x^(n-1) against both sides, with x -> x/q on the left, gives
+    q^-n mu_{n-1} = t (mu_{n-1} + mu_n), that is
+
+        mu_0 = 1,   mu_n = mu_{n-1} (1 - t q^n) / (t q^n),
+
+    so mu_n = (tq; q)_n / (t^n q^(n(n+1)/2)).  Both sides are rational in
+    q and t, and so are the moments of the normalized functional
+    (moments_from_recurrence), so the recurrence holds for every
+    admissible (q, t).
+    """
+    q, t = params.q, params.t
+
+    def provider(n: int, prev: list[Fraction]) -> Fraction:
+        if n == 0:
+            return Fraction(1)
+        return prev[n - 1] * (1 / (t * q ** n) - 1)
+
+    return MomentFunctional(provider, max_n=n_depth)
 
 
 def _product(factors: Iterable[Poly]) -> Poly:

@@ -182,7 +182,8 @@ def _search_report(conjecture: str, inputs: dict, conjectured_order: int | None,
         "conjectured_order": conjectured_order,
         "half_width_max": h_max,
     }
-    n_top = 4 * h_max + 9        # the widest window's 2h + d + 7
+    # the widest window (h = h_max, d = 2h + 2) reads q_0..q_{2h + d + 6}
+    n_top = 4 * h_max + 8
     mu = christoffel(base(2 * n_top + r.degree() + 2), r)
     for j, m_j in enumerate(masses):
         mu = add(mu, point_mass(Fraction(0), j, m_j))

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import qkrall.krall
 import qkrall.search
-from qkrall import CrossCheckFailed
+from qkrall import THEOREMS, CrossCheckFailed
 from qkrall.cli import main
 
 
@@ -141,6 +141,40 @@ def test_unknown_config_key_is_invalid_input(capsys, tmp_path):
     code, _, err = _run(capsys, "verify-eigen", "--theorem", "meixner-i",
                         "--config", str(cfg))
     assert code == 2 and "'f1'" in err
+
+
+@pytest.mark.parametrize("command, stray, message", [
+    (("families", "--family", "q-meixner", "--n", "3"), {"t": "5"},
+     "family q-meixner does not read 't'; it reads q, b, c"),
+    (("verify-eigen", "--theorem", "laguerre-i", "--n", "3"), {"b": "7"},
+     "instance laguerre-i does not read 'b'; it reads q, t, k"),
+    (("build-krall", "--theorem", "laguerre-ii"), {"t": "1/2", "k": "2"},
+     "instance laguerre-ii does not read 'k', 't'; it reads q, alpha, m"),
+    (("verify-dop", "--family", "q-laguerre"), {"c": "2"},
+     "family q-laguerre does not read 'c'; it reads q, t"),
+    (("conjecture", "b1", "--f", "1"), {"alpha": "2"},
+     "conjecture b1 does not read 'alpha'; it reads q, t, f"),
+])
+def test_key_the_choice_does_not_read_is_invalid_input(capsys, tmp_path,
+                                                       command, stray,
+                                                       message):
+    flags = [token for key, value in stray.items()
+             for token in (f"--{key}", value)]
+    code, out, err = _run(capsys, *command, *flags)
+    assert code == 2 and out == "" and message in err
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(stray))
+    code, out, err = _run(capsys, *command, "--config", str(cfg))
+    assert code == 2 and out == "" and message in err
+
+
+def test_defaults_of_every_choice_pass_the_read_check(capsys):
+    for family in ("q-meixner", "q-laguerre", "al-salam-carlitz"):
+        assert _run(capsys, "families", "--family", family, "--n", "2")[0] == 0
+    for theorem in THEOREMS:
+        code, _, err = _run(capsys, "build-krall", "--theorem", theorem,
+                            "--n", "2")
+        assert code == 0, err
 
 
 @pytest.mark.parametrize("argv", [
@@ -442,6 +476,7 @@ def _command_lines(draw):
           None))
 @example((["conjecture", "b2", "--order-max=4", "--q=0", "--alpha=-1"],
           None))
+@example((["families"], {"family": [1, 2]}))
 def test_cli_fuzz_exits_with_a_verdict(case):
     argv, config = case
     err = io.StringIO()

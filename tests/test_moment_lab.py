@@ -4,7 +4,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qkrall import (LAGUERRE_I, LAGUERRE_II, MEIXNER_I, MEIXNER_II,
@@ -15,7 +15,8 @@ from qkrall import (LAGUERRE_I, LAGUERRE_II, MEIXNER_I, MEIXNER_II,
                     add, agree_up_to, christoffel, derive_recurrence, dilate,
                     favard_positivity, geronimus, gram_matrix, gram_to_csv,
                     hankel_orthogonal, laguerre, laguerre_moments,
-                    combine_with_point_mass, measure_catalog, meixner,
+                    laguerre_recurrence, combine_with_point_mass,
+                    measure_catalog, meixner,
                     meixner_moments, meixner_recurrence,
                     moments_from_recurrence, point_mass, scale, shift,
                     theorem_catalog)
@@ -47,6 +48,49 @@ def test_laguerre_moments_match_family_orthogonality():
     gram = gram_matrix(mu, fam.polys_up_to(6))
     assert all(gram[i][j] == 0 for i in range(7) for j in range(7) if i != j)
     assert all(gram[i][i] != 0 for i in range(7))
+
+
+# The family moment recurrences are checked against the general path,
+# moments_from_recurrence, through this depth.
+ORACLE_DEPTH = 40
+
+base_q = st.fractions(min_value=-5, max_value=5, max_denominator=7).filter(
+    lambda v: v not in (0, 1, -1))
+family_value = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+
+
+def _accepted(kind, *values):
+    """The parameter set, or a rejected example if kind refuses it."""
+    try:
+        return kind(*values)
+    except ParamDegeneracy:
+        assume(False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(base_q, family_value, family_value)
+@example(Q0, F(0), C0)                 # b = 0
+@example(F(3), F(1, 5), C0)            # q > 1
+@example(F(-2, 5), B0, C0)             # q < 0
+@example(Q0, B0, F(-3, 7))             # c < 0
+def test_meixner_moment_recurrence_equals_the_walk(q, b, c):
+    params = _accepted(MeixnerParams, q, b, c)
+    walk = moments_from_recurrence(meixner_recurrence(params), ORACLE_DEPTH)
+    mu = meixner_moments(params, ORACLE_DEPTH)
+    assert agree_up_to(mu, walk, ORACLE_DEPTH) is None
+
+
+@settings(max_examples=40, deadline=None)
+@given(base_q, family_value)
+@example(F(3), T0)                     # q > 1
+@example(F(-2, 5), F(5))               # q < 0
+@example(Q0, F(-3, 4))                 # t < 0
+@example(Q0, Q0 ** 2)                  # t = q^alpha
+def test_laguerre_moment_recurrence_equals_the_walk(q, t):
+    params = _accepted(LaguerreParams, q, t)
+    walk = moments_from_recurrence(laguerre_recurrence(params), ORACLE_DEPTH)
+    mu = laguerre_moments(params, ORACLE_DEPTH)
+    assert agree_up_to(mu, walk, ORACLE_DEPTH) is None
 
 
 def test_christoffel_is_polynomial_multiplication():
