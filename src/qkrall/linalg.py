@@ -13,7 +13,9 @@ nullspace(R).  Every basis vector of nullspace(R) is then checked over Z
 against every row of A; when all checks pass the two nullspaces are equal,
 and since the RREF basis depends only on the nullspace, the result is the
 one `rref` gives.  When a check fails (a prime that drops a row of full
-rank over Q), the basis is recomputed from `rref`.
+rank over Q), the first failing row joins R: a row that some vector of
+nullspace(R) does not kill lies outside the row space of R, so R keeps
+full rank, and the solve repeats at most ncols times.
 """
 
 from __future__ import annotations
@@ -92,33 +94,21 @@ def nullspace(a: Matrix) -> list[list[Fraction]]:
     The basis is the standard one read off the RREF: free column j gives
     the vector with 1 in slot j, so output order is deterministic.  It is
     found from the rows chosen mod p and certified over Z against every row
-    (see the module docstring); if the certificate fails, `rref` decides.
+    (see the module docstring); a row that fails the check joins the chosen
+    rows and the solve repeats.
     """
     if not a:
         return []
     ncols = len(a[0])
     rows = _integer_rows(a)
     kept = [rows[i] for i in _independent_mod_p(rows, ncols)]
-    basis = _integer_nullspace(kept, ncols)
-    if all(sum(map(mul, row, w)) == 0 for w, _ in basis for row in rows):
-        return [[Fraction(c, w[f]) for c in w] for w, f in basis]
-    return _rref_nullspace(a)
-
-
-def _rref_nullspace(a: Matrix) -> list[list[Fraction]]:
-    """The nullspace basis read off `rref` of all rows: the fallback."""
-    ncols = len(a[0])
-    red, pivots = rref(a)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for r, col in enumerate(pivots):
-            v[col] = -red[r][f]
-        basis.append(v)
-    return basis
+    while True:
+        basis = _integer_nullspace(kept, ncols)
+        missed = next((row for row in rows for w, _ in basis
+                       if sum(map(mul, row, w))), None)
+        if missed is None:
+            return [[Fraction(c, w[f]) for c in w] for w, f in basis]
+        kept.append(missed)
 
 
 def _integer_rows(a: Matrix) -> list[list[int]]:

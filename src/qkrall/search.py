@@ -1,12 +1,19 @@
 """Exact search for q-difference operators with prescribed eigenfunctions.
 
-The ansatz: an operator with shifts -h..h whose coefficients are g_j(x)/x^t
-with deg g_j <= d.  Requiring D(q_n) = l_n q_n for supplied polynomials
-q_0..q_N is, after clearing x^t, a homogeneous linear system in the g
-coefficients and the l_n jointly; its exact rational nullspace contains
-every such operator.  A solution only counts when g_{-h} and g_h are both
-nonzero (otherwise its order is lower than the window) and scalar multiples
-of the identity are excluded automatically by that same requirement.
+The ansatz at half-width h: sum_{j=-h..h} x^{-2h} g_j(x) S^j, where
+S p(x) = p(qx) and deg g_j <= 2h.  These budgets lose nothing.  Say D =
+sum_j a_j S^j, with rational a_j, has eigenpolynomials q_0..q_N, deg q_n = n,
+N >= 2h.  Then D keeps the polynomials of degree <= e, which q_0..q_e span,
+so D(x^e) = A_e x^e with A_e = sum_j q^{je} a_j has exponents in -e..0.  For
+q outside {0, 1, -1} the nodes q^{-h}..q^h are distinct, so the Vandermonde
+system for e = 0..2h gives each a_j from A_0..A_{2h}: exponents in -2h..0.
+
+Requiring D(q_n) = l_n q_n is, after clearing x^{2h}, a homogeneous linear
+system in the g coefficients and the l_n jointly; its exact rational
+nullspace contains every such operator.  A solution only counts when
+g_{-h} and g_h are both nonzero (otherwise its order is lower than the
+window) and scalar multiples of the identity are excluded automatically by
+that same requirement.
 
 The conjecture checkers build a perturbed moment functional, extract its
 monic orthogonal polynomials with the Chebyshev algorithm on its moments
@@ -37,24 +44,32 @@ __all__ = ["SearchProblem", "SearchResult", "find_operator",
            "check_conjecture_b2"]
 
 
+def _window_size(h: int) -> int:
+    """Eigenpolynomials q_0..q_{4h+8} that a window of half-width h reads;
+    each found operator reports one eigenvalue per polynomial."""
+    return 4 * h + 9
+
+
 @dataclass(frozen=True)
 class SearchProblem:
-    """Window half-width h, coefficient degree d, denominator power t."""
+    """Eigenpolynomials q_0..q_N, deg q_n = n, for half-width h at base q."""
 
     eigenpolys: tuple[Poly, ...]
     h: int
-    d: int
-    t: int
     q: Fraction
 
     def __post_init__(self):
-        if self.h < 1 or self.d < 0 or self.t < 0:
-            raise ValueError("window and degree budgets must be positive")
-        n_top = len(self.eigenpolys) - 1
-        if n_top < 2 * self.h + self.d + 2:
+        if self.h < 1:
+            raise ValueError("window half-width must be positive")
+        need = _window_size(self.h)
+        if len(self.eigenpolys) < need:
+            raise ValueError(f"h={self.h} needs {need} eigenpolynomials, "
+                             f"got {len(self.eigenpolys)}")
+        if any(p.degree() != n for n, p in enumerate(self.eigenpolys)):
             raise ValueError(
-                f"need at least {2 * self.h + self.d + 3} eigenpolynomials "
-                f"for h={self.h}, d={self.d}; got {n_top + 1}")
+                "eigenpolynomial degrees must be exactly 0, 1, ..., N")
+        if self.q in (0, 1, -1):
+            raise ValueError("q must lie outside {0, 1, -1}")
 
 
 @dataclass(frozen=True)
@@ -66,10 +81,11 @@ class SearchResult:
 
 
 def _assemble(problem: SearchProblem) -> list[list[Fraction]]:
-    h, d, t, q = problem.h, problem.d, problem.t, problem.q
+    h, q = problem.h, problem.q
+    t = 2 * h  # the denominator power and the degree bound of each g_j
     # q_n scaled to integers; a row's scale and sign leave the nullspace
     polys = [_to_int_primitive(p) for p in problem.eigenpolys]
-    n_cols_g = (2 * h + 1) * (d + 1)
+    n_cols_g = (2 * h + 1) * (t + 1)
     n_cols = n_cols_g + len(polys)
     rows: list[list[Fraction]] = []
     q_pows: dict[int, Fraction] = {}
@@ -81,28 +97,25 @@ def _assemble(problem: SearchProblem) -> list[list[Fraction]]:
 
     for n, poly in enumerate(polys):
         deg = len(poly) - 1
-        top = deg + max(d, t)
-        for r in range(top + 1):
+        for r in range(deg + t + 1):
             row = [Fraction(0)] * n_cols
             for j in range(-h, h + 1):
-                base = (j + h) * (d + 1)
-                m_lo = max(0, r - deg)
-                for m in range(m_lo, min(d, r) + 1):
+                base = (j + h) * (t + 1)
+                for m in range(max(0, r - deg), min(t, r) + 1):
                     coeff = poly[r - m]
                     if coeff:
                         row[base + m] = coeff * qp(j * (r - m))
-            if 0 <= r - t <= deg:
-                coeff = poly[r - t]
-                if coeff:
-                    row[n_cols_g + n] = -coeff
+            if r >= t and poly[r - t]:
+                row[n_cols_g + n] = -poly[r - t]
             if any(row):
                 rows.append(row)
     return rows
 
 
-def _g_block(vec: Sequence[Fraction], j: int, h: int, d: int) -> tuple:
-    base = (j + h) * (d + 1)
-    return tuple(vec[base: base + d + 1])
+def _g_block(vec: Sequence[Fraction], j: int, h: int) -> tuple:
+    width = 2 * h + 1  # the coefficients of x^0..x^{2h}
+    base = (j + h) * width
+    return tuple(vec[base: base + width])
 
 
 def find_operator(problem: SearchProblem) -> SearchResult:
@@ -112,27 +125,27 @@ def find_operator(problem: SearchProblem) -> SearchResult:
     the result is not-found; when two defective solutions cover the two
     sides separately their sum is genuine, so only the span matters.
     """
-    h, d, t, q = problem.h, problem.d, problem.t, problem.q
+    h, q = problem.h, problem.q
     basis = nullspace(_assemble(problem))
     dim = len(basis)
-    u = next((v for v in basis if any(_g_block(v, -h, h, d))), None)
-    w = next((v for v in basis if any(_g_block(v, h, h, d))), None)
+    u = next((v for v in basis if any(_g_block(v, -h, h))), None)
+    w = next((v for v in basis if any(_g_block(v, h, h))), None)
     if u is None or w is None:
         return SearchResult(False, None, None, dim)
-    if any(_g_block(u, h, h, d)):
+    if any(_g_block(u, h, h)):
         cand = u
-    elif any(_g_block(w, -h, h, d)):
+    elif any(_g_block(w, -h, h)):
         cand = w
     else:
         cand = [a + b for a, b in zip(u, w)]
 
     terms = {}
     for j in range(-h, h + 1):
-        g = Poly(_g_block(cand, j, h, d))
+        g = Poly(_g_block(cand, j, h))
         if not g.is_zero():
-            terms[j] = Laurent(g, -t)
+            terms[j] = Laurent(g, -2 * h)
     operator = QDiffOperator(q, terms)
-    n_cols_g = (2 * h + 1) * (d + 1)
+    n_cols_g = (2 * h + 1) ** 2
     eigenvalues = tuple(cand[n_cols_g + n]
                         for n in range(len(problem.eigenpolys)))
 
@@ -148,16 +161,11 @@ def find_operator(problem: SearchProblem) -> SearchResult:
 
 def minimal_even_order(eigenpolys: Sequence[Poly], q: Fraction, h_max: int,
                        ) -> tuple[int | None, SearchResult | None, list[dict]]:
-    """Scan h = 1..h_max with coefficient degree d = 2h + 2 and denominator
-    power t = 2h; return (found order, result, attempt log)."""
+    """Scan h = 1..h_max, each window on its first `_window_size(h)`
+    eigenpolynomials; return (found order, result, attempt log)."""
     attempts: list[dict] = []
     for h in range(1, h_max + 1):
-        need = 4 * h + 9             # 2h + d + 7 eigenpolynomials
-        if len(eigenpolys) < need:
-            raise ValueError(
-                f"h={h} needs {need} eigenpolynomials, got {len(eigenpolys)}")
-        problem = SearchProblem(tuple(eigenpolys[:need]), h, 2 * h + 2,
-                                2 * h, q)
+        problem = SearchProblem(tuple(eigenpolys[:_window_size(h)]), h, q)
         result = find_operator(problem)
         attempts.append({
             "half_width": h,
@@ -182,8 +190,7 @@ def _search_report(conjecture: str, inputs: dict, conjectured_order: int | None,
         "conjectured_order": conjectured_order,
         "half_width_max": h_max,
     }
-    # the widest window (h = h_max, d = 2h + 2) reads q_0..q_{2h + d + 6}
-    n_top = 4 * h_max + 8
+    n_top = _window_size(h_max) - 1  # the widest window reads q_0..q_n_top
     mu = christoffel(base(2 * n_top + r.degree() + 2), r)
     for j, m_j in enumerate(masses):
         mu = add(mu, point_mass(Fraction(0), j, m_j))

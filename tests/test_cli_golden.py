@@ -59,6 +59,8 @@ CASES = {
     "conjecture-a": ("conjecture", "a", "--f1", "1", "--order-max", "6"),
     "conjecture-a-config": ("conjecture", "a", "--config", "CONFIG"),
     "conjecture-b1": ("conjecture", "b1", "--f", "1"),
+    "conjecture-a-order6": ("conjecture", "a", "--f3", "1", "2"),
+    "conjecture-b1-order6": ("conjecture", "b1", "--f", "1", "2"),
     "conjecture-b2": ("conjecture", "b2", "--masses", "3/2"),
     "conjecture-b2-two-masses": ("conjecture", "b2", "--alpha", "3",
                                  "--k-upper", "1", "--masses", "1/2", "1",
@@ -117,6 +119,12 @@ GOLDEN = {
     "conjecture-b1": (
         0, "c51f19d59c66fe79", {},
         "ab4ab7ea710eabfc"),
+    "conjecture-a-order6": (
+        0, "d501a4eb627cf59e", {},
+        "a5d6f7d8064f3283"),
+    "conjecture-b1-order6": (
+        0, "ff7e2e9c9d36721a", {},
+        "2f51edb8c3be44fc"),
     "conjecture-b2": (
         0, "c73fa046487513ed", {},
         "1bc044bf5a1a2772"),

@@ -1,7 +1,4 @@
-"""The certified nullspace against the basis read off `rref`.
-
-`reference` is the fallback path: the basis read off the RREF of all rows.
-"""
+"""The certified nullspace against the basis read off `rref`."""
 from __future__ import annotations
 
 from fractions import Fraction
@@ -10,11 +7,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qkrall import linalg
-from qkrall.linalg import _rref_nullspace as reference
 from qkrall.linalg import nullspace, rref
 
 F = Fraction
 P = (1 << 61) - 1  # the prime the rows are chosen modulo
+
+
+def reference(a):
+    """The nullspace basis read off `rref` of all rows."""
+    ncols = len(a[0])
+    red, pivots = rref(a)
+    basis = []
+    for f in sorted(set(range(ncols)) - set(pivots)):
+        v = [F(0)] * ncols
+        v[f] = F(1)
+        for r, col in enumerate(pivots):
+            v[col] = -red[r][f]
+        basis.append(v)
+    return basis
 
 # Small fractions, plus integers near multiples of the prime so that rows
 # which are independent over Q sometimes collide mod p.
@@ -108,17 +118,46 @@ def test_fast_path_needs_no_rref(monkeypatch):
     assert calls == []
 
 
-def test_rows_dependent_mod_p_fall_back_to_rref(monkeypatch):
+def _counting_solves(monkeypatch) -> list:
+    calls = []
+    solve = linalg._integer_nullspace
+
+    def counted(rows, ncols):
+        calls.append(len(rows))
+        return solve(rows, ncols)
+
+    monkeypatch.setattr(linalg, "_integer_nullspace", counted)
+    return calls
+
+
+def test_rows_dependent_mod_p_join_the_kept_rows(monkeypatch):
     # [1, 0] and [1, p] are independent over Q but equal mod p, so only the
-    # first row is kept; (0, 1) fails the check against the second row.
+    # first row is kept; (0, 1) fails the check against the second row,
+    # which joins the kept rows for a second solve.
     calls = _counting_rref(monkeypatch)
+    solves = _counting_solves(monkeypatch)
     assert nullspace([[F(1), F(0)], [F(1), F(P)]]) == []
-    assert calls == [2]
+    assert calls == []
+    assert solves == [1, 2]
+
+
+def test_row_missed_mod_p_leaves_a_smaller_basis(monkeypatch):
+    # the second row equals the first mod p; the first solve's (-1, 1, 0)
+    # fails against it, and the second solve gives the RREF basis
+    a = [[F(1), F(1), F(0)], [F(1), F(1 + P), F(P)], [F(2), F(2), F(0)]]
+    want = reference(a)
+    calls = _counting_rref(monkeypatch)
+    solves = _counting_solves(monkeypatch)
+    assert nullspace(a) == want == [[F(1), F(-1), F(1)]]
+    assert calls == []
+    assert solves == [1, 2]
 
 
 def test_row_divisible_by_p_is_made_primitive_first(monkeypatch):
     # [p, 0] is zero mod p as given, but scaling it to a primitive row
-    # makes it [1, 0], so the modular choice keeps it and no fallback runs.
+    # makes it [1, 0], so the modular choice keeps it and one solve does.
     calls = _counting_rref(monkeypatch)
+    solves = _counting_solves(monkeypatch)
     assert nullspace([[F(P), F(0)], [F(0), F(1)]]) == []
     assert calls == []
+    assert solves == [2]

@@ -8,11 +8,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import qkrall.search
-from qkrall import (MEIXNER_I, GammaVanishes, LaguerreParams, MeixnerParams,
-                    ParamDegeneracy, Poly, QDiffOperator, SearchProblem, build,
-                    check_conjecture_a, check_conjecture_b1,
-                    check_conjecture_b2, find_operator, hankel_orthogonal,
-                    measure_catalog, minimal_even_order, theorem_catalog)
+from qkrall import (LAGUERRE_I, MEIXNER_I, GammaVanishes, LaguerreParams,
+                    MeixnerParams, NotQuasiDefinite, ParamDegeneracy, Poly,
+                    QDiffOperator, SearchProblem, build, check_conjecture_a,
+                    check_conjecture_b1, check_conjecture_b2, christoffel,
+                    find_operator, hankel_orthogonal, laguerre_moments,
+                    measure_catalog, meixner_moments, minimal_even_order,
+                    nullspace, theorem_catalog)
+from qkrall.search import _assemble, _window_size
 from conftest import B0, C0, Q0, T0
 
 F = Fraction
@@ -28,9 +31,7 @@ def _catalog_eigenpolys(k: int, count: int) -> tuple[list[Poly], object]:
 def test_search_rediscovers_a_catalogued_operator():
     # the order-4 instance: polynomials orthogonal to the transformed
     # functional admit an operator at half-width 2 and none at 1
-    h = 2
-    d = 2 * h + 2
-    polys, td = _catalog_eigenpolys(1, 2 * h + d + 7)
+    polys, td = _catalog_eigenpolys(1, _window_size(2))
     found_order, result, attempts = minimal_even_order(polys, Q0, h_max=3)
     assert found_order == 4 == td.expected_order
     assert [a["order"] for a in attempts] == [2, 4]
@@ -89,11 +90,30 @@ def test_not_found_when_window_too_small():
 def test_problem_validation():
     polys, _ = _catalog_eigenpolys(1, 8)
     with pytest.raises(ValueError):
-        SearchProblem(tuple(polys), 0, 2, 2, Q0)
+        SearchProblem(tuple(polys), 0, Q0)
     with pytest.raises(ValueError):
-        SearchProblem(tuple(polys[:4]), 1, 4, 2, Q0)
+        SearchProblem(tuple(polys[:4]), 1, Q0)
     with pytest.raises(ValueError):
         minimal_even_order(polys[:5], Q0, h_max=1)
+
+
+def test_problem_needs_every_degree_once():
+    # the budgets rest on q_0..q_e spanning the polynomials of degree <= e
+    polys = [Poly.monomial(n) for n in range(13)]
+    SearchProblem(tuple(polys), 1, Q0)
+    for bad in (polys[1:] + [Poly.monomial(13)],
+                polys[:5] + [Poly.monomial(6)] + polys[6:],
+                [Poly.zero()] + polys[1:]):
+        with pytest.raises(ValueError, match="exactly 0, 1"):
+            SearchProblem(tuple(bad), 1, Q0)
+
+
+@pytest.mark.parametrize("q", [F(0), F(1), F(-1)])
+def test_problem_needs_distinct_shift_nodes(q):
+    # q^-h..q^h must be distinct for the Vandermonde step of the budgets
+    polys = tuple(Poly.monomial(n) for n in range(13))
+    with pytest.raises(ValueError, match="outside"):
+        SearchProblem(polys, 1, q)
 
 
 def test_trivial_family_is_found_at_width_one():
@@ -104,6 +124,101 @@ def test_trivial_family_is_found_at_width_one():
     for n in range(len(result.eigenvalues)):
         assert result.operator.apply(polys[n]) == \
             result.eigenvalues[n] * polys[n]
+
+
+def _wide_assemble(eigenpolys, h: int, d: int, t: int, q: Fraction):
+    """The search system with free budgets: the ansatz x^{-t} g_j S^j with
+    deg g_j <= d, one column per eigenvalue after the g columns."""
+    polys = [p.coeffs for p in eigenpolys]
+    n_cols_g = (2 * h + 1) * (d + 1)
+    n_cols = n_cols_g + len(polys)
+    rows = []
+    for n, poly in enumerate(polys):
+        deg = len(poly) - 1
+        for r in range(deg + max(d, t) + 1):
+            row = [F(0)] * n_cols
+            for j in range(-h, h + 1):
+                base = (j + h) * (d + 1)
+                for m in range(max(0, r - deg), min(d, r) + 1):
+                    row[base + m] = poly[r - m] * q ** (j * (r - m))
+            if 0 <= r - t <= deg:
+                row[n_cols_g + n] = -poly[r - t]
+            if any(row):
+                rows.append(row)
+    return rows
+
+
+_QS = st.sampled_from([F(2, 5), F(3, 7), F(7, 3), F(-1, 2)])
+_PARAMS = st.fractions(min_value=F(1, 9), max_value=3, max_denominator=9)
+
+
+def _planted(name, params, count):
+    td = theorem_catalog(name, params, 1)
+    kc = build(td.family, td.spec, td.p2, count - 1)
+    return [kc.qpoly(n) for n in range(count)]
+
+
+@st.composite
+def _search_inputs(draw):
+    """(eigenpolys, h, q): planted meixner-i and laguerre-i q_n, monic
+    orthogonal polynomials of perturbed functionals, or random ones."""
+    h = draw(st.integers(1, 2))
+    q = draw(_QS)
+    count = _window_size(h)
+    kind = draw(st.sampled_from(
+        ["meixner-i", "laguerre-i", "perturbed", "random"]))
+    try:
+        if kind == "meixner-i":
+            polys = _planted(MEIXNER_I, MeixnerParams(
+                q, draw(_PARAMS), draw(_PARAMS)), count)
+        elif kind == "laguerre-i":
+            polys = _planted(LAGUERRE_I, LaguerreParams(
+                q, draw(_PARAMS)), count)
+        elif kind == "perturbed":
+            base = (meixner_moments(MeixnerParams(q, B0, C0), 2 * count + 2)
+                    if draw(st.booleans()) else
+                    laguerre_moments(LaguerreParams(q, T0), 2 * count + 2))
+            root = draw(st.fractions(min_value=-3, max_value=3,
+                                     max_denominator=5))
+            mu = christoffel(base, Poly((-root, F(1))))
+            polys = hankel_orthogonal(mu, count - 1).polys
+        else:
+            small = st.fractions(min_value=-4, max_value=4, max_denominator=4)
+            polys = [Poly(draw(st.lists(small, min_size=n, max_size=n))
+                          + [draw(small.filter(bool))]) for n in range(count)]
+    except (ParamDegeneracy, GammaVanishes, NotQuasiDefinite):
+        assume(False)
+    return polys, h, q
+
+
+@settings(max_examples=16, deadline=None)
+@given(_search_inputs())
+def test_derived_budgets_keep_the_wide_solution_space(inputs):
+    # the wider ansatz deg g_j <= 2h + 2 finds nothing that the derived one
+    # (deg g_j <= 2h, denominator x^{2h}) misses: its extra columns are zero
+    # in every solution, and dropping them leaves the same RREF basis
+    polys, h, q = inputs
+    d, t = 2 * h + 2, 2 * h
+    wide = nullspace(_wide_assemble(polys, h, d, t, q))
+    keep = [(j + h) * (d + 1) + m for j in range(-h, h + 1)
+            for m in range(t + 1)]
+    keep += range((2 * h + 1) * (d + 1), (2 * h + 1) * (d + 1) + len(polys))
+    kept = set(keep)
+    for v in wide:
+        assert all(c == 0 for i, c in enumerate(v) if i not in kept)
+    problem = SearchProblem(tuple(polys), h, q)
+    assert nullspace(_assemble(problem)) == [[v[i] for i in keep]
+                                             for v in wide]
+
+
+def test_conjecture_a_at_order_eight():
+    # f3 = {1, 2, 3}: sum (2 sum f - n (n - 1)) + 2 = 2 * 6 - 3 * 2 + 2
+    f3 = [1, 2, 3]
+    expected = 2 * sum(f3) - len(f3) * (len(f3) - 1) + 2
+    report = check_conjecture_a(MeixnerParams(Q0, B0, C0), f3=f3)
+    assert report["conjectured_order"] == expected == 8
+    assert report["found_order"] == expected
+    assert [a["found"] for a in report["attempts"]] == [False] * 3 + [True]
 
 
 def test_conjecture_a_single_factor():
