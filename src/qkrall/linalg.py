@@ -91,8 +91,10 @@ def solve_exact(a: Matrix, b: list[Fraction]) -> list[Fraction]:
 def nullspace(a: Matrix) -> list[list[Fraction]]:
     """Basis of the right nullspace of a, one vector per free column.
 
-    The basis is the standard one read off the RREF: free column j gives
-    the vector with 1 in slot j, so output order is deterministic.  It is
+    Entries may be `int` or `Fraction`; a row of `int`s needs no common
+    denominator and is only made primitive.  The basis is the standard one
+    read off the RREF: free column j gives the vector with 1 in slot j, so
+    output order is deterministic.  It is
     found from the rows chosen mod p and certified over Z against every row
     (see the module docstring); a row that fails the check joins the chosen
     rows and the solve repeats.
@@ -112,15 +114,17 @@ def nullspace(a: Matrix) -> list[list[Fraction]]:
 
 
 def _integer_rows(a: Matrix) -> list[list[int]]:
-    """Each nonzero row scaled to a primitive integer row; zero rows go."""
+    """Each nonzero row scaled to a primitive integer row; zero rows go.
+    A row of `int`s skips the common denominator."""
     out = []
     for row in a:
-        row = [Fraction(c) for c in row]
-        den = math.lcm(*(c.denominator for c in row))
-        ints = [c.numerator * (den // c.denominator) for c in row]
-        g = math.gcd(*ints)
+        if not all(isinstance(c, int) for c in row):
+            row = [Fraction(c) for c in row]
+            den = math.lcm(*(c.denominator for c in row))
+            row = [c.numerator * (den // c.denominator) for c in row]
+        g = math.gcd(*row)
         if g:
-            out.append([c // g for c in ints])
+            out.append([c // g for c in row])
     return out
 
 

@@ -8,12 +8,24 @@ so D(x^e) = A_e x^e with A_e = sum_j q^{je} a_j has exponents in -e..0.  For
 q outside {0, 1, -1} the nodes q^{-h}..q^h are distinct, so the Vandermonde
 system for e = 0..2h gives each a_j from A_0..A_{2h}: exponents in -2h..0.
 
-Requiring D(q_n) = l_n q_n is, after clearing x^{2h}, a homogeneous linear
-system in the g coefficients and the l_n jointly; its exact rational
-nullspace contains every such operator.  A solution only counts when
-g_{-h} and g_h are both nonzero (otherwise its order is lower than the
-window) and scalar multiples of the identity are excluded automatically by
-that same requirement.
+The system.  With t = 2h, g_j = sum_i g_{j,i} x^i, s_i(e) = sum_j q^{je}
+g_{j,i} and q_n = sum_r c_{n,r} x^r: D(x^e) = sum_{k=0..t} s_{t-k}(e) x^{e-k},
+so D(q_n) = l_n q_n for all n exactly when (P) s_{t-k}(e) = 0 for e < k <= t
+(the preservation above) and, reading the x^n and x^r coefficients, l_n =
+s_t(n) and (E) sum_{k=1..min(t,n-r)} c_{n,r+k} s_{t-k}(r+k) + c_{n,r}
+(s_t(r) - s_t(n)) = 0 for r < n.  The unknowns are the g_{j,i} alone.  With
+q = a/b and each q_n scaled to integer c_{n,r}, (E) for n times (ab)^{hn}
+and (P) for e times (ab)^{he} are integer rows, since e <= n gives |je| <=
+hn in q^{je} (ab)^{hn} = a^{hn+je} b^{hn-je}.
+
+The solution is read off the RREF nullspace basis of the system in the
+g_{j,i} and l_n jointly, where each vector's last nonzero entry is a 1 at
+its free column and the others are 0 there.  It depends only on the
+solution space, so `_basis` appends l_n = s_t(n) to each reduced nullspace
+vector and row-reduces the few vectors with their columns reversed.  A
+solution only counts when g_{-h} and g_h are both nonzero (otherwise its
+order is lower than the window) and scalar multiples of the identity are
+excluded automatically by that same requirement.
 
 The conjecture checkers build a perturbed moment functional, extract its
 monic orthogonal polynomials with the Chebyshev algorithm on its moments
@@ -33,7 +45,7 @@ from .exact import (Laurent, Poly, _to_int_primitive, rational,
                     rational_str)
 from .families import (LaguerreParams, MeixnerParams, q_power_exponent)
 from .krall import build, theorem_catalog
-from .linalg import nullspace
+from .linalg import nullspace, rref
 from .moments import (LAGUERRE_II, MomentFunctional, _product, add,
                       check_instance, christoffel, hankel_orthogonal,
                       laguerre_moments, meixner_moments, point_mass)
@@ -80,36 +92,54 @@ class SearchResult:
     nullspace_dim: int
 
 
-def _assemble(problem: SearchProblem) -> list[list[Fraction]]:
+def _reduced_rows(problem: SearchProblem) -> list[list[int]]:
+    """The rows (P) and (E) over the g_{j,i}, column (j + h)(2h + 1) + i,
+    scaled to integers (module docstring)."""
     h, q = problem.h, problem.q
-    t = 2 * h  # the denominator power and the degree bound of each g_j
-    # q_n scaled to integers; a row's scale and sign leave the nullspace
+    t = 2 * h
+    a, b = q.numerator, q.denominator
     polys = [_to_int_primitive(p) for p in problem.eigenpolys]
-    n_cols_g = (2 * h + 1) * (t + 1)
-    n_cols = n_cols_g + len(polys)
-    rows: list[list[Fraction]] = []
-    q_pows: dict[int, Fraction] = {}
+    top = 2 * h * (len(polys) - 1)
+    a_pow = [a ** k for k in range(top + 1)]
+    b_pow = [b ** k for k in range(top + 1)]
+    n_cols = (2 * h + 1) * (t + 1)
 
-    def qp(e: int) -> Fraction:
-        if e not in q_pows:
-            q_pows[e] = q ** e
-        return q_pows[e]
+    def s_row(e: int, scale: int) -> list[int]:
+        """(ab)^scale q^{je} for j = -h..h: s_i(e)'s coefficients."""
+        return [a_pow[scale + j * e] * b_pow[scale - j * e]
+                for j in range(-h, h + 1)]
 
-    for n, poly in enumerate(polys):
-        deg = len(poly) - 1
-        for r in range(deg + t + 1):
-            row = [Fraction(0)] * n_cols
-            for j in range(-h, h + 1):
-                base = (j + h) * (t + 1)
-                for m in range(max(0, r - deg), min(t, r) + 1):
-                    coeff = poly[r - m]
-                    if coeff:
-                        row[base + m] = coeff * qp(j * (r - m))
-            if r >= t and poly[r - t]:
-                row[n_cols_g + n] = -poly[r - t]
-            if any(row):
-                rows.append(row)
+    rows = []
+    for e in range(t):
+        s_e = s_row(e, h * e)
+        for k in range(e + 1, t + 1):
+            row = [0] * n_cols
+            row[t - k::t + 1] = s_e
+            rows.append(row)
+    for n, c in enumerate(polys):
+        s_n = [s_row(e, h * n) for e in range(n + 1)]
+        for r in range(n):
+            row = [0] * n_cols
+            for k in range(1, min(t, n - r) + 1):
+                if c[r + k]:
+                    row[t - k::t + 1] = [c[r + k] * x for x in s_n[r + k]]
+            if c[r]:
+                row[t::t + 1] = [c[r] * (x - y)
+                                 for x, y in zip(s_n[r], s_n[n])]
+            rows.append(row)
     return rows
+
+
+def _basis(problem: SearchProblem) -> list[list[Fraction]]:
+    """The RREF nullspace basis of the joint system in the g_{j,i} and the
+    l_n, found from the reduced one (module docstring)."""
+    h, q = problem.h, problem.q
+    t = 2 * h
+    joint = [v + [sum(q ** (j * n) * v[(j + h) * (t + 1) + t]
+                      for j in range(-h, h + 1))
+                  for n in range(len(problem.eigenpolys))]
+             for v in nullspace(_reduced_rows(problem))]
+    return [v[::-1] for v in reversed(rref([v[::-1] for v in joint])[0])]
 
 
 def _g_block(vec: Sequence[Fraction], j: int, h: int) -> tuple:
@@ -126,7 +156,7 @@ def find_operator(problem: SearchProblem) -> SearchResult:
     sides separately their sum is genuine, so only the span matters.
     """
     h, q = problem.h, problem.q
-    basis = nullspace(_assemble(problem))
+    basis = _basis(problem)
     dim = len(basis)
     u = next((v for v in basis if any(_g_block(v, -h, h))), None)
     w = next((v for v in basis if any(_g_block(v, h, h))), None)

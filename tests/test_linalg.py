@@ -161,3 +161,26 @@ def test_row_divisible_by_p_is_made_primitive_first(monkeypatch):
     assert nullspace([[F(P), F(0)], [F(0), F(1)]]) == []
     assert calls == []
     assert solves == [2]
+
+
+# Integer entries, again with multiples of the prime; each row is then
+# scaled by a common factor that the primitive-row step must take out.
+int_entries = st.one_of(st.integers(-6, 6),
+                        st.sampled_from([0, P, -P, 2 * P, P + 1, P * P]))
+
+
+@st.composite
+def integer_matrices(draw):
+    rows, cols = draw(shapes)
+    a = draw(st.lists(st.lists(int_entries, min_size=cols, max_size=cols),
+                      min_size=rows, max_size=rows))
+    scales = draw(st.lists(st.sampled_from([1, 6, P]), min_size=rows,
+                           max_size=rows))
+    return [[k * c for c in row] for k, row in zip(scales, a)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(integer_matrices())
+def test_integer_rows_give_their_fraction_twins_basis(a):
+    twin = [[F(c) for c in row] for row in a]
+    assert nullspace(a) == nullspace(twin) == reference(twin)

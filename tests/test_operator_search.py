@@ -1,10 +1,12 @@
 """Exact nullspace search for minimal-order q-difference operators."""
 from __future__ import annotations
 
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import qkrall.search
@@ -15,7 +17,7 @@ from qkrall import (LAGUERRE_I, MEIXNER_I, GammaVanishes, LaguerreParams,
                     find_operator, hankel_orthogonal, laguerre_moments,
                     measure_catalog, meixner_moments, minimal_even_order,
                     nullspace, theorem_catalog)
-from qkrall.search import _assemble, _window_size
+from qkrall.search import _basis, _reduced_rows, _window_size
 from conftest import B0, C0, Q0, T0
 
 F = Fraction
@@ -148,6 +150,13 @@ def _wide_assemble(eigenpolys, h: int, d: int, t: int, q: Fraction):
     return rows
 
 
+def _assemble(problem: SearchProblem):
+    """The joint system in the g coefficients and the eigenvalues l_n, the
+    reference for `_basis`: the wide system at the budgets d = t = 2h."""
+    t = 2 * problem.h
+    return _wide_assemble(problem.eigenpolys, problem.h, t, t, problem.q)
+
+
 _QS = st.sampled_from([F(2, 5), F(3, 7), F(7, 3), F(-1, 2)])
 _PARAMS = st.fractions(min_value=F(1, 9), max_value=3, max_denominator=9)
 
@@ -211,6 +220,20 @@ def test_derived_budgets_keep_the_wide_solution_space(inputs):
                                              for v in wide]
 
 
+@settings(max_examples=20, deadline=None)
+@given(_search_inputs())
+@example(([Poly.monomial(n) for n in range(13)], 1, Q0))  # a 3-dim basis
+def test_reduced_system_gives_the_joint_basis(inputs):
+    # the integer system over the g_{j,i} alone, extended by l_n = s_t(n)
+    # and put in normal form, has the joint system's RREF nullspace basis
+    polys, h, q = inputs
+    problem = SearchProblem(tuple(polys), h, q)
+    rows = _reduced_rows(problem)
+    assert all(type(c) is int for row in rows for c in row)
+    assert len(rows[0]) == (2 * h + 1) ** 2
+    assert _basis(problem) == nullspace(_assemble(problem))
+
+
 def test_conjecture_a_at_order_eight():
     # f3 = {1, 2, 3}: sum (2 sum f - n (n - 1)) + 2 = 2 * 6 - 3 * 2 + 2
     f3 = [1, 2, 3]
@@ -219,6 +242,42 @@ def test_conjecture_a_at_order_eight():
     assert report["conjectured_order"] == expected == 8
     assert report["found_order"] == expected
     assert [a["found"] for a in report["attempts"]] == [False] * 3 + [True]
+    # the whole report (operator, eigenvalues, nullspace dimensions) does
+    # not depend on how the search reduces its system
+    digest = hashlib.sha256(
+        json.dumps(report, sort_keys=True).encode()).hexdigest()
+    assert digest == ("fe18553f402328d004f0ba0ea0119b99"
+                      "4a511b9bae67fdfcd88b8bfab2df652c")
+
+
+def test_conjecture_a_mixed_factors_at_order_eight():
+    # f1 = {1}, f3 = {1, 2}: 2 + (2 * 1 - 0) + (2 * 3 - 2 * 1) = 8
+    f1, f3 = [1], [1, 2]
+    expected = 2 + sum(2 * sum(f) - len(f) * (len(f) - 1) for f in (f1, f3))
+    report = check_conjecture_a(MeixnerParams(Q0, B0, C0), f1=f1, f3=f3)
+    assert report["conjectured_order"] == expected == 8
+    assert report["found_order"] == expected
+
+
+def test_conjecture_b1_at_order_eight():
+    # f = {1, 2, 3}: 2 * 6 - 3 * 2 + 2
+    f = [1, 2, 3]
+    expected = 2 * sum(f) - len(f) * (len(f) - 1) + 2
+    report = check_conjecture_b1(LaguerreParams(Q0, T0), f_set=f)
+    assert report["conjectured_order"] == expected == 8
+    assert report["found_order"] == expected
+
+
+def test_conjecture_b2_one_mass_at_order_eight():
+    # one mass at alpha = 3: order 2 alpha + 2, the catalogued instance's
+    alpha = 3
+    report = check_conjecture_b2(LaguerreParams(Q0, Q0 ** alpha),
+                                 masses=(1,))
+    assert report["conjectured_order"] == 2 * alpha + 2 == 8
+    assert report["found_order"] == 8
+    assert report["theorem_agreement"] == {
+        "expected_order": 8, "order_agrees": True,
+        "eigenvalue_affine_match": True}
 
 
 def test_conjecture_a_single_factor():
