@@ -8,9 +8,8 @@ minimal-order operators behind the product/point-mass conjectures.
 from __future__ import annotations
 
 from .dops import DOperatorSpec, dop_action, dop_catalog, verify_dop
-from .errors import (CrossCheckFailed, DegenerateBase, DenominatorVanishes,
-                     GammaVanishes, MixedBase, NoGeometricForm,
-                     NotQuasiDefinite, ParamDegeneracy, ParseError,
+from .errors import (CrossCheckFailed, DenominatorVanishes, GammaVanishes,
+                     MixedBase, NotQuasiDefinite, ParamDegeneracy, ParseError,
                      QKrallError, SingularSystem, UnknownTheorem,
                      UnsupportedFamily, ZeroDenominator, ZeroDilation)
 from .exact import (Laurent, Poly, divmod_poly, poly_from_json, poly_gcd,
@@ -29,7 +28,7 @@ from .linalg import leading_principal_minors, nullspace, rref, solve_exact
 from .moments import (LAGUERRE_I, LAGUERRE_II, MEIXNER_I, MEIXNER_II,
                       MEIXNER_III, THEOREMS, GramData, MomentFunctional, add,
                       agree_up_to, christoffel, dilate, favard_positivity,
-                      geronimus, gram_matrix, gram_to_csv, hankel_orthogonal,
+                      geronimus, gram_matrix, hankel_orthogonal,
                       laguerre_moments, combine_with_point_mass, measure_catalog,
                       meixner_moments, moments_from_recurrence,
                       point_mass, scale, shift)
@@ -42,11 +41,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AL_SALAM_CARLITZ", "AlSalamCarlitzParams", "CrossCheckFailed",
-    "DOperatorSpec", "DegenerateBase", "DenominatorVanishes",
+    "DOperatorSpec", "DenominatorVanishes",
     "GammaVanishes", "GramData", "KrallConstruction",
     "LAGUERRE", "LAGUERRE_I", "LAGUERRE_II", "LaguerreParams", "Laurent",
     "MEIXNER", "MEIXNER_I", "MEIXNER_II", "MEIXNER_III", "MeixnerParams",
-    "MixedBase", "MomentFunctional", "NoGeometricForm", "NotQuasiDefinite",
+    "MixedBase", "MomentFunctional", "NotQuasiDefinite",
     "ParamDegeneracy", "ParseError", "Poly", "PolynomialFamily",
     "QDiffOperator", "QKrallError", "SearchProblem", "SearchResult",
     "SingularSystem", "THEOREMS", "TheoremData", "ThreeTermRecurrence",
@@ -56,7 +55,7 @@ __all__ = [
     "check_conjecture_b2", "christoffel", "derive_recurrence", "dilate",
     "divmod_poly", "dop_action", "dop_catalog", "family_operator",
     "family_recurrence", "favard_positivity", "find_operator", "geronimus",
-    "gram_matrix", "gram_to_csv", "hankel_orthogonal", "laguerre",
+    "gram_matrix", "hankel_orthogonal", "laguerre",
     "laguerre_moments", "laguerre_recurrence", "leading_principal_minors",
     "combine_with_point_mass", "measure_catalog", "meixner",
     "meixner_moments", "meixner_recurrence", "minimal_even_order",

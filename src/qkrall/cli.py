@@ -25,10 +25,9 @@ from pathlib import Path
 from .dops import dop_catalog, verify_dop
 from .errors import (CrossCheckFailed, ParamDegeneracy, ParseError,
                      QKrallError)
-from .exact import poly_to_json, rational, rational_str
+from .exact import check_base, poly_to_json, rational, rational_str
 from .families import (LaguerreParams, MeixnerParams, PolynomialFamily,
-                       _check_base, alsalam_carlitz, family_recurrence,
-                       laguerre, meixner)
+                       alsalam_carlitz, family_recurrence, laguerre, meixner)
 from .krall import build, theorem_catalog, verify_eigen
 from .moments import (LAGUERRE_I, LAGUERRE_II, THEOREMS, gram_matrix,
                       hankel_orthogonal)
@@ -124,7 +123,7 @@ def _point_mass_params(cfg: dict, q: Fraction) -> tuple[LaguerreParams, int]:
     """The q-Laguerre data t = q^alpha of the point-mass shapes; q is
     checked first, because 0 ** alpha has no value for alpha < 0."""
     alpha = _int(cfg, "alpha")
-    _check_base(q)
+    check_base(q)
     return LaguerreParams(q, q ** alpha), alpha
 
 

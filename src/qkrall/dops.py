@@ -1,8 +1,9 @@
 """Spectral ladder operators for classical q-families.
 
 A ladder operator here is determined by two scalar sequences (eps_n) and
-(sigma_n): its action on the n-th family polynomial is the finite
-lower-triangular combination
+(sigma_n), where sigma_n = v q^n is geometric in the family's base q: its
+action on the n-th family polynomial is the finite lower-triangular
+combination
 
     -(1/2) sigma_{n+1} p_n
         + sum_{j=1}^{n} (-1)^{j+1} sigma_{n+1-j} (prod_{i=1}^{j} eps_{n-i+1}) p_{n-j}.
@@ -28,18 +29,21 @@ __all__ = ["DOperatorSpec", "dop_action", "dop_catalog", "verify_dop"]
 
 @dataclass(frozen=True, eq=False)
 class DOperatorSpec:
-    """One ladder operator: its defining sequences plus its closed form.
+    """One ladder operator: its sequence eps_n, the scale v of
+    sigma_n = v q^n, and its closed form, whose base is q.
 
-    geometric, when present, is the pair (u, v) with theta_n = u*q^n and
-    sigma_n = v*q^n; it is what allows a first-degree companion polynomial
-    to be attached to any second-degree one downstream.
+    sigma_n = v q^n and the family's theta_n = theta_0 q^n are what allow
+    a companion polynomial P1 of degree deg(P2) + 1 to be attached to a
+    polynomial P2 of any degree downstream (krall.build_P1).
     """
 
     spec_id: str
     eps: Callable[[int], Fraction]
-    sigma: Callable[[int], Fraction]
-    geometric: tuple[Fraction, Fraction] | None
+    v: Fraction
     closed_form: QDiffOperator
+
+    def sigma(self, n: int) -> Fraction:
+        return self.v * self.closed_form.q ** n
 
 
 def dop_action(spec: DOperatorSpec, family: PolynomialFamily, n: int) -> Poly:
@@ -66,24 +70,21 @@ def _meixner_specs(family: PolynomialFamily) -> tuple[DOperatorSpec, ...]:
     spec1 = DOperatorSpec(
         spec_id="q-meixner-1",
         eps=lambda n: Fraction(1),
-        sigma=lambda n: q ** (n - 1) / (q - 1),
-        geometric=(Fraction(1), Fraction(1) / (q * (q - 1))),
+        v=1 / (q * (q - 1)),
         closed_form=(d_q.mul_fn(one_minus_x)
                      + (second_order - 2 * ident) * (Fraction(1, 2) / (q - 1))),
     )
     spec2 = DOperatorSpec(
         spec_id="q-meixner-2",
         eps=lambda n: Fraction(1) / (1 - b * q ** n),
-        sigma=lambda n: q ** n / (c * (1 - q)),
-        geometric=(Fraction(1), Fraction(1) / (c * (1 - q))),
+        v=1 / (c * (1 - q)),
         closed_form=d_qinv + second_order * (q / (2 * c * (q - 1))),
     )
     minus_x_minus_bc = Poly((-b * c, Fraction(-1)))
     spec3 = DOperatorSpec(
         spec_id="q-meixner-3",
         eps=lambda n: (c + q ** n) / (c * (1 - b * q ** n)),
-        sigma=lambda n: q ** (n - 1) / (q - 1),
-        geometric=(Fraction(1), Fraction(1) / (q * (q - 1))),
+        v=1 / (q * (q - 1)),
         closed_form=(d_q.mul_fn(minus_x_minus_bc)
                      + (second_order - 2 * ident) * (Fraction(1, 2) / (q - 1))),
     )
@@ -101,16 +102,14 @@ def _laguerre_specs(family: PolynomialFamily) -> tuple[DOperatorSpec, ...]:
     spec1 = DOperatorSpec(
         spec_id="q-laguerre-1",
         eps=lambda n: Fraction(1),
-        sigma=lambda n: q ** (n - 1),
-        geometric=(t, Fraction(1) / q),
+        v=1 / q,
         closed_form=(d_q.mul_fn(one_minus_x) * (q - 1)
                      + d_qinv * ((1 - q) / (t * q)) - ident) * Fraction(1, 2),
     )
     spec2 = DOperatorSpec(
         spec_id="q-laguerre-2",
         eps=lambda n: Fraction(1) / (1 - t * q ** n),
-        sigma=lambda n: q ** (n - 1),
-        geometric=(t, Fraction(1) / q),
+        v=1 / q,
         closed_form=(d_q.mul_fn(one_plus_x) * (1 - q)
                      + d_qinv * ((1 - q) / (t * q)) - ident) * Fraction(1, 2),
     )

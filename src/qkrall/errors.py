@@ -19,12 +19,9 @@ class MixedBase(QKrallError):
     """Two operators with different bases q were combined."""
 
 
-class DegenerateBase(QKrallError):
-    """The base q is 0, 1 or -1, so the operator algebra degenerates."""
-
-
 class ParamDegeneracy(QKrallError):
-    """Family parameters hit an excluded value (vanishing q-Pochhammer)."""
+    """Parameters hit an excluded value: a base q of 0, 1 or -1, or a
+    family parameter that makes a q-Pochhammer vanish."""
 
 
 class UnsupportedFamily(QKrallError):
@@ -37,10 +34,6 @@ class GammaVanishes(QKrallError):
     def __init__(self, n: int, message: str | None = None):
         self.n = n
         super().__init__(message or f"gamma_{n + 1} = P2(theta_{n}) vanishes")
-
-
-class NoGeometricForm(QKrallError):
-    """The D-operator spec lacks the geometric (u, v) data the builder needs."""
 
 
 class UnknownTheorem(QKrallError):

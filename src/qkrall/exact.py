@@ -9,10 +9,10 @@ store coefficients lowest degree first; Laurent polynomials x^val * p
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from math import gcd as _int_gcd
 
-from .errors import ZeroDenominator
+from .errors import ParamDegeneracy, ZeroDenominator
 
 
 def rational(value: Fraction | int | str) -> Fraction:
@@ -29,6 +29,16 @@ def rational(value: Fraction | int | str) -> Fraction:
 def rational_str(value: Fraction) -> str:
     """Serialize exactly: '7/3', '-2/5' or '4'.  Never a decimal."""
     return str(Fraction(value))
+
+
+def check_base(q: Fraction) -> None:
+    """The premise of every q-construction here: q avoids 0, 1 and -1.
+
+    For a rational q, q^j = 1 with j > 0 only at q = +-1, so past this
+    check the nodes q^j are distinct and no 1 - q^j vanishes.
+    """
+    if q in (0, 1, -1):
+        raise ParamDegeneracy(f"q != +-1 and q != 0 required, got q = {q}")
 
 
 def qpochhammer(a: Fraction | int | str, q: Fraction | int | str, j: int) -> Fraction:
@@ -218,27 +228,19 @@ def divmod_poly(a: Poly, b: Poly) -> tuple[Poly, Poly]:
     return Poly(quo), Poly(rem[:db])
 
 
-def _int_content(v: list[int]) -> int:
-    g = 0
-    for c in v:
-        g = _int_gcd(g, abs(c))
-        if g == 1:
-            break
-    return g
-
-
-def _to_int_primitive(p: Poly) -> list[int]:
-    """Scale to integer coefficients with content 1 and positive leading."""
-    den_lcm = 1
-    for c in p.coeffs:
-        den_lcm = den_lcm * c.denominator // _int_gcd(den_lcm, c.denominator)
-    ints = [int(c * den_lcm) for c in p.coeffs]
-    g = _int_content(ints)
-    if g > 1:
-        ints = [c // g for c in ints]
-    if ints and ints[-1] < 0:
-        ints = [-c for c in ints]
-    return ints
+def _integer_rows(a: list[list[Fraction | int]]) -> list[list[int]]:
+    """Each nonzero row scaled to a primitive integer row; zero rows go.
+    A row of `int`s skips the common denominator."""
+    out = []
+    for row in a:
+        if not all(isinstance(c, int) for c in row):
+            row = [Fraction(c) for c in row]
+            den = math.lcm(*(c.denominator for c in row))
+            row = [c.numerator * (den // c.denominator) for c in row]
+        g = math.gcd(*row)
+        if g:
+            out.append([c // g for c in row])
+    return out
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
@@ -248,7 +250,7 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     if a.is_zero() or b.is_zero():
         src = b if a.is_zero() else a
         return src * (1 / src.leading())
-    fa, fb = _to_int_primitive(a), _to_int_primitive(b)
+    fa, fb = _integer_rows([a.coeffs, b.coeffs])
     if len(fa) < len(fb):
         fa, fb = fb, fa
     while fb:
@@ -265,7 +267,7 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
                     rem[k + i] -= lead * cb
         while rem and rem[-1] == 0:
             rem.pop()
-        g = _int_content(rem)
+        g = math.gcd(*rem)
         if g > 1:
             rem = [c // g for c in rem]
         fa, fb = fb, rem

@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .errors import ParamDegeneracy, SingularSystem, UnsupportedFamily
-from .exact import Laurent, Poly, rational
+from .exact import Laurent, Poly, check_base, rational
 from .linalg import solve_exact
 from .operators import QDiffOperator
 
@@ -63,11 +63,6 @@ def q_power_exponent(value: Fraction, q: Fraction) -> int | None:
     return None
 
 
-def _check_base(q: Fraction) -> None:
-    if q in (0, 1, -1):
-        raise ParamDegeneracy(f"q != +-1 and q != 0 required, got q = {q}")
-
-
 @dataclass(frozen=True)
 class MeixnerParams:
     q: Fraction
@@ -81,7 +76,7 @@ class MeixnerParams:
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)
-        _check_base(q)
+        check_base(q)
         e = q_power_exponent(b, q)
         if e is not None and e <= 0:
             raise ParamDegeneracy(f"b = q^{e} is excluded for the Meixner family")
@@ -104,7 +99,7 @@ class LaguerreParams:
         t = rational(self.t)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "t", t)
-        _check_base(q)
+        check_base(q)
         if t == 0:
             raise ParamDegeneracy("t = 0 is excluded for the Laguerre family")
         e = q_power_exponent(t, q)
@@ -122,7 +117,7 @@ class AlSalamCarlitzParams:
         a = rational(self.a)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "a", a)
-        _check_base(q)
+        check_base(q)
         if a == 0:
             raise ParamDegeneracy("a = 0 is excluded for the Al-Salam-Carlitz family")
 

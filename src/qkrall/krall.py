@@ -30,9 +30,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable
 
-from .errors import (CrossCheckFailed, DegenerateBase, GammaVanishes,
-                     NoGeometricForm, ParamDegeneracy)
-from .exact import Poly, qpochhammer, rational
+from .errors import CrossCheckFailed, GammaVanishes, ParamDegeneracy
+from .exact import Poly, check_base, qpochhammer, rational
 from .families import (LaguerreParams, MeixnerParams, PolynomialFamily,
                        alsalam_carlitz, family_operator, laguerre, meixner)
 from .dops import DOperatorSpec, dop_catalog
@@ -46,18 +45,14 @@ __all__ = ["KrallConstruction", "TheoremData", "build", "build_P1",
 
 
 def build_P1(p2: Poly, u: Fraction, v: Fraction, q: Fraction) -> Poly:
-    """First-degree-up companion of p2 for geometric data (u, v).
+    """First-degree-up companion of p2 for theta_n = u q^n, sigma_n = v q^n.
 
     P1(x) = (v q x / u) * (p2(x) - 2 * sum_j w_j x^j / (1 - q^{j+1})) for
     p2 = sum_j w_j x^j; its degree is deg(p2) + 1.
     """
-    coeffs = []
-    for j in range(p2.degree() + 1):
-        den = 1 - q ** (j + 1)
-        if den == 0:
-            raise DegenerateBase(f"1 - q^{j + 1} vanishes")
-        coeffs.append(p2.coeff(j) * (1 - Fraction(2) / den))
-    inner = Poly(tuple(coeffs))
+    check_base(q)
+    inner = Poly(tuple(p2.coeff(j) * (1 - Fraction(2) / (1 - q ** (j + 1)))
+                       for j in range(p2.degree() + 1)))
     return Poly((Fraction(0), v * q / u)) * inner
 
 
@@ -104,10 +99,6 @@ class KrallConstruction:
             raise IndexError(f"q-poly index {n} outside 0..{self.n_top}")
         return self._qpolys[n]
 
-    @property
-    def expected_order(self) -> int:
-        return 2 * self.p2.degree() + 2
-
     def qpolys(self) -> list[Poly]:
         return list(self._qpolys)
 
@@ -121,13 +112,6 @@ def build(family: PolynomialFamily, spec: DOperatorSpec, p2: Poly,
     checks; it exists for fault-injection in tests and demos and is never
     used by the catalogued instances.
     """
-    if spec.geometric is None:
-        raise NoGeometricForm(
-            f"{spec.spec_id} has no geometric (u, v) data; a companion "
-            "P1 cannot be attached")
-    u, v = spec.geometric
-    q = family.q
-
     gammas = []
     for n in range(1, n_top + 2):
         value = p2(family.theta(n - 1))
@@ -135,7 +119,7 @@ def build(family: PolynomialFamily, spec: DOperatorSpec, p2: Poly,
             raise GammaVanishes(n)
         gammas.append(value)
 
-    p1 = build_P1(p2, u, v, q)
+    p1 = build_P1(p2, family.theta(0), spec.v, family.q)
 
     lambdas = [(p1(family.theta(0)) - spec.sigma(1) * p2(family.theta(0)))
                / 2]
@@ -145,7 +129,7 @@ def build(family: PolynomialFamily, spec: DOperatorSpec, p2: Poly,
         if lambdas[n + 1] + lambdas[n] != p1(family.theta(n)):
             raise CrossCheckFailed(
                 f"lambda_{n + 1} + lambda_{n} != P1(theta_{n}); the ladder "
-                "sequences are inconsistent with the geometric data")
+                "sequences are inconsistent with P1")
 
     betas = [spec.eps(n) * gammas[n] / gammas[n - 1]
              for n in range(1, n_top + 1)]

@@ -25,6 +25,7 @@ from fractions import Fraction
 from operator import mul
 
 from .errors import SingularSystem
+from .exact import _integer_rows
 
 Matrix = list[list[Fraction]]
 
@@ -111,21 +112,6 @@ def nullspace(a: Matrix) -> list[list[Fraction]]:
         if missed is None:
             return [[Fraction(c, w[f]) for c in w] for w, f in basis]
         kept.append(missed)
-
-
-def _integer_rows(a: Matrix) -> list[list[int]]:
-    """Each nonzero row scaled to a primitive integer row; zero rows go.
-    A row of `int`s skips the common denominator."""
-    out = []
-    for row in a:
-        if not all(isinstance(c, int) for c in row):
-            row = [Fraction(c) for c in row]
-            den = math.lcm(*(c.denominator for c in row))
-            row = [c.numerator * (den // c.denominator) for c in row]
-        g = math.gcd(*row)
-        if g:
-            out.append([c // g for c in row])
-    return out
 
 
 def _independent_mod_p(rows: list[list[int]], ncols: int) -> list[int]:

@@ -9,7 +9,6 @@ exact rationals throughout; no representing measure is ever constructed.
 
 from __future__ import annotations
 
-import csv
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
@@ -17,7 +16,7 @@ from typing import Callable, Iterable
 
 from .errors import (CrossCheckFailed, DenominatorVanishes, NotQuasiDefinite,
                      ParamDegeneracy, UnknownTheorem, ZeroDilation)
-from .exact import Poly, qpochhammer, rational, rational_str
+from .exact import Poly, qpochhammer, rational
 from .families import (LaguerreParams, MeixnerParams, ThreeTermRecurrence,
                        meixner, meixner_recurrence, q_power_exponent)
 
@@ -309,14 +308,6 @@ def gram_matrix(mu: MomentFunctional, polys: list[Poly]) -> list[list[Fraction]]
                 (c * v[k] for k, c in enumerate(polys[m].coeffs) if c),
                 Fraction(0))
     return gram
-
-
-def gram_to_csv(gram: list[list[Fraction]], path: str) -> None:
-    """Exact rational strings, one Gram row per CSV row."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in gram:
-            writer.writerow([rational_str(v) for v in row])
 
 
 MEIXNER_I = "meixner-i"

@@ -15,9 +15,9 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping
 
-from .errors import DegenerateBase, MixedBase
-from .exact import (Laurent, Poly, poly_from_json, poly_to_json, rational,
-                    rational_str)
+from .errors import MixedBase
+from .exact import (Laurent, Poly, check_base, poly_from_json, poly_to_json,
+                    rational, rational_str)
 
 
 class QDiffOperator:
@@ -35,8 +35,7 @@ class QDiffOperator:
     def __init__(self, q: Fraction | int | str,
                  terms: Mapping[int, Laurent | Poly]):
         q = rational(q)
-        if q in (0, 1, -1):
-            raise DegenerateBase("operator base q must avoid 0, 1 and -1")
+        check_base(q)
         canon: dict[int, Laurent] = {}
         for j in sorted(terms):
             f = terms[j]
@@ -201,8 +200,7 @@ def q_derivative_ops(q: Fraction | int | str) -> tuple[QDiffOperator, QDiffOpera
     Both live in the same algebra over base q (shifts +1 / -1).
     """
     q = rational(q)
-    if q in (0, 1, -1):
-        raise DegenerateBase("q-derivative needs q outside {0, 1, -1}")
+    check_base(q)
     fwd = Laurent(Poly.constant(1 / (q - 1)), -1)
     d_q = QDiffOperator(q, {1: fwd, 0: -fwd})
     bwd = Laurent(Poly.constant(q / (1 - q)), -1)

@@ -41,7 +41,7 @@ from functools import partial
 from typing import Callable, Iterable, Sequence
 
 from .errors import CrossCheckFailed, NotQuasiDefinite, ParamDegeneracy
-from .exact import (Laurent, Poly, _to_int_primitive, rational,
+from .exact import (Laurent, Poly, _integer_rows, check_base, rational,
                     rational_str)
 from .families import (LaguerreParams, MeixnerParams, q_power_exponent)
 from .krall import build, theorem_catalog
@@ -80,8 +80,7 @@ class SearchProblem:
         if any(p.degree() != n for n, p in enumerate(self.eigenpolys)):
             raise ValueError(
                 "eigenpolynomial degrees must be exactly 0, 1, ..., N")
-        if self.q in (0, 1, -1):
-            raise ValueError("q must lie outside {0, 1, -1}")
+        check_base(self.q)
 
 
 @dataclass(frozen=True)
@@ -98,7 +97,7 @@ def _reduced_rows(problem: SearchProblem) -> list[list[int]]:
     h, q = problem.h, problem.q
     t = 2 * h
     a, b = q.numerator, q.denominator
-    polys = [_to_int_primitive(p) for p in problem.eigenpolys]
+    polys = _integer_rows([p.coeffs for p in problem.eigenpolys])
     top = 2 * h * (len(polys) - 1)
     a_pow = [a ** k for k in range(top + 1)]
     b_pow = [b ** k for k in range(top + 1)]

@@ -7,9 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qkrall import (Laurent, Poly, ZeroDenominator, divmod_poly,
-                    poly_from_json, poly_gcd, poly_to_json, qpochhammer,
-                    rational, rational_str)
+import qkrall
+from qkrall import (AlSalamCarlitzParams, LaguerreParams, Laurent,
+                    MeixnerParams, ParamDegeneracy, Poly, QDiffOperator,
+                    SearchProblem, ZeroDenominator, build_P1, divmod_poly,
+                    poly_from_json, poly_gcd, poly_to_json, q_derivative_ops,
+                    qpochhammer, rational, rational_str)
+from conftest import B0, C0, T0
 
 F = Fraction
 
@@ -30,6 +34,32 @@ def test_rational_parses_strings_ints_fractions():
         rational("not-a-number")
     with pytest.raises(TypeError):
         rational(0.5)  # floats are refused, never silently converted
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in qkrall.__all__ if not hasattr(qkrall, name)]
+    assert missing == []
+
+
+# Every entry point that takes a base q, each with otherwise valid inputs.
+_BASE_ENTRY_POINTS = {
+    "MeixnerParams": lambda q: MeixnerParams(q, B0, C0),
+    "LaguerreParams": lambda q: LaguerreParams(q, T0),
+    "AlSalamCarlitzParams": lambda q: AlSalamCarlitzParams(q, F(4, 3)),
+    "QDiffOperator": lambda q: QDiffOperator(q, {0: Laurent.one()}),
+    "q_derivative_ops": q_derivative_ops,
+    "build_P1": lambda q: build_P1(Poly((0, 1)), F(1), F(1), q),
+    "SearchProblem": lambda q: SearchProblem(
+        tuple(Poly.monomial(n) for n in range(13)), 1, q),
+}
+
+
+@pytest.mark.parametrize("q", [F(0), F(1), F(-1)], ids=str)
+@pytest.mark.parametrize("entry", sorted(_BASE_ENTRY_POINTS))
+def test_every_base_q_entry_point_rejects_degenerate_q(entry, q):
+    # all of them share exact.check_base, so one error and one message
+    with pytest.raises(ParamDegeneracy, match=r"q != \+-1 and q != 0"):
+        _BASE_ENTRY_POINTS[entry](q)
 
 
 def test_rational_str_round_trips():

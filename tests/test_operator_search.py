@@ -110,14 +110,6 @@ def test_problem_needs_every_degree_once():
             SearchProblem(tuple(bad), 1, Q0)
 
 
-@pytest.mark.parametrize("q", [F(0), F(1), F(-1)])
-def test_problem_needs_distinct_shift_nodes(q):
-    # q^-h..q^h must be distinct for the Vandermonde step of the budgets
-    polys = tuple(Poly.monomial(n) for n in range(13))
-    with pytest.raises(ValueError, match="outside"):
-        SearchProblem(polys, 1, q)
-
-
 def test_trivial_family_is_found_at_width_one():
     # monomials are eigenfunctions of p(x) -> p(qx)
     polys = [Poly.monomial(n) for n in range(13)]
