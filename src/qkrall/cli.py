@@ -1,14 +1,16 @@
 """Command-line front end.
 
 Subcommands: families, verify-dop, build-krall, verify-eigen,
-verify-orthogonality, conjecture {a,b1,b2}, each declared once in _COMMANDS
-as (handler, help, keys).  A key is a flag --key and a JSON config key;
---config FILE overrides flags; --out DIR writes report files.  argparse
-only splits tokens (-2/7 is a value): one set of parsers reads every value,
-from a flag or the config, and a bad one exits 2 naming its key.  Reports
-hold exact rational strings; decimals in the stdout summary are marked
-non-authoritative.  Exit codes: 0 all checks pass, 1 a check failed, 2
-invalid input.
+verify-orthogonality, conjecture {a,b1,b2}, each declared once in _COMMANDS.
+A key is a flag --key and a JSON config key, declared once in _KEYS with
+its parser, default and help; --config FILE overrides flags; --out DIR
+writes report files.  argparse only splits tokens (-2/7 is a value): _value
+reads every value, from a flag or the config, and a bad one (a null
+included) exits 2 naming its key.  Each subcommand builds one family,
+instance or search by _choose, from the keys that choice reads; its keys
+are those of its choices and its own.  Reports hold exact rational
+strings; decimals in the stdout summary are marked non-authoritative.  Exit
+codes: 0 all checks pass, 1 a check failed, 2 invalid input.
 """
 from __future__ import annotations
 
@@ -23,21 +25,17 @@ from functools import partial
 from pathlib import Path
 
 from .dops import dop_catalog, verify_dop
-from .errors import (CrossCheckFailed, ParamDegeneracy, ParseError,
-                     QKrallError)
+from .errors import CrossCheckFailed, ParseError, QKrallError
 from .exact import check_base, poly_to_json, rational, rational_str
-from .families import (LaguerreParams, MeixnerParams, PolynomialFamily,
-                       alsalam_carlitz, family_recurrence, laguerre, meixner)
+from .families import (LaguerreParams, MeixnerParams, alsalam_carlitz,
+                       family_recurrence, laguerre, meixner)
 from .krall import build, theorem_catalog, verify_eigen
-from .moments import (LAGUERRE_I, LAGUERRE_II, THEOREMS, gram_matrix,
-                      hankel_orthogonal)
+from .moments import (LAGUERRE_I, LAGUERRE_II, MEIXNER_I, MEIXNER_II,
+                      MEIXNER_III, gram_matrix, hankel_orthogonal)
 from .search import (check_conjecture_a, check_conjecture_b1,
                      check_conjecture_b2)
 
 __all__ = ["main", "entry", "parse_config"]
-
-_DEFAULTS = {"q": "2/5", "b": "1/3", "c": "3/2", "t": "3/4", "a": "4/3",
-             "m": "1", "k": 1, "alpha": 2, "k-upper": 0}
 
 
 def _approx(value: Fraction) -> str:
@@ -75,21 +73,23 @@ def parse_config(args: argparse.Namespace, keys: list[str]) -> dict:
     return cfg
 
 
+# Parsers: each reads a raw value, from a flag or the config, or raises a
+# ParseError naming the key it came from.
+def _as_is(key: str, raw):
+    """A choice name; main checks it against the command's choices."""
+    return raw
+
+
 def _as_rat(key: str, raw) -> Fraction:
-    """raw as a rational, or ParseError naming the key it came from."""
     try:
         return rational(raw)
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"cannot parse {key} = {raw!r} as a rational") from exc
 
 
-def _rat(cfg: dict, key: str) -> Fraction:
-    return _as_rat(key, cfg.get(key, _DEFAULTS[key]))
-
-
 def _as_int(key: str, raw) -> int:
-    """raw (an int or a decimal string) as an integer, or ParseError naming
-    the key it came from; a float or bool is refused, not truncated."""
+    """An int or a decimal string; a float or bool is refused, not
+    truncated."""
     try:
         value = int(raw) if isinstance(raw, str) else raw
     except ValueError:
@@ -99,84 +99,113 @@ def _as_int(key: str, raw) -> int:
     return value
 
 
-def _int(cfg: dict, key: str) -> int:
-    return _as_int(key, cfg.get(key, _DEFAULTS[key]))
+def _list_of(parse):
+    """The parser of a list-valued key such as a factor set."""
+    def read(key: str, raw) -> list:
+        if not isinstance(raw, (list, tuple)):
+            raise ParseError(f"{key} must be a list, got {raw!r}")
+        return [parse(key, item) for item in raw]
+    return read
 
 
-def _items(cfg: dict, key: str, parse=_as_int, default: tuple = ()) -> list:
-    """A list-valued key such as a factor set, each item read by parse."""
-    raw = cfg.get(key, default)
-    if not isinstance(raw, (list, tuple)):
-        raise ParseError(f"{key} must be a list, got {raw!r}")
-    return [parse(key, item) for item in raw]
+def _as_override(key: str, raw) -> dict[int, Fraction]:
+    """INDEX VALUE, the beta_INDEX that verify-eigen substitutes."""
+    if not isinstance(raw, (list, tuple)) or len(raw) != 2:
+        raise ParseError(f"--{key} needs INDEX VALUE")
+    try:
+        return {_as_int(key, raw[0]): _as_rat(key, raw[1])}
+    except ParseError as exc:
+        raise ParseError(f"--{key} needs an integer INDEX and a rational "
+                         f"VALUE; got {raw!r}") from exc
 
 
-def _depth(cfg: dict, default: int) -> int:
-    """The index bound n; a negative one would leave nothing to check."""
-    n = _as_int("n", cfg.get("n", default))
-    if n < 0:
-        raise ParamDegeneracy(f"n must be nonnegative, got n = {n}")
-    return n
-
-
-def _point_mass_params(cfg: dict, q: Fraction) -> tuple[LaguerreParams, int]:
+def _point_mass(q: Fraction, alpha: int) -> LaguerreParams:
     """The q-Laguerre data t = q^alpha of the point-mass shapes; q is
     checked first, because 0 ** alpha has no value for alpha < 0."""
-    alpha = _int(cfg, "alpha")
     check_base(q)
-    return LaguerreParams(q, q ** alpha), alpha
+    return LaguerreParams(q, q ** alpha)
 
 
-# The keys each family, instance and search reads; a key given for one
-# choice that only the others read is invalid input.
+# Each choice of a family, instance or search: (builder, the keys it
+# reads, in argument order).  A family builds to its PolynomialFamily, an
+# instance to theorem_catalog's arguments after the name, a search to its
+# check short of h_max.
 _FAMILIES = {"q-meixner": (meixner, ("q", "b", "c")),
              "q-laguerre": (laguerre, ("q", "t")),
              "al-salam-carlitz": (alsalam_carlitz, ("q", "a"))}
-_FAMILY_KEYS = {kind: keys for kind, (_, keys) in _FAMILIES.items()}
-_INSTANCE_KEYS = {**dict.fromkeys(THEOREMS, ("q", "b", "c", "k")),
-                  LAGUERRE_I: ("q", "t", "k"),
-                  LAGUERRE_II: ("q", "alpha", "m")}
-_SEARCH_KEYS = {"a": ("q", "b", "c", "f1", "f2", "f3"),
-                "b1": ("q", "t", "f"),
-                "b2": ("q", "alpha", "f", "k-upper", "masses")}
+_LADDER_FAMILIES = {kind: _FAMILIES[kind]  # the ones dop_catalog covers
+                    for kind in ("q-meixner", "q-laguerre")}
+_INSTANCES = {
+    **dict.fromkeys((MEIXNER_I, MEIXNER_II, MEIXNER_III), (
+        lambda q, b, c, k: (MeixnerParams(q, b, c), k), ("q", "b", "c", "k"))),
+    LAGUERRE_I: (lambda q, t, k: (LaguerreParams(q, t), k), ("q", "t", "k")),
+    LAGUERRE_II: (lambda q, alpha, m: (_point_mass(q, alpha), alpha, m),
+                  ("q", "alpha", "m")),
+}
+_SEARCHES = {
+    "a": (lambda q, b, c, *sets: partial(
+        check_conjecture_a, MeixnerParams(q, b, c), *sets),
+        ("q", "b", "c", "f1", "f2", "f3")),
+    "b1": (lambda q, t, f: partial(
+        check_conjecture_b1, LaguerreParams(q, t), f), ("q", "t", "f")),
+    "b2": (lambda q, alpha, *rest: partial(
+        check_conjecture_b2, _point_mass(q, alpha), *rest),
+        ("q", "alpha", "f", "k-upper", "masses")),
+}
+
+# Every key is a flag --key and a config key of the same name:
+# (parser, default, help, argparse options).  The index bound n takes its
+# default from each command.
+_KEYS = {
+    "family": (_as_is, "q-meixner", "family name: " + ", ".join(_FAMILIES),
+               {}),
+    "theorem": (_as_is, None, "instance name: " + ", ".join(_INSTANCES), {}),
+    "q": (_as_rat, "2/5", "base q (rational string)", {}),
+    "b": (_as_rat, "1/3", "first family parameter", {}),
+    "c": (_as_rat, "3/2", "second family parameter", {}),
+    "t": (_as_rat, "3/4", "geometric eigenvalue scale", {}),
+    "a": (_as_rat, "4/3", "family parameter for the third family", {}),
+    "alpha": (_as_int, 2, "positive integer exponent with t = q^alpha", {}),
+    "k": (_as_int, 1, "degree parameter of the instance", {}),
+    "m": (_as_rat, "1", "point mass at the origin", {}),
+    "n": (_as_int, None, "depth bound for the check", {}),
+    "perturb-beta": (_as_override, None,
+                     "inject a wrong beta value to demonstrate failure",
+                     {"nargs": 2, "metavar": ("INDEX", "VALUE")}),
+    "f1": (_list_of(_as_int), (), "first factor set", {"nargs": "*"}),
+    "f2": (_list_of(_as_int), (), "second factor set", {"nargs": "*"}),
+    "f3": (_list_of(_as_int), (), "third factor set", {"nargs": "*"}),
+    "f": (_list_of(_as_int), (), "factor set", {"nargs": "*"}),
+    "k-upper": (_as_int, 0, "highest derivative order of the point masses",
+                {}),
+    "masses": (_list_of(_as_rat), ("1",), "point masses M_0..M_K",
+               {"nargs": "+"}),
+    "order-max": (_as_int, None, "largest operator order to scan", {}),
+}
 
 
-def _refuse_unread(cfg: dict, what: str, choice: str, table: dict) -> None:
-    """ParseError naming each given key that the other choices of table
-    read and choice does not."""
-    reads = table[choice]
-    unread = sorted({key for keys in table.values() for key in keys}
+def _value(cfg: dict, key: str, default=None):
+    """key's value: cfg's whenever cfg gives one, a null included, else
+    default or the key's declared default, each read by the key's parser;
+    with no value at all, None."""
+    parse, declared, _, _ = _KEYS[key]
+    if key in cfg:
+        return parse(key, cfg[key])
+    raw = declared if default is None else default
+    return None if raw is None else parse(key, raw)
+
+
+def _choose(cfg: dict, what: str, table: dict, choice: str):
+    """Build table[choice] from the keys it reads; a given key that only the
+    other choices of table read is a ParseError naming it."""
+    make, reads = table[choice]
+    unread = sorted({key for _, keys in table.values() for key in keys}
                     .intersection(cfg).difference(reads))
     if unread:
         raise ParseError(
             f"{what} {choice} does not read {', '.join(map(repr, unread))}; "
             f"it reads {', '.join(reads)}")
-
-
-def _theorem_setup(cfg: dict):
-    name = cfg.get("theorem")
-    if name not in THEOREMS:
-        raise ParseError(
-            f"--theorem must be one of {', '.join(THEOREMS)}; got {name!r}")
-    _refuse_unread(cfg, "instance", name, _INSTANCE_KEYS)
-    q = _rat(cfg, "q")
-    if name == LAGUERRE_II:
-        params, alpha = _point_mass_params(cfg, q)
-        return name, params, alpha, _rat(cfg, "m")
-    if name == LAGUERRE_I:
-        return name, LaguerreParams(q, _rat(cfg, "t")), _int(cfg, "k"), None
-    params = MeixnerParams(q, _rat(cfg, "b"), _rat(cfg, "c"))
-    return name, params, _int(cfg, "k"), None
-
-
-def _family_setup(cfg: dict) -> PolynomialFamily:
-    kind = cfg.get("family", "q-meixner")
-    # a tuple test compares without hashing: a config value may be a list
-    if kind not in tuple(_FAMILIES):
-        raise ParseError(f"unknown family {kind!r}")
-    _refuse_unread(cfg, "family", kind, _FAMILY_KEYS)
-    make, keys = _FAMILIES[kind]
-    return make(*(_rat(cfg, key) for key in keys))
+    return make(*(_value(cfg, key) for key in reads))
 
 
 def _mark(ok: bool) -> str:
@@ -214,13 +243,14 @@ def _emit(payload: dict, elapsed: float, out_dir: str | None,
         print(f"report written to {path / 'report.json'}")
 
 
-def _cmd_families(cfg: dict):
-    n_top = _depth(cfg, 8)
-    fam = _family_setup(cfg)
+# Each handler takes the command's choice, its build, and the command's own
+# keys in order.
+def _cmd_families(_kind, fam, n_top: int):
+    polys = fam.polys_up_to(n_top)
     theta_known = fam.kind != "al-salam-carlitz"
-    rows = [{"n": n, "coeffs": poly_to_json(fam.poly(n)),
+    rows = [{"n": n, "coeffs": poly_to_json(p),
              **({"theta": rational_str(fam.theta(n))} if theta_known else {})}
-            for n in range(n_top + 1)]
+            for n, p in enumerate(polys)]
     rec = family_recurrence(fam)
     recurrence = {
         "a": [rational_str(rec.a(n)) for n in range(n_top)],
@@ -230,7 +260,7 @@ def _cmd_families(cfg: dict):
     payload = {"command": "families", "family": fam.kind,
                "params": _params_echo(fam.params),
                "polynomials": rows, "recurrence": recurrence}
-    leading = fam.poly(n_top).leading()
+    leading = polys[-1].leading()
     summary = [f"{fam.kind}: tabulated p_0..p_{n_top}",
                f"p_{n_top} leading coefficient {rational_str(leading)} "
                f"(~{_approx(leading)}, non-authoritative)"]
@@ -240,9 +270,7 @@ def _cmd_families(cfg: dict):
     return True, payload, summary, {"families.csv": csv_rows}
 
 
-def _cmd_verify_dop(cfg: dict):
-    n_top = _depth(cfg, 10)
-    fam = _family_setup(cfg)
+def _cmd_verify_dop(_kind, fam, n_top: int):
     entries = []
     for spec in dop_catalog(fam):
         checks = _check_rows(verify_dop(spec, fam, n_top))
@@ -261,10 +289,9 @@ def _cmd_verify_dop(cfg: dict):
     return all_ok, payload, summary, {}
 
 
-def _build_bundle(cfg: dict, n_top: int, beta_override=None):
+def _build_bundle(name: str, args: tuple, n_top: int, beta_override=None):
     # the measure reaches m_{2 n_top}, the last moment Gram and Hankel read
-    name, params, k, mass = _theorem_setup(cfg)
-    td = theorem_catalog(name, params, k, mass=mass, n_depth=2 * n_top)
+    td = theorem_catalog(name, *args, n_depth=2 * n_top)
     return td, build(td.family, td.spec, td.p2, n_top, beta_override)
 
 
@@ -274,9 +301,8 @@ def _input_echo(td) -> dict:
             **mass}
 
 
-def _cmd_build_krall(cfg: dict):
-    n_top = _depth(cfg, 10)
-    td, kc = _build_bundle(cfg, n_top)
+def _cmd_build_krall(name: str, args: tuple, n_top: int):
+    td, kc = _build_bundle(name, args, n_top)
     rows = [{"n": n, "lambda": rational_str(kc.lam(n)),
              **({"beta": rational_str(kc.beta(n))} if n >= 1 else {}),
              "qpoly": poly_to_json(kc.qpoly(n))}
@@ -301,20 +327,8 @@ def _cmd_build_krall(cfg: dict):
             {"krall.csv": csv_rows})
 
 
-def _cmd_verify_eigen(cfg: dict):
-    n_top = _depth(cfg, 10)
-    beta_override = None
-    perturb = cfg.get("perturb-beta")
-    if perturb is not None:
-        if not isinstance(perturb, (list, tuple)) or len(perturb) != 2:
-            raise ParseError("--perturb-beta needs INDEX VALUE")
-        try:
-            beta_override = {_as_int("perturb-beta", perturb[0]):
-                             _as_rat("perturb-beta", perturb[1])}
-        except ParseError as exc:
-            raise ParseError("--perturb-beta needs an integer INDEX and a "
-                             f"rational VALUE; got {perturb!r}") from exc
-    td, kc = _build_bundle(cfg, n_top, beta_override=beta_override)
+def _cmd_verify_eigen(name: str, args: tuple, n_top: int, beta_override):
+    td, kc = _build_bundle(name, args, n_top, beta_override)
     checks = _check_rows(verify_eigen(kc))
     order = kc.operator.order()
     order_ok = order == td.expected_order
@@ -348,9 +362,8 @@ def _cmd_verify_eigen(cfg: dict):
     return ok, payload, summary, {}
 
 
-def _cmd_verify_orthogonality(cfg: dict):
-    n_top = _depth(cfg, 8)
-    td, kc = _build_bundle(cfg, n_top)
+def _cmd_verify_orthogonality(name: str, args: tuple, n_top: int):
+    td, kc = _build_bundle(name, args, n_top)
     qpolys = kc.qpolys()
     gram = gram_matrix(td.measure, qpolys)
     size = n_top + 1
@@ -375,27 +388,8 @@ def _cmd_verify_orthogonality(cfg: dict):
     return ok, payload, summary, {"gram.csv": csv_rows}
 
 
-def _cmd_conjecture(cfg: dict, which: str):
-    _refuse_unread(cfg, "conjecture", which, _SEARCH_KEYS)
-    q = _rat(cfg, "q")
-    order_max = cfg.get("order-max")
-    h_max = None if order_max is None else _as_int("order-max", order_max) // 2
-    if which == "a":
-        params = MeixnerParams(q, _rat(cfg, "b"), _rat(cfg, "c"))
-        report = check_conjecture_a(
-            params, f1=_items(cfg, "f1"), f2=_items(cfg, "f2"),
-            f3=_items(cfg, "f3"), h_max=h_max)
-    elif which == "b1":
-        report = check_conjecture_b1(
-            LaguerreParams(q, _rat(cfg, "t")),
-            f_set=_items(cfg, "f"), h_max=h_max)
-    else:
-        params, _ = _point_mass_params(cfg, q)
-        report = check_conjecture_b2(
-            params, f_set=_items(cfg, "f"),
-            k_upper=_int(cfg, "k-upper"),
-            masses=_items(cfg, "masses", _as_rat, ("1",)),
-            h_max=h_max)
+def _cmd_conjecture(which: str, search, order_max: int | None):
+    report = search(h_max=None if order_max is None else order_max // 2)
     status = report["status"]
     conjectured = report.get("conjectured_order")
     found = report.get("found_order")
@@ -418,52 +412,44 @@ def _cmd_conjecture(cfg: dict, which: str):
     return ok, payload, summary, {}
 
 
-# Every key is a flag --key and a config key of the same name.
-_FLAGS = {
-    "family": "family name: q-meixner, q-laguerre, al-salam-carlitz",
-    "theorem": "instance name: " + ", ".join(THEOREMS),
-    "q": "base q (rational string, default 2/5)",
-    "b": "first family parameter (default 1/3)",
-    "c": "second family parameter (default 3/2)",
-    "t": "geometric eigenvalue scale (default 3/4)",
-    "a": "family parameter for the third family (default 4/3)",
-    "alpha": "positive integer exponent with t = q^alpha",
-    "k": "degree parameter of the instance (default 1)",
-    "m": "point mass at the origin (default 1)",
-    "n": "depth bound for the check",
-    "perturb-beta": "inject a wrong beta value to demonstrate failure",
-    "f1": "first factor set",
-    "f2": "second factor set",
-    "f3": "third factor set",
-    "f": "factor set",
-    "k-upper": "highest derivative order of the point masses",
-    "masses": "point masses M_0..M_K",
-    "order-max": "largest operator order to scan",
-}
-# The keys that take several tokens.
-_MULTI = {"perturb-beta": {"nargs": 2, "metavar": ("INDEX", "VALUE")},
-          "f1": {"nargs": "*"}, "f2": {"nargs": "*"}, "f3": {"nargs": "*"},
-          "f": {"nargs": "*"}, "masses": {"nargs": "+"}}
-
-_THEOREM_KEYS = ("theorem", "q", "b", "c", "t", "alpha", "k", "m", "n")
+# Each subcommand: (handler, help, (what it chooses, the key naming the
+# choice, the choice table), its own keys with their defaults).
+# conjecture's choice is its positional argument.
+_INSTANCE = ("instance", "theorem", _INSTANCES)
 _COMMANDS = {
     "families": (_cmd_families, "tabulate a classical family",
-                 ("family", "q", "b", "c", "t", "a", "n")),
+                 ("family", "family", _FAMILIES), {"n": 8}),
     "verify-dop": (_cmd_verify_dop, "check ladder closed forms against "
                    "their defining action",
-                   ("family", "q", "b", "c", "t", "n")),
+                   ("family", "family", _LADDER_FAMILIES), {"n": 10}),
     "build-krall": (_cmd_build_krall, "build q_n, beta_n, lambda_n and the "
-                    "higher-order operator", _THEOREM_KEYS),
+                    "higher-order operator", _INSTANCE, {"n": 10}),
     "verify-eigen": (_cmd_verify_eigen,
                      "verify the eigenfunction equation exactly",
-                     (*_THEOREM_KEYS, "perturb-beta")),
+                     _INSTANCE, {"n": 10, "perturb-beta": None}),
     "verify-orthogonality": (_cmd_verify_orthogonality,
                              "Gram matrix and Hankel cross-check",
-                             _THEOREM_KEYS),
+                             _INSTANCE, {"n": 8}),
     "conjecture": (_cmd_conjecture, "run a conjecture regression",
-                   ("q", "b", "c", "t", "alpha", "f1", "f2", "f3", "f",
-                    "k-upper", "masses", "order-max")),
+                   ("conjecture", "which", _SEARCHES), {"order-max": None}),
 }
+
+
+def _help(key: str, default) -> str:
+    """key's help text, stating its default if it has one."""
+    if isinstance(default, tuple):
+        default = " ".join(default) or "empty"
+    text = _KEYS[key][2]
+    return text if default is None else f"{text} (default {default})"
+
+
+# Each command's keys in _KEYS order, with their help: its choice key, the
+# keys its choices read, and its own.
+_COMMAND_KEYS = {
+    name: {key: _help(key, own.get(key, _KEYS[key][1])) for key in _KEYS
+           if key in own or key == choice_key
+           or any(key in keys for _, keys in table.values())}
+    for name, (_, _, (_, choice_key, table), own) in _COMMANDS.items()}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -482,12 +468,12 @@ def _parser() -> argparse.ArgumentParser:
         description="Exact construction and verification of q-Krall "
                     "orthogonal polynomial families.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text, keys) in _COMMANDS.items():
+    for name, (_, help_text, (_, choice_key, table), _) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        if name == "conjecture":
-            p.add_argument("which", choices=("a", "b1", "b2"))
-        for key in keys:
-            p.add_argument(f"--{key}", help=_FLAGS[key], **_MULTI.get(key, {}))
+        if choice_key not in _KEYS:
+            p.add_argument(choice_key, choices=tuple(table))
+        for key, key_help in _COMMAND_KEYS[name].items():
+            p.add_argument(f"--{key}", help=key_help, **_KEYS[key][3])
         p.add_argument("--config", help="JSON config file; overrides flags")
         p.add_argument("--out", help="directory for report.json and CSV files")
     return parser
@@ -495,12 +481,19 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
-    handler, _, keys = _COMMANDS[args.command]
-    if "which" in args:  # conjecture's positional picks the search
-        handler = partial(handler, which=args.which)
+    handler, _, (what, choice_key, table), own = _COMMANDS[args.command]
     started = time.monotonic()
     try:
-        ok, payload, summary, csvs = handler(parse_config(args, keys))
+        cfg = parse_config(args, list(_COMMAND_KEYS[args.command]))
+        values = [_value(cfg, key, default) for key, default in own.items()]
+        choice = (_value(cfg, choice_key) if choice_key in _KEYS
+                  else getattr(args, choice_key))
+        # a tuple test compares without hashing: a config value may be a list
+        if choice not in tuple(table):
+            raise ParseError(f"--{choice_key} must be one of "
+                             f"{', '.join(table)}; got {choice!r}")
+        ok, payload, summary, csvs = handler(
+            choice, _choose(cfg, what, table, choice), *values)
     except ParseError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 2

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .errors import UnsupportedFamily
-from .exact import Poly
+from .exact import Poly, check_depth
 from .families import (LAGUERRE, MEIXNER, PolynomialFamily, family_operator)
 from .operators import QDiffOperator, q_derivative_ops
 
@@ -133,6 +133,7 @@ def verify_dop(spec: DOperatorSpec, family: PolynomialFamily,
     Each entry reports the residual closed_form(p_n) - action(n); an exact
     match leaves residual None and passed True.
     """
+    check_depth(n_top)
     report = []
     for n in range(n_top + 1):
         via_closed = spec.closed_form.apply(family.poly(n))

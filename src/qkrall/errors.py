@@ -20,8 +20,8 @@ class MixedBase(QKrallError):
 
 
 class ParamDegeneracy(QKrallError):
-    """Parameters hit an excluded value: a base q of 0, 1 or -1, or a
-    family parameter that makes a q-Pochhammer vanish."""
+    """Parameters hit an excluded value: a base q of 0, 1 or -1, a family
+    parameter that makes a q-Pochhammer vanish, or a negative index bound."""
 
 
 class UnsupportedFamily(QKrallError):

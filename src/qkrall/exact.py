@@ -41,6 +41,13 @@ def check_base(q: Fraction) -> None:
         raise ParamDegeneracy(f"q != +-1 and q != 0 required, got q = {q}")
 
 
+def check_depth(n: int) -> None:
+    """The premise of every check up to an index bound n: n >= 0, since a
+    negative bound leaves an empty range, which may not count as a pass."""
+    if n < 0:
+        raise ParamDegeneracy(f"n must be nonnegative, got n = {n}")
+
+
 def qpochhammer(a: Fraction | int | str, q: Fraction | int | str, j: int) -> Fraction:
     """q-shifted factorial (a; q)_j = (1 - a)(1 - aq)...(1 - aq^(j-1))."""
     if j < 0:

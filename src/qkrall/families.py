@@ -19,12 +19,12 @@ by a lock so families can be shared across threads.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Callable
 
 from .errors import ParamDegeneracy, SingularSystem, UnsupportedFamily
-from .exact import Laurent, Poly, check_base, rational
+from .exact import Laurent, Poly, check_base, check_depth, rational
 from .linalg import solve_exact
 from .operators import QDiffOperator
 
@@ -63,6 +63,13 @@ def q_power_exponent(value: Fraction, q: Fraction) -> int | None:
     return None
 
 
+def _coerce(params) -> None:
+    """Store every field of a frozen params dataclass as an exact rational."""
+    for field in fields(params):
+        object.__setattr__(params, field.name,
+                           rational(getattr(params, field.name)))
+
+
 @dataclass(frozen=True)
 class MeixnerParams:
     q: Fraction
@@ -70,12 +77,8 @@ class MeixnerParams:
     c: Fraction
 
     def __post_init__(self):
-        q = rational(self.q)
-        b = rational(self.b)
-        c = rational(self.c)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
+        _coerce(self)
+        q, b, c = self.q, self.b, self.c
         check_base(q)
         e = q_power_exponent(b, q)
         if e is not None and e <= 0:
@@ -95,10 +98,8 @@ class LaguerreParams:
     t: Fraction
 
     def __post_init__(self):
-        q = rational(self.q)
-        t = rational(self.t)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "t", t)
+        _coerce(self)
+        q, t = self.q, self.t
         check_base(q)
         if t == 0:
             raise ParamDegeneracy("t = 0 is excluded for the Laguerre family")
@@ -113,12 +114,9 @@ class AlSalamCarlitzParams:
     a: Fraction
 
     def __post_init__(self):
-        q = rational(self.q)
-        a = rational(self.a)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "a", a)
-        check_base(q)
-        if a == 0:
+        _coerce(self)
+        check_base(self.q)
+        if self.a == 0:
             raise ParamDegeneracy("a = 0 is excluded for the Al-Salam-Carlitz family")
 
 
@@ -161,6 +159,7 @@ class PolynomialFamily:
             return cache[n]
 
     def polys_up_to(self, n: int) -> list[Poly]:
+        check_depth(n)
         return [self.poly(k) for k in range(n + 1)]
 
     def theta(self, n: int) -> Fraction:
@@ -176,17 +175,15 @@ class PolynomialFamily:
 
 
 def meixner(q, b, c) -> PolynomialFamily:
-    return PolynomialFamily(MEIXNER, MeixnerParams(rational(q), rational(b),
-                                                   rational(c)))
+    return PolynomialFamily(MEIXNER, MeixnerParams(q, b, c))
 
 
 def laguerre(q, t) -> PolynomialFamily:
-    return PolynomialFamily(LAGUERRE, LaguerreParams(rational(q), rational(t)))
+    return PolynomialFamily(LAGUERRE, LaguerreParams(q, t))
 
 
 def alsalam_carlitz(q, a) -> PolynomialFamily:
-    return PolynomialFamily(AL_SALAM_CARLITZ,
-                            AlSalamCarlitzParams(rational(q), rational(a)))
+    return PolynomialFamily(AL_SALAM_CARLITZ, AlSalamCarlitzParams(q, a))
 
 
 def family_operator(family: PolynomialFamily) -> QDiffOperator:

@@ -31,7 +31,7 @@ from functools import cached_property
 from typing import Callable
 
 from .errors import CrossCheckFailed, GammaVanishes, ParamDegeneracy
-from .exact import Poly, check_base, qpochhammer, rational
+from .exact import Poly, check_base, check_depth, qpochhammer, rational
 from .families import (LaguerreParams, MeixnerParams, PolynomialFamily,
                        alsalam_carlitz, family_operator, laguerre, meixner)
 from .dops import DOperatorSpec, dop_catalog
@@ -112,6 +112,7 @@ def build(family: PolynomialFamily, spec: DOperatorSpec, p2: Poly,
     checks; it exists for fault-injection in tests and demos and is never
     used by the catalogued instances.
     """
+    check_depth(n_top)
     gammas = []
     for n in range(1, n_top + 2):
         value = p2(family.theta(n - 1))

@@ -16,7 +16,7 @@ from typing import Callable, Iterable
 
 from .errors import (CrossCheckFailed, DenominatorVanishes, NotQuasiDefinite,
                      ParamDegeneracy, UnknownTheorem, ZeroDilation)
-from .exact import Poly, qpochhammer, rational
+from .exact import Poly, check_depth, qpochhammer, rational
 from .families import (LaguerreParams, MeixnerParams, ThreeTermRecurrence,
                        meixner, meixner_recurrence, q_power_exponent)
 
@@ -210,13 +210,11 @@ def dilate(mu: MomentFunctional, lam: Fraction | int | str) -> MomentFunctional:
 
 @dataclass(frozen=True)
 class GramData:
-    """Monic orthogonal polynomials of a functional with their Hankel data.
-
-    hankel_dets[n] is the n x n leading Hankel determinant (index 0 holds
-    the empty determinant 1); norms[n] = <mu, pi_n^2> = Delta_{n+1}/Delta_n.
+    """Monic orthogonal polynomials of a functional with their norms
+    norms[n] = <mu, pi_n^2> = Delta_{n+1}/Delta_n, Delta_n the n x n leading
+    Hankel determinant.
     """
 
-    hankel_dets: list[Fraction]
     polys: list[Poly]
     norms: list[Fraction]
 
@@ -225,18 +223,18 @@ def hankel_orthogonal(mu: MomentFunctional, n_top: int) -> GramData:
     """Monic orthogonal polynomials pi_0..pi_{n_top} by the Chebyshev
     algorithm on the moments m_0..m_{2 n_top}.
 
-    With sigma_{k,l} = <mu, pi_k x^l>, the norm h_k = sigma_{k,k} gives
-    Delta_{k+1} = Delta_k h_k, and the recurrence
+    With sigma_{k,l} = <mu, pi_k x^l>, the norm h_k = sigma_{k,k} is
+    Delta_{k+1}/Delta_k, and the recurrence
     pi_{k+1} = (x - alpha_k) pi_k - beta_k pi_{k-1} has
     alpha_k = sigma_{k,k+1}/h_k - sigma_{k-1,k}/h_{k-1} and
     beta_k = h_k/h_{k-1}; the sigma rows advance by the same recurrence.
     Raises NotQuasiDefinite(n) at the first vanishing Hankel determinant
     Delta_n with n <= n_top + 1 (norms through degree n_top need them all).
     """
+    check_depth(n_top)
     top = 2 * n_top
     sigma = mu.moments(top)          # sigma_{k,l} at index l, l = k..top-k
     prev_sigma = [Fraction(0)] * (top + 1)
-    dets = [Fraction(1)]
     norms: list[Fraction] = []
     polys = [Poly.one()]
     prev_poly = Poly.zero()
@@ -245,7 +243,6 @@ def hankel_orthogonal(mu: MomentFunctional, n_top: int) -> GramData:
         h_k = sigma[k]
         if h_k == 0:
             raise NotQuasiDefinite(k + 1)
-        dets.append(dets[k] * h_k)
         norms.append(h_k)
         if k == n_top:
             break
@@ -259,7 +256,7 @@ def hankel_orthogonal(mu: MomentFunctional, n_top: int) -> GramData:
         pi_k = polys[k]
         polys.append(Poly((0, *pi_k.coeffs)) - alpha * pi_k - beta * prev_poly)
         prev_poly, prev_ratio = pi_k, ratio
-    return GramData(hankel_dets=dets, polys=polys, norms=norms)
+    return GramData(polys=polys, norms=norms)
 
 
 def favard_positivity(rec: ThreeTermRecurrence, n_top: int) -> list[bool]:

@@ -5,6 +5,7 @@ import contextlib
 import csv
 import io
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -304,13 +305,14 @@ def test_negative_eigen_depth_is_not_a_pass(capsys):
     ("b2", {"masses": ["ab"]}),
     ("a", {"f1": 0}),
     ("b1", {"f": None}),
+    ("a", {"order-max": None}),  # a null is read, not taken as absent
 ])
 def test_malformed_conjecture_config_is_invalid_input(capsys, tmp_path,
                                                       which, config):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps(config))
     code, _, err = _run(capsys, "conjecture", which, "--config", str(cfg))
-    assert code == 2
+    assert code == 2 and next(iter(config)) in err
     assert "cannot parse" in err or "must be a list" in err
     assert "Traceback" not in err
 
@@ -328,7 +330,7 @@ def test_perturb_index_past_the_depth_is_invalid_input(capsys):
     assert code == 2 and "outside 1..0" in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("perturb", [5, [1.5, "2"], ["1", [2]]])
+@pytest.mark.parametrize("perturb", [5, [1.5, "2"], ["1", [2]], None])
 def test_malformed_perturb_config_is_invalid_input(capsys, tmp_path,
                                                    perturb):
     cfg = tmp_path / "c.json"
@@ -563,3 +565,50 @@ def test_orthogonality_and_b2_agreement_never_compose_the_operator(
     assert code == 0, err
     code, _, err = _run(capsys, "conjecture", "b2", "--masses", "3/2")
     assert code == 0, err
+
+
+# Every flag each subcommand accepts, and the default its help states.
+_ACCEPTED = {
+    "families": {"family", "q", "b", "c", "t", "a", "n"},
+    "verify-dop": {"family", "q", "b", "c", "t", "n"},
+    "build-krall": {"theorem", "q", "b", "c", "t", "alpha", "k", "m", "n"},
+    "verify-eigen": {"theorem", "q", "b", "c", "t", "alpha", "k", "m", "n",
+                     "perturb-beta"},
+    "verify-orthogonality": {"theorem", "q", "b", "c", "t", "alpha", "k",
+                             "m", "n"},
+    "conjecture": {"q", "b", "c", "t", "alpha", "f1", "f2", "f3", "f",
+                   "k-upper", "masses", "order-max"},
+}
+_STATED = {"family": "q-meixner", "q": "2/5", "b": "1/3", "c": "3/2",
+           "t": "3/4", "a": "4/3", "alpha": "2", "k": "1", "m": "1",
+           "f1": "empty", "f2": "empty", "f3": "empty", "f": "empty",
+           "k-upper": "0", "masses": "1"}
+_DEPTH = {"families": "8", "verify-dop": "10", "build-krall": "10",
+          "verify-eigen": "10", "verify-orthogonality": "8"}
+
+
+def _help_entries(capsys, monkeypatch, command: str) -> dict[str, str]:
+    """The option entries of command's --help, by flag, one line each."""
+    monkeypatch.setenv("COLUMNS", "200")
+    with pytest.raises(SystemExit) as info:
+        main([command, "--help"])
+    assert info.value.code == 0
+    options = capsys.readouterr().out.split("options:\n")[1]
+    return {re.search(r"--[\w-]+", entry).group(): " ".join(entry.split())
+            for entry in re.split(r"\n(?=  -)", options)}
+
+
+@pytest.mark.parametrize("command", sorted(_ACCEPTED))
+def test_each_subcommand_accepts_its_flags_and_states_defaults(
+        capsys, monkeypatch, command):
+    entries = _help_entries(capsys, monkeypatch, command)
+    assert set(entries) == {f"--{key}" for key in _ACCEPTED[command]} | {
+        "--help", "--config", "--out"}
+    stated = {**_STATED, "n": _DEPTH.get(command)}
+    for key in _ACCEPTED[command]:
+        entry = entries[f"--{key}"]
+        if key in stated:
+            assert entry.endswith(f"(default {stated[key]})"), entry
+        else:
+            assert "(default" not in entry, entry
+

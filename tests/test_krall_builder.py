@@ -8,8 +8,9 @@ import pytest
 import qkrall.krall
 from qkrall import (GammaVanishes, LaguerreParams, MeixnerParams,
                     ParamDegeneracy, Poly, QKrallError, UnknownTheorem,
-                    agree_up_to, build, dop_catalog,
-                    measure_catalog, meixner, theorem_catalog, verify_eigen)
+                    agree_up_to, build, dop_catalog, hankel_orthogonal,
+                    measure_catalog, meixner, meixner_moments,
+                    theorem_catalog, verify_dop, verify_eigen)
 from qkrall import (LAGUERRE_I, LAGUERRE_II, MEIXNER_I, MEIXNER_II,
                     MEIXNER_III, THEOREMS)
 from conftest import B0, C0, Q0, T0
@@ -20,6 +21,23 @@ F = Fraction
 def _reference_build(n_top: int = 10):
     td = theorem_catalog(MEIXNER_I, meixner(Q0, B0, C0).params, 2)
     return td, build(td.family, td.spec, td.p2, n_top)
+
+
+@pytest.mark.parametrize("entry", ["polys_up_to", "build", "verify_dop",
+                                   "hankel_orthogonal"])
+def test_negative_index_bound_is_refused(entry):
+    # a negative bound leaves an empty index range, which is no pass
+    td = theorem_catalog(MEIXNER_I, MeixnerParams(Q0, B0, C0), 1)
+    calls = {
+        "polys_up_to": lambda: td.family.polys_up_to(-1),
+        "build": lambda: build(td.family, td.spec, td.p2, -1),
+        "verify_dop": lambda: verify_dop(td.spec, td.family, -1),
+        "hankel_orthogonal": lambda: hankel_orthogonal(
+            meixner_moments(td.family.params), -1),
+    }
+    with pytest.raises(ParamDegeneracy,
+                       match="n must be nonnegative, got n = -1"):
+        calls[entry]()
 
 
 def test_sequences_satisfy_defining_relations():
