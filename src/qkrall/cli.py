@@ -21,7 +21,7 @@ import re
 import sys
 import time
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 from .dops import dop_catalog, verify_dop
@@ -462,7 +462,10 @@ class _Parser(argparse.ArgumentParser):
             r"^-\d+(/\d+)?$|^-\d*\.\d+$")
 
 
+@cache
 def _parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on first use; parse_args keeps
+    no state between calls, so every main call can share it."""
     parser = _Parser(
         prog="qkrall",
         description="Exact construction and verification of q-Krall "

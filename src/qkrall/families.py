@@ -24,7 +24,8 @@ from fractions import Fraction
 from typing import Callable
 
 from .errors import ParamDegeneracy, SingularSystem, UnsupportedFamily
-from .exact import Laurent, Poly, check_base, check_depth, rational
+from .exact import (Laurent, Poly, _over_common, check_base, check_depth,
+                    rational)
 from .linalg import solve_exact
 from .operators import QDiffOperator
 
@@ -331,10 +332,18 @@ def _recurrence_step(rec: ThreeTermRecurrence, n: int, p_n: Poly,
     a_n = rec.a(n)
     if a_n == 0:
         raise SingularSystem(f"a_{n} = 0, cannot advance the recurrence")
-    out = Poly((0, *p_n.coeffs)) - p_n * rec.b(n)
-    if n > 0:
-        out = out - p_prev * rec.c(n)
-    return out * (Fraction(1) / a_n)
+    # one integer pass: p_n and p_{n-1} over one denominator, b_n and c_n
+    # over another, the division by a_n folded into the final Fractions
+    size = len(p_n.coeffs)
+    nums, den = _over_common(p_n.coeffs + (p_prev.coeffs if n > 0 else ()))
+    (b, c), bc_den = _over_common((rec.b(n), rec.c(n) if n > 0 else 0))
+    out = [0, *(bc_den * x for x in nums[:size])]
+    for k, x in enumerate(nums[:size]):
+        out[k] -= b * x
+    for k, x in enumerate(nums[size:]):
+        out[k] -= c * x
+    den *= bc_den * a_n.numerator
+    return Poly([Fraction(x * a_n.denominator, den) for x in out])
 
 
 def polys_from_recurrence(rec: ThreeTermRecurrence, n_top: int) -> list[Poly]:

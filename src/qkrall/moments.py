@@ -16,7 +16,7 @@ from typing import Callable, Iterable
 
 from .errors import (CrossCheckFailed, DenominatorVanishes, NotQuasiDefinite,
                      ParamDegeneracy, UnknownTheorem, ZeroDilation)
-from .exact import Poly, check_depth, qpochhammer, rational
+from .exact import Poly, _over_common, check_depth, qpochhammer, rational
 from .families import (LaguerreParams, MeixnerParams, ThreeTermRecurrence,
                        meixner, meixner_recurrence, q_power_exponent)
 
@@ -52,9 +52,10 @@ class MomentFunctional:
         return [self.moment(n) for n in range(n_top + 1)]
 
     def pair(self, p: Poly) -> Fraction:
-        """<mu, p> = sum of coeff_n * mu_n."""
-        return sum((c * self.moment(n) for n, c in enumerate(p.coeffs)
-                    if c != 0), Fraction(0))
+        """<mu, p> = sum of coeff_n * mu_n, summed over integers."""
+        cs, den = _over_common(p.coeffs)
+        ms, mden = _over_common(self.moments(len(cs) - 1))
+        return Fraction(sum(c * m for c, m in zip(cs, ms) if c), den * mden)
 
     def __repr__(self) -> str:
         return f"MomentFunctional(max_n={self.max_n})"
@@ -293,17 +294,20 @@ def gram_matrix(mu: MomentFunctional, polys: list[Poly]) -> list[list[Fraction]]
 
     With v_n[k] = <mu, x^k p_n> = sum_i c_{n,i} m_{i+k}, the entry is
     G[n][m] = sum_k c_{m,k} v_n[k]; it is formed for m >= n and mirrored.
+    The moments and each p_n go over one denominator apiece, so v_n and
+    the entries are integer sums, each entry one Fraction at the end.
     """
     top = max((p.degree() for p in polys), default=-1)
-    moms = mu.moments(2 * top) if top >= 0 else []
+    moms, mden = _over_common(mu.moments(2 * top) if top >= 0 else [])
+    rows = [_over_common(p.coeffs) for p in polys]
     gram = [[Fraction(0)] * len(polys) for _ in polys]
-    for n, pn in enumerate(polys):
-        v = [sum((c * moms[i + k] for i, c in enumerate(pn.coeffs) if c),
-                 Fraction(0)) for k in range(top + 1)]
+    for n, (pn, dn) in enumerate(rows):
+        v = [sum(c * moms[i + k] for i, c in enumerate(pn) if c)
+             for k in range(top + 1)]
         for m in range(n, len(polys)):
-            gram[n][m] = gram[m][n] = sum(
-                (c * v[k] for k, c in enumerate(polys[m].coeffs) if c),
-                Fraction(0))
+            pm, dm = rows[m]
+            gram[n][m] = gram[m][n] = Fraction(
+                sum(c * v[k] for k, c in enumerate(pm) if c), dn * dm * mden)
     return gram
 
 

@@ -4,30 +4,35 @@ An operator is a finite sum  D(p) = sum_j f_j(x) * p(q^j x)  with Laurent
 polynomial coefficients f_j (a polynomial over a power of x) and integer
 shifts j, so action and composition are shift-and-add on coefficients.
 On a monomial D(x^e) = x^e g_e with g_e = sum_j q^(j e) f_j, so an operator
-acts through a table of the g_e that it fills as it is applied.
-Operators over different bases q never mix.  The order of a nonzero
-operator is max shift minus min shift after dropping zero coefficients.
+acts through a table of the g_e that it fills as it is applied.  The
+table holds each g_e as integers over one denominator, so an application
+is an integer accumulation that builds a Fraction only per output
+coefficient.  Operators over different bases q never mix.  The order of
+a nonzero operator is max shift minus min shift after dropping zero
+coefficients.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping
 
 from .errors import MixedBase
-from .exact import (Laurent, Poly, check_base, poly_from_json, poly_to_json,
-                    rational, rational_str)
+from .exact import (Laurent, Poly, _over_common, check_base, poly_from_json,
+                    poly_to_json, rational, rational_str)
 
 
 class QDiffOperator:
     """Finite q-shift operator with Laurent polynomial coefficients.
 
-    ``_images`` maps e to the dense coefficients of g_e (see the module
-    docstring) from x^lo on, lo the least valuation of the f_j.  It only
-    caches what ``terms`` determine, so it takes no part in ==, hash or
-    to_json.  It is never mutated: a grown table is a new dict, published
-    by one attribute store, so a thread that reads it sees a complete one.
+    ``_images`` maps e to g_e (see the module docstring) as a dense row
+    of integers from x^lo on, lo the least valuation of the f_j, and its
+    positive denominator.  It only caches what ``terms`` determine, so it
+    takes no part in ==, hash or to_json.  It is never mutated: a grown
+    table is a new dict, published by one attribute store, so a thread
+    that reads it sees a complete one.
     """
 
     __slots__ = ("q", "terms", "_images")
@@ -78,7 +83,9 @@ class QDiffOperator:
         """D(p) as a Laurent polynomial (a polynomial iff its val >= 0).
 
         With p = sum_e c_e x^e, D(p) = sum_e c_e x^e g_e: one accumulation
-        over the table of monomial images, no product of polynomials.
+        over the table of monomial images, no product of polynomials.  It
+        runs over integers, on the lcm of the denominators of the images
+        it reads and the common denominator of the c_e.
         """
         if isinstance(p, Poly):
             coeffs, val = p.coeffs, 0
@@ -92,20 +99,28 @@ class QDiffOperator:
         missing = [e for e in range(val, val + len(coeffs)) if e not in images]
         if missing:
             images = dict(images)
+            rows = {j: (f.val - lo, *_over_common(f.poly.coeffs))
+                    for j, f in self.terms.items()}
             for e in missing:
-                g = [Fraction(0)] * width
-                for j, f in self.terms.items():
-                    s = self.q ** (j * e)
-                    for i, c in enumerate(f.poly.coeffs, f.val - lo):
+                scales, den = _over_common(
+                    [self.q ** (j * e) / d for j, (_, _, d) in rows.items()])
+                g = [0] * width
+                for s, (offset, row, _) in zip(scales, rows.values()):
+                    for i, c in enumerate(row, offset):
                         g[i] += s * c
-                images[e] = tuple(g)
+                d = math.gcd(den, *g)
+                images[e] = (tuple(c // d for c in g), den // d)
             object.__setattr__(self, "_images", images)
-        out = [Fraction(0)] * (len(coeffs) + width - 1)
-        for i, c in enumerate(coeffs):
-            if c:
-                for k, g in enumerate(images[val + i], i):
-                    out[k] += c * g
-        return Laurent(Poly(out), val + lo)
+        cs, cden = _over_common(coeffs)
+        used = [(i, c, *images[val + i]) for i, c in enumerate(cs) if c]
+        lcm = math.lcm(*(d for *_, d in used))
+        out = [0] * (len(coeffs) + width - 1)
+        for i, c, g, d in used:
+            c *= lcm // d
+            for k, gk in enumerate(g, i):
+                out[k] += c * gk
+        den = cden * lcm
+        return Laurent(Poly([Fraction(c, den) for c in out]), val + lo)
 
     def _require_same_base(self, other: QDiffOperator) -> None:
         if self.q != other.q:

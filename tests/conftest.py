@@ -4,6 +4,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import strategies as st
 
 from qkrall import (LAGUERRE_I, LAGUERRE_II, MEIXNER_I, MEIXNER_II,
                     MEIXNER_III, LaguerreParams, MeixnerParams)
@@ -12,6 +13,13 @@ Q0 = Fraction(2, 5)
 B0 = Fraction(1, 3)
 C0 = Fraction(3, 2)
 T0 = Fraction(3, 4)
+
+# Rationals for the integer kernels' properties: small ones, whose
+# denominators overlap, and large ones, whose denominators are unrelated.
+wide_fracs = st.one_of(
+    st.fractions(min_value=-4, max_value=4, max_denominator=6),
+    st.builds(Fraction, st.integers(-10 ** 12, 10 ** 12),
+              st.integers(1, 10 ** 12)))
 
 
 @pytest.fixture(scope="session")

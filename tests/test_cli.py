@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import qkrall.krall
 import qkrall.search
 from qkrall import THEOREMS, CrossCheckFailed
-from qkrall.cli import main
+from qkrall.cli import _parser, main
 
 
 def _run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -532,6 +532,22 @@ def test_unknown_flag_is_usage_error(capsys):
     assert info.value.code == 2
     with pytest.raises(SystemExit):
         main(["conjecture", "c"])
+
+
+def test_rejected_argv_leaves_the_shared_parser_as_built(capsys, tmp_path):
+    # one parser serves every main call of a process, so an argv that
+    # argparse rejects halfway through may not change the next verdict
+    valid = ["families", "--family", "al-salam-carlitz", "--a", "-2/7",
+             "--n", "3", "--out"]
+    _parser.cache_clear()
+    assert _run(capsys, *valid, str(tmp_path / "alone"))[0] == 0
+    with pytest.raises(SystemExit) as info:
+        main(["families", "--family", "q-laguerre", "--t", "1/2", "--n",
+              "5", "--bogus", "1"])
+    assert info.value.code == 2
+    assert _run(capsys, *valid, str(tmp_path / "after"))[0] == 0
+    assert _payload(tmp_path / "after") == _payload(tmp_path / "alone")
+    assert _parser.cache_info().misses == 1
 
 
 def test_negative_rational_as_separate_token(capsys, tmp_path):

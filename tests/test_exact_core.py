@@ -1,10 +1,11 @@
 """Exact scalar, polynomial, and Laurent-polynomial arithmetic."""
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qkrall
@@ -13,7 +14,8 @@ from qkrall import (AlSalamCarlitzParams, LaguerreParams, Laurent,
                     SearchProblem, ZeroDenominator, build_P1, divmod_poly,
                     poly_from_json, poly_gcd, poly_to_json, q_derivative_ops,
                     qpochhammer, rational, rational_str)
-from conftest import B0, C0, T0
+from qkrall.exact import _over_common
+from conftest import B0, C0, T0, wide_fracs
 
 F = Fraction
 
@@ -23,6 +25,25 @@ small_polys = st.lists(small_fracs, min_size=0, max_size=5).map(
 small_laurents = st.builds(Laurent, small_polys, st.integers(-3, 3))
 nonzero_points = st.fractions(min_value=-5, max_value=5,
                               max_denominator=7).filter(lambda v: v != 0)
+wide_polys = st.lists(wide_fracs, max_size=7).map(Poly)
+points = st.one_of(st.integers(-9, 9), wide_fracs)
+
+
+def _schoolbook_mul(a: Poly, b: Poly) -> list[F]:
+    """The Fraction reference for the integer product kernel."""
+    out = [F(0)] * (len(a.coeffs) + len(b.coeffs) - 1)
+    for i, ca in enumerate(a.coeffs):
+        for j, cb in enumerate(b.coeffs):
+            out[i + j] += ca * cb
+    return out if a.coeffs and b.coeffs else []
+
+
+def _schoolbook_eval(p: Poly, x0: F) -> F:
+    """The Fraction reference for the integer Horner kernel."""
+    acc = F(0)
+    for c in reversed(p.coeffs):
+        acc = acc * x0 + c
+    return acc
 
 
 def test_rational_parses_strings_ints_fractions():
@@ -165,6 +186,49 @@ def test_laurent_ring_ops():
 def test_json_round_trips():
     p = Poly((F(1, 3), 0, F(-7, 2)))
     assert poly_from_json(poly_to_json(p)) == p
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(wide_fracs, max_size=8))
+def test_over_common_is_the_lcm_of_the_denominators(cs):
+    nums, den = _over_common(cs)
+    assert all(type(n) is int for n in nums)
+    assert den > 0 and all(den % F(c).denominator == 0 for c in cs)
+    assert [F(n, den) for n in nums] == cs
+    assert math.gcd(den, *nums) == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(wide_polys, wide_polys)
+@example(Poly(()), Poly((1, F(2, 3))))
+@example(Poly((F(-5, 7),)), Poly((F(1, 2), 0, F(3, 4))))
+@example(Poly((0, F(1, 6))), Poly((F(6, 1),)))
+def test_product_kernel_equals_schoolbook(a, b):
+    assert list((a * b).coeffs) == _schoolbook_mul(a, b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(wide_polys, points)
+@example(Poly((F(3, 4), 1, F(-2, 9))), 0)
+@example(Poly((F(3, 4), 1, F(-2, 9))), -3)
+@example(Poly((F(3, 4), 1, F(-2, 9))), F(-5, 6))
+@example(Poly((F(1, 3), F(1, 6), F(1, 9))), 7)
+@example(Poly(()), F(-2, 3))
+def test_evaluation_kernel_equals_schoolbook(p, x0):
+    assert p(x0) == _schoolbook_eval(p, F(x0))
+
+
+def test_kernels_exact_with_unrelated_large_denominators():
+    # Mersenne primes and a power of 3 share no factor, so the common
+    # denominator is their product
+    dens = (2 ** 61 - 1, 2 ** 89 - 1, 2 ** 107 - 1, 2 ** 127 - 1, 3 ** 90)
+    a = Poly([F((-1) ** k * (k + 2), d) for k, d in enumerate(dens)])
+    b = Poly([F(k + 1, d + 2) for k, d in enumerate(reversed(dens))])
+    x0 = F(-(2 ** 31 - 1), 3 ** 40)
+    product = a * b
+    assert list(product.coeffs) == _schoolbook_mul(a, b)
+    assert product.coeff(0) == F(2, (2 ** 61 - 1) * (3 ** 90 + 2))
+    assert product(x0) == _schoolbook_eval(a, x0) * _schoolbook_eval(b, x0)
 
 
 @settings(max_examples=60, deadline=None)

@@ -246,8 +246,16 @@ def test_hankel_orthogonal_equals_hankel_solve_reference(mu, n_top):
        st.lists(st.lists(small, max_size=9).map(Poly), max_size=5))
 def test_gram_matrix_equals_pairing_of_products(mu, polys):
     # unequal degrees, zero polynomials and the empty list all occur
-    assert gram_matrix(mu, polys) == [[mu.pair(a * b) for b in polys]
-                                      for a in polys]
+    gram = gram_matrix(mu, polys)
+    assert gram == [[mu.pair(a * b) for b in polys] for a in polys]
+    # the Fraction reference for both integer kernels, gram_matrix and pair
+    assert gram == [[sum((ca * cb * mu.moment(i + k)
+                          for i, ca in enumerate(a.coeffs)
+                          for k, cb in enumerate(b.coeffs)), F(0))
+                     for b in polys] for a in polys]
+    assert [mu.pair(p) for p in polys] == [
+        sum((c * mu.moment(n) for n, c in enumerate(p.coeffs)), F(0))
+        for p in polys]
 
 
 def test_point_mass_sums_are_degenerate_at_the_reference_index():

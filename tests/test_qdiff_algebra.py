@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from qkrall import (Laurent, MixedBase, Poly, QDiffOperator,
                     poly_of_operator, q_derivative_ops)
+from conftest import wide_fracs
 
 F = Fraction
 Q = F(2, 5)
@@ -23,6 +24,13 @@ random_ops = st.dictionaries(st.integers(-2, 2), small_laurents,
 small_polys = st.lists(small_fracs, max_size=7).map(Poly)
 operands = st.one_of(small_polys,
                      st.builds(Laurent, small_polys, st.integers(-4, 3)))
+# bases below zero, above one and in between
+bases = st.sampled_from([F(-3, 2), F(-2, 7), F(5, 2), F(7), Q])
+wide_laurents = st.builds(
+    Laurent, st.lists(wide_fracs, max_size=4).map(Poly), st.integers(-3, 2))
+based_ops = st.builds(
+    QDiffOperator, bases,
+    st.dictionaries(st.integers(-2, 2), wide_laurents, max_size=3))
 
 
 def _apply_by_shifts(op: QDiffOperator, p: Poly | Laurent) -> Laurent:
@@ -31,6 +39,18 @@ def _apply_by_shifts(op: QDiffOperator, p: Poly | Laurent) -> Laurent:
     for j, f in op.terms.items():
         out = out + f * p.scale_arg(op.q ** j)
     return out
+
+
+def _schoolbook_apply(op: QDiffOperator, p: Laurent) -> dict[int, F]:
+    """The Fraction reference for apply's integer kernel: sum_j f_j(x)
+    p(q^j x), term by term, as a map from exponent to coefficient."""
+    out: dict[int, F] = {}
+    for j, f in op.terms.items():
+        s = op.q ** j
+        for a, fa in enumerate(f.poly.coeffs, f.val):
+            for e, c in enumerate(p.poly.coeffs, p.val):
+                out[a + e] = out.get(a + e, F(0)) + fa * c * s ** e
+    return {k: c for k, c in out.items() if c}
 
 
 def _top_exponent(p: Poly | Laurent) -> int:
@@ -179,6 +199,17 @@ def test_apply_equals_shift_and_multiply(op, ps):
     fresh = QDiffOperator(op.q, op.terms)
     assert fresh == op and hash(fresh) == hash(op)
     assert fresh.to_json() == op.to_json()
+
+
+@settings(max_examples=80, deadline=None)
+@given(based_ops, st.lists(wide_laurents, min_size=1, max_size=4))
+def test_apply_kernel_equals_schoolbook(op, ps):
+    # Laurent inputs with val < 0 read images at negative exponents, where
+    # q^(je) has the numerator of q in its denominator
+    for p in ps + [Laurent(p.poly, p.val - 3) for p in ps]:
+        image = op.apply(p)
+        assert {k: c for k, c in enumerate(image.poly.coeffs, image.val)
+                if c} == _schoolbook_apply(op, p)
 
 
 def test_apply_from_many_threads_on_one_operator():

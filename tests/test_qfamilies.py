@@ -9,13 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qkrall import (LaguerreParams, MeixnerParams, ParamDegeneracy, Poly,
-                    PolynomialFamily, UnsupportedFamily, alsalam_carlitz,
-                    derive_recurrence, family_operator, family_recurrence,
-                    gram_matrix, laguerre, laguerre_moments,
-                    laguerre_recurrence, meixner, meixner_moments,
-                    meixner_recurrence, polys_from_recurrence,
-                    q_power_exponent, qpochhammer)
-from conftest import B0, C0, Q0, T0
+                    PolynomialFamily, ThreeTermRecurrence, UnsupportedFamily,
+                    alsalam_carlitz, derive_recurrence, family_operator,
+                    family_recurrence, gram_matrix, laguerre,
+                    laguerre_moments, laguerre_recurrence, meixner,
+                    meixner_moments, meixner_recurrence,
+                    polys_from_recurrence, q_power_exponent, qpochhammer)
+from conftest import B0, C0, Q0, T0, wide_fracs
 from series_families import series_family
 
 F = Fraction
@@ -258,3 +258,21 @@ def test_polynomials_are_cached_and_consistent():
     second = fam.poly(6)
     assert first is second
     assert [p.degree() for p in fam.polys_up_to(6)] == list(range(7))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(wide_fracs.filter(bool), wide_fracs, wide_fracs),
+                min_size=1, max_size=9))
+def test_recurrence_step_equals_schoolbook(table):
+    a, b, c = (list(col) for col in zip(*table))
+    # the Fraction reference for the fused integer step; c_0 is never read
+    ref = [[F(1)]]
+    for n in range(len(table)):
+        nxt = [F(0), *ref[n]]
+        for k, x in enumerate(ref[n]):
+            nxt[k] -= b[n] * x
+        for k, x in enumerate(ref[n - 1] if n else []):
+            nxt[k] -= c[n] * x
+        ref.append([x / a[n] for x in nxt])
+    rec = ThreeTermRecurrence.from_tables(a, b, c)
+    assert [list(p.coeffs) for p in polys_from_recurrence(rec, len(a))] == ref
