@@ -1,15 +1,16 @@
 """Exact arithmetic over Q: scalars, polynomials, Laurent polynomials.
 
 Everything in the package funnels through this module, and nothing here
-ever touches a float.  Scalars are ``fractions.Fraction``; polynomials
-store coefficients lowest degree first; Laurent polynomials x^val * p
-(the coefficients of q-difference operators) are kept in a normal form
-(p(0) != 0) so that syntactic equality is mathematical equality.
+ever touches a float.  Scalars are ``fractions.Fraction``.  A polynomial is
+stored as integer numerators, lowest degree first, over one positive
+denominator coprime to them; Laurent polynomials x^val * p (the
+coefficients of q-difference operators) are kept in a normal form
+(p(0) != 0), so that in both syntactic equality is mathematical equality.
 
-The quadratic loops (products, evaluation, and the kernels of the other
-layers that import ``_over_common``) run over integer numerators on one
-common denominator and build a ``Fraction`` only for each result, so they
-pay one gcd per output coefficient instead of one per multiply-add.
+Every operation on them, and the kernels of the other layers that read
+``nums`` and ``den``, is a loop over integers that ends in one gcd
+reduction of its result; a ``Fraction`` is built only for a coefficient
+that is read through ``coeffs`` or returned as a scalar.
 """
 
 from __future__ import annotations
@@ -61,9 +62,11 @@ def _over_common(coeffs) -> tuple[list[int], int]:
     than any one denominator when they are unrelated: a product of two
     degree-30 polynomials with random 300-bit denominators takes 2.4x as
     long this way (77 ms against 32 ms on a shared 2-CPU host, Python
-    3.11).  The data here shares its denominators: in every call over one
-    pass of each benchmark workload the lcm has at most 1.9x the bits of
-    the largest denominator, and in two calls of three exactly as many.
+    3.11), and ``Poly`` + pays the same lcm of its two denominators.  The
+    data here shares its denominators.  Over one pass of each benchmark
+    workload at seed 1, the lcm has at most 1.8x the bits of the largest
+    denominator in the calls here (exactly as many in 41-80% of them) and
+    at most 1.9x in the sums (exactly as many in 63-100%).
     """
     den = math.lcm(*(c.denominator for c in coeffs))
     return [c.numerator * (den // c.denominator) for c in coeffs], den
@@ -84,23 +87,31 @@ def qpochhammer(a: Fraction | int | str, q: Fraction | int | str, j: int) -> Fra
 
 
 class Poly:
-    """Univariate polynomial over Q.
+    """Univariate polynomial over Q, stored as integer numerators over one
+    denominator.
 
-    Coefficients run lowest degree first and trailing zeros are trimmed,
-    so the zero polynomial is the empty tuple and degree() returns -1.
+    ``nums`` runs lowest degree first with no trailing zero, ``den > 0`` and
+    gcd(den, *nums) == 1, so the zero polynomial is ((), 1), degree()
+    returns -1 and == compares the two fields.  ``coeffs``, the
+    ``Fraction``s nums[k]/den, is a view built the first time it is read.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("nums", "den", "_coeffs")
 
-    def __init__(self, coeffs: object = ()):
-        cs = [c if type(c) is Fraction else Fraction(c)  # type: ignore[union-attr]
-              for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+    def __new__(cls, coeffs: object = ()) -> Poly:
+        return _poly(*_over_common(
+            [c if type(c) in (Fraction, int) else rational(c)
+             for c in coeffs]))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Poly is immutable")
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        if self._coeffs is None:
+            _set(self, "_coeffs",
+                 tuple(Fraction(c, self.den) for c in self.nums))
+        return self._coeffs
 
     @classmethod
     def zero(cls) -> Poly:
@@ -125,13 +136,13 @@ class Poly:
         return cls((0,) * k + (rational(c),))
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     def leading(self) -> Fraction:
-        if not self.coeffs:
+        if not self.nums:
             raise ValueError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
@@ -143,42 +154,32 @@ class Poly:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.den == other.den and self.nums == other.nums
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        return hash((self.nums, self.den))
 
     def __add__(self, other: Poly) -> Poly:
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Poly(out)
+        return _add(self, other, 0)
 
     def __sub__(self, other: Poly) -> Poly:
         return self + (-other)
 
     def __neg__(self) -> Poly:
-        return Poly(tuple(-c for c in self.coeffs))
+        return _poly([-c for c in self.nums], self.den)
 
     def __mul__(self, other: Poly | Fraction | int) -> Poly:
         if isinstance(other, (Fraction, int)):
-            return Poly(tuple(c * other for c in self.coeffs))
+            return _poly([c * other.numerator for c in self.nums],
+                         self.den * other.denominator)
         if not isinstance(other, Poly):
             return NotImplemented
-        if not self.coeffs or not other.coeffs:
-            return Poly.zero()
-        a, da = _over_common(self.coeffs)
-        b, db = _over_common(other.coeffs)
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
+        out = [0] * (len(self.nums) + len(other.nums) - 1)
+        for i, ca in enumerate(self.nums):
             if ca:
-                for k, cb in enumerate(b, i):
+                for k, cb in enumerate(other.nums, i):
                     out[k] += ca * cb
-        den = da * db
-        return Poly([Fraction(c, den) for c in out])
+        return _poly(out, self.den * other.den)
 
     def __rmul__(self, other: Fraction | int) -> Poly:
         return self.__mul__(other)
@@ -196,27 +197,18 @@ class Poly:
         return out
 
     def __call__(self, x0: Fraction | int | str) -> Fraction:
-        """Horner over Z: at x0 = u/v, sum_k c_k u^k v^(d-k) over v^d."""
+        """Horner over Z: sum_k nums_k u^k v^(d-k) over den v^d at u/v."""
         x0 = rational(x0)
-        if not self.coeffs:
-            return Fraction(0)
-        nums, den = _over_common(self.coeffs)
         u, v = x0.numerator, x0.denominator
         acc, vk = 0, 1
-        for c in reversed(nums):
+        for c in reversed(self.nums):
             acc = acc * u + c * vk
             vk *= v
-        return Fraction(acc, den * (vk // v))
+        return Fraction(acc * v, self.den * vk)
 
     def scale_arg(self, lam: Fraction | int | str) -> Poly:
         """Substitute x -> lam * x."""
-        lam = rational(lam)
-        out = []
-        power = Fraction(1)
-        for c in self.coeffs:
-            out.append(c * power)
-            power *= lam
-        return Poly(out)
+        return _scaled(self, rational(lam), 0)
 
     def shift_arg(self, lam: Fraction | int | str) -> Poly:
         """Substitute x -> x + lam."""
@@ -244,6 +236,47 @@ class Poly:
                 parts.append(mono if c == 1 else f"-{mono}" if c == -1 else f"{c}*{mono}")
         out = " + ".join(parts)
         return out.replace("+ -", "- ")
+
+
+_set = object.__setattr__
+
+
+def _poly(nums: list[int], den: int) -> Poly:
+    """The Poly nums/den, for any den != 0, in its stored form: trailing
+    zeros trimmed, then the gcd of den and nums divided out with den's sign."""
+    while nums and not nums[-1]:
+        nums.pop()
+    g = math.gcd(den, *nums)
+    if den < 0:
+        g = -g
+    p = object.__new__(Poly)
+    _set(p, "nums", tuple([c // g for c in nums] if g != 1 else nums))
+    _set(p, "den", den // g)
+    _set(p, "_coeffs", None)
+    return p
+
+
+def _add(a: Poly, b: Poly, offset: int) -> Poly:
+    """a + x^offset b, over the lcm of the two denominators."""
+    den = math.lcm(a.den, b.den)
+    out = [c * (den // a.den) for c in a.nums]
+    out.extend([0] * (offset + len(b.nums) - len(out)))
+    s = den // b.den
+    for i, c in enumerate(b.nums, offset):
+        out[i] += c * s
+    return _poly(out, den)
+
+
+def _scaled(p: Poly, lam: Fraction, val: int) -> Poly:
+    """lam^val p(lam x) in one integer pass: at lam = u/v and d = deg p,
+    coefficient i is nums_i u^i v^(d-i) over den v^d, times lam^val."""
+    u, v = lam.numerator, lam.denominator
+    d = len(p.nums) - 1
+    power = lam ** val
+    top = power.numerator
+    return _poly([c * top * u ** i * v ** (d - i)
+                  for i, c in enumerate(p.nums)],
+                 p.den * power.denominator * v ** max(d, 0))
 
 
 def divmod_poly(a: Poly, b: Poly) -> tuple[Poly, Poly]:
@@ -284,7 +317,7 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     if a.is_zero() or b.is_zero():
         src = b if a.is_zero() else a
         return src * (1 / src.leading())
-    fa, fb = _integer_rows([a.coeffs, b.coeffs])
+    fa, fb = _integer_rows([a.nums, b.nums])
     if len(fa) < len(fb):
         fa, fb = fb, fa
     while fb:
@@ -314,22 +347,22 @@ class Laurent:
 
     The normal form has poly(0) != 0, or poly zero with val = 0, so == on
     the pair decides mathematical equality.  Sums and products are
-    shift-and-add on coefficients and never need a gcd.  As a quotient
-    num / den it reads num = x^max(val, 0) * poly and den = x^max(-val, 0):
-    coprime, with a monic denominator.
+    shift-and-add on coefficients and never need a polynomial gcd.  As a
+    quotient num / den it reads num = x^max(val, 0) * poly and
+    den = x^max(-val, 0): coprime, with a monic denominator.
     """
 
     __slots__ = ("poly", "val")
 
     def __init__(self, poly: Poly, val: int = 0):
-        cs = poly.coeffs
+        nums = poly.nums
         low = 0
-        while low < len(cs) and cs[low] == 0:
+        while low < len(nums) and not nums[low]:
             low += 1
-        if low == len(cs):
+        if low == len(nums):
             poly, val = Poly.zero(), 0
         elif low:
-            poly, val = Poly(cs[low:]), val + low
+            poly, val = _poly(list(nums[low:]), poly.den), val + low
         object.__setattr__(self, "poly", poly)
         object.__setattr__(self, "val", val)
 
@@ -352,7 +385,7 @@ class Laurent:
     def num(self) -> Poly:
         if self.val <= 0:
             return self.poly
-        return Poly((0,) * self.val + self.poly.coeffs)
+        return _poly([0] * self.val + list(self.poly.nums), self.poly.den)
 
     @property
     def den(self) -> Poly:
@@ -377,7 +410,8 @@ class Laurent:
         return self.val == other.val and self.poly == other.poly
 
     def __hash__(self) -> int:
-        return hash((self.poly, self.val))
+        # equal to its Poly's hash when it is one, as == holds there
+        return hash(self.num) if self.val >= 0 else hash((self.poly, self.val))
 
     def __add__(self, other: Laurent | Poly) -> Laurent:
         if isinstance(other, Poly):
@@ -389,14 +423,7 @@ class Laurent:
         if self.is_zero():
             return other
         lo, hi = (self, other) if self.val <= other.val else (other, self)
-        offset = hi.val - lo.val
-        out = list(lo.poly.coeffs)
-        top = offset + len(hi.poly.coeffs)
-        if len(out) < top:
-            out.extend([Fraction(0)] * (top - len(out)))
-        for i, c in enumerate(hi.poly.coeffs, offset):
-            out[i] += c
-        return Laurent(Poly(out), lo.val)
+        return Laurent(_add(lo.poly, hi.poly, hi.val - lo.val), lo.val)
 
     def __sub__(self, other: Laurent | Poly) -> Laurent:
         return self + (-other)
@@ -422,13 +449,7 @@ class Laurent:
 
     def scale_arg(self, lam: Fraction | int | str) -> Laurent:
         """Substitute x -> lam * x."""
-        lam = rational(lam)
-        out = []
-        power = lam ** self.val
-        for c in self.poly.coeffs:
-            out.append(c * power)
-            power *= lam
-        return Laurent(Poly(out), self.val)
+        return Laurent(_scaled(self.poly, rational(lam), self.val), self.val)
 
     def __repr__(self) -> str:
         return f"Laurent({self.poly!r}, {self.val})"

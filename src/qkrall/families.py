@@ -18,14 +18,15 @@ by a lock so families can be shared across threads.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Callable
 
 from .errors import ParamDegeneracy, SingularSystem, UnsupportedFamily
-from .exact import (Laurent, Poly, _over_common, check_base, check_depth,
-                    rational)
+from .exact import (Laurent, Poly, _over_common, _poly, check_base,
+                    check_depth, rational)
 from .linalg import solve_exact
 from .operators import QDiffOperator
 
@@ -332,18 +333,19 @@ def _recurrence_step(rec: ThreeTermRecurrence, n: int, p_n: Poly,
     a_n = rec.a(n)
     if a_n == 0:
         raise SingularSystem(f"a_{n} = 0, cannot advance the recurrence")
-    # one integer pass: p_n and p_{n-1} over one denominator, b_n and c_n
-    # over another, the division by a_n folded into the final Fractions
-    size = len(p_n.coeffs)
-    nums, den = _over_common(p_n.coeffs + (p_prev.coeffs if n > 0 else ()))
+    # one integer pass: p_n and p_{n-1} over the lcm of their denominators,
+    # b_n and c_n over theirs, the division by a_n folded into the result
+    prev = p_prev if n > 0 else Poly.zero()
+    den = math.lcm(p_n.den, prev.den)
     (b, c), bc_den = _over_common((rec.b(n), rec.c(n) if n > 0 else 0))
-    out = [0, *(bc_den * x for x in nums[:size])]
-    for k, x in enumerate(nums[:size]):
+    s = a_n.denominator * den // p_n.den
+    b, c = b * s, c * a_n.denominator * den // prev.den
+    out = [0, *(bc_den * s * x for x in p_n.nums)]
+    for k, x in enumerate(p_n.nums):
         out[k] -= b * x
-    for k, x in enumerate(nums[size:]):
+    for k, x in enumerate(prev.nums):
         out[k] -= c * x
-    den *= bc_den * a_n.numerator
-    return Poly([Fraction(x * a_n.denominator, den) for x in out])
+    return _poly(out, den * bc_den * a_n.numerator)
 
 
 def polys_from_recurrence(rec: ThreeTermRecurrence, n_top: int) -> list[Poly]:

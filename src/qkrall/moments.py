@@ -16,7 +16,8 @@ from typing import Callable, Iterable
 
 from .errors import (CrossCheckFailed, DenominatorVanishes, NotQuasiDefinite,
                      ParamDegeneracy, UnknownTheorem, ZeroDilation)
-from .exact import Poly, _over_common, check_depth, qpochhammer, rational
+from .exact import (Poly, _over_common, _poly, check_depth, qpochhammer,
+                    rational)
 from .families import (LaguerreParams, MeixnerParams, ThreeTermRecurrence,
                        meixner, meixner_recurrence, q_power_exponent)
 
@@ -53,9 +54,9 @@ class MomentFunctional:
 
     def pair(self, p: Poly) -> Fraction:
         """<mu, p> = sum of coeff_n * mu_n, summed over integers."""
-        cs, den = _over_common(p.coeffs)
-        ms, mden = _over_common(self.moments(len(cs) - 1))
-        return Fraction(sum(c * m for c, m in zip(cs, ms) if c), den * mden)
+        ms, mden = _over_common(self.moments(len(p.nums) - 1))
+        return Fraction(sum(c * m for c, m in zip(p.nums, ms) if c),
+                        p.den * mden)
 
     def __repr__(self) -> str:
         return f"MomentFunctional(max_n={self.max_n})"
@@ -255,7 +256,8 @@ def hankel_orthogonal(mu: MomentFunctional, n_top: int) -> GramData:
             nxt[l] = sigma[l + 1] - alpha * sigma[l] - beta * prev_sigma[l]
         prev_sigma, sigma = sigma, nxt
         pi_k = polys[k]
-        polys.append(Poly((0, *pi_k.coeffs)) - alpha * pi_k - beta * prev_poly)
+        polys.append(_poly([0, *pi_k.nums], pi_k.den) - alpha * pi_k
+                     - beta * prev_poly)
         prev_poly, prev_ratio = pi_k, ratio
     return GramData(polys=polys, norms=norms)
 
@@ -299,7 +301,7 @@ def gram_matrix(mu: MomentFunctional, polys: list[Poly]) -> list[list[Fraction]]
     """
     top = max((p.degree() for p in polys), default=-1)
     moms, mden = _over_common(mu.moments(2 * top) if top >= 0 else [])
-    rows = [_over_common(p.coeffs) for p in polys]
+    rows = [(p.nums, p.den) for p in polys]
     gram = [[Fraction(0)] * len(polys) for _ in polys]
     for n, (pn, dn) in enumerate(rows):
         v = [sum(c * moms[i + k] for i, c in enumerate(pn) if c)

@@ -6,10 +6,9 @@ shifts j, so action and composition are shift-and-add on coefficients.
 On a monomial D(x^e) = x^e g_e with g_e = sum_j q^(j e) f_j, so an operator
 acts through a table of the g_e that it fills as it is applied.  The
 table holds each g_e as integers over one denominator, so an application
-is an integer accumulation that builds a Fraction only per output
-coefficient.  Operators over different bases q never mix.  The order of
-a nonzero operator is max shift minus min shift after dropping zero
-coefficients.
+is an integer accumulation into the result's stored numerators.
+Operators over different bases q never mix.  The order of a nonzero
+operator is max shift minus min shift after dropping zero coefficients.
 """
 
 from __future__ import annotations
@@ -20,8 +19,8 @@ from types import MappingProxyType
 from typing import Mapping
 
 from .errors import MixedBase
-from .exact import (Laurent, Poly, _over_common, check_base, poly_from_json,
-                    poly_to_json, rational, rational_str)
+from .exact import (Laurent, Poly, _over_common, _poly, check_base,
+                    poly_from_json, poly_to_json, rational, rational_str)
 
 
 class QDiffOperator:
@@ -88,18 +87,17 @@ class QDiffOperator:
         it reads and the common denominator of the c_e.
         """
         if isinstance(p, Poly):
-            coeffs, val = p.coeffs, 0
-        else:
-            coeffs, val = p.poly.coeffs, p.val
-        if not self.terms or not coeffs:
+            p = Laurent(p)
+        cs, cden, val = p.poly.nums, p.poly.den, p.val
+        if not self.terms or not cs:
             return Laurent.zero()
         lo = min(f.val for f in self.terms.values())
-        width = max(f.val + len(f.poly.coeffs) for f in self.terms.values()) - lo
+        width = max(f.val + len(f.poly.nums) for f in self.terms.values()) - lo
         images = self._images
-        missing = [e for e in range(val, val + len(coeffs)) if e not in images]
+        missing = [e for e in range(val, val + len(cs)) if e not in images]
         if missing:
             images = dict(images)
-            rows = {j: (f.val - lo, *_over_common(f.poly.coeffs))
+            rows = {j: (f.val - lo, f.poly.nums, f.poly.den)
                     for j, f in self.terms.items()}
             for e in missing:
                 scales, den = _over_common(
@@ -111,16 +109,14 @@ class QDiffOperator:
                 d = math.gcd(den, *g)
                 images[e] = (tuple(c // d for c in g), den // d)
             object.__setattr__(self, "_images", images)
-        cs, cden = _over_common(coeffs)
         used = [(i, c, *images[val + i]) for i, c in enumerate(cs) if c]
         lcm = math.lcm(*(d for *_, d in used))
-        out = [0] * (len(coeffs) + width - 1)
+        out = [0] * (len(cs) + width - 1)
         for i, c, g, d in used:
             c *= lcm // d
             for k, gk in enumerate(g, i):
                 out[k] += c * gk
-        den = cden * lcm
-        return Laurent(Poly([Fraction(c, den) for c in out]), val + lo)
+        return Laurent(_poly(out, cden * lcm), val + lo)
 
     def _require_same_base(self, other: QDiffOperator) -> None:
         if self.q != other.q:

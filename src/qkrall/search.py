@@ -97,7 +97,7 @@ def _reduced_rows(problem: SearchProblem) -> list[list[int]]:
     h, q = problem.h, problem.q
     t = 2 * h
     a, b = q.numerator, q.denominator
-    polys = _integer_rows([p.coeffs for p in problem.eigenpolys])
+    polys = _integer_rows([p.nums for p in problem.eigenpolys])
     top = 2 * h * (len(polys) - 1)
     a_pow = [a ** k for k in range(top + 1)]
     b_pow = [b ** k for k in range(top + 1)]

@@ -15,7 +15,7 @@ from qkrall import (AlSalamCarlitzParams, LaguerreParams, Laurent,
                     poly_from_json, poly_gcd, poly_to_json, q_derivative_ops,
                     qpochhammer, rational, rational_str)
 from qkrall.exact import _over_common
-from conftest import B0, C0, T0, wide_fracs
+from conftest import B0, C0, T0, assert_stored_form, wide_fracs
 
 F = Fraction
 
@@ -27,6 +27,14 @@ nonzero_points = st.fractions(min_value=-5, max_value=5,
                               max_denominator=7).filter(lambda v: v != 0)
 wide_polys = st.lists(wide_fracs, max_size=7).map(Poly)
 points = st.one_of(st.integers(-9, 9), wide_fracs)
+# scalars: zero, ints, and negative Fractions of small and large denominator
+scalars = st.one_of(st.just(0), st.integers(-9, 9),
+                    wide_fracs.filter(lambda v: v < 0))
+# arguments of scale_arg: below zero, and with a large denominator
+lambdas = st.one_of(
+    st.fractions(min_value=-5, max_value=-1, max_denominator=7),
+    st.builds(F, st.integers(-10 ** 9, 10 ** 9),
+              st.integers(10 ** 9, 10 ** 12)))
 
 
 def _schoolbook_mul(a: Poly, b: Poly) -> list[F]:
@@ -36,6 +44,18 @@ def _schoolbook_mul(a: Poly, b: Poly) -> list[F]:
         for j, cb in enumerate(b.coeffs):
             out[i + j] += ca * cb
     return out if a.coeffs and b.coeffs else []
+
+
+def _trimmed(cs: list[F]) -> tuple[F, ...]:
+    while cs and cs[-1] == 0:
+        cs = cs[:-1]
+    return tuple(cs)
+
+
+def _schoolbook_add(a: Poly, b: Poly) -> tuple[F, ...]:
+    """The Fraction reference for +, coefficient by coefficient."""
+    n = max(len(a.coeffs), len(b.coeffs))
+    return _trimmed([a.coeff(k) + b.coeff(k) for k in range(n)])
 
 
 def _schoolbook_eval(p: Poly, x0: F) -> F:
@@ -188,7 +208,7 @@ def test_json_round_trips():
     assert poly_from_json(poly_to_json(p)) == p
 
 
-@settings(max_examples=100, deadline=None)
+@settings(deadline=None)
 @given(st.lists(wide_fracs, max_size=8))
 def test_over_common_is_the_lcm_of_the_denominators(cs):
     nums, den = _over_common(cs)
@@ -198,7 +218,7 @@ def test_over_common_is_the_lcm_of_the_denominators(cs):
     assert math.gcd(den, *nums) == 1
 
 
-@settings(max_examples=100, deadline=None)
+@settings(deadline=None)
 @given(wide_polys, wide_polys)
 @example(Poly(()), Poly((1, F(2, 3))))
 @example(Poly((F(-5, 7),)), Poly((F(1, 2), 0, F(3, 4))))
@@ -207,7 +227,7 @@ def test_product_kernel_equals_schoolbook(a, b):
     assert list((a * b).coeffs) == _schoolbook_mul(a, b)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(deadline=None)
 @given(wide_polys, points)
 @example(Poly((F(3, 4), 1, F(-2, 9))), 0)
 @example(Poly((F(3, 4), 1, F(-2, 9))), -3)
@@ -229,6 +249,62 @@ def test_kernels_exact_with_unrelated_large_denominators():
     assert list(product.coeffs) == _schoolbook_mul(a, b)
     assert product.coeff(0) == F(2, (2 ** 61 - 1) * (3 ** 90 + 2))
     assert product(x0) == _schoolbook_eval(a, x0) * _schoolbook_eval(b, x0)
+
+
+def test_poly_refuses_floats_and_bools():
+    # the constructor reads its coefficients through rational(), as every
+    # other exact entry point does
+    for bad in ([0.1], [True, 2], [1, False], [F(1, 2), 2.5]):
+        with pytest.raises(TypeError):
+            Poly(bad)
+
+
+@settings(deadline=None)
+@given(st.lists(wide_fracs, max_size=7), wide_polys, scalars, lambdas)
+@example([F(0), F(0)], Poly(()), 0, F(-1, 10 ** 12))
+@example([F(1, 6), F(-5, 4)], Poly((F(5, 6), F(5, 4))), F(-6, 5), F(-3))
+def test_poly_results_are_stored_canonically(cs, b, s, lam):
+    a = Poly(cs)
+    assert_stored_form(a)
+    assert a.coeffs == _trimmed(list(cs))
+    for result, reference in (
+            (a + b, _schoolbook_add(a, b)),
+            (a - b, _schoolbook_add(a, -b)),
+            (-a, _trimmed([-c for c in a.coeffs])),
+            (a * s, _trimmed([c * s for c in a.coeffs])),
+            (s * a, _trimmed([c * s for c in a.coeffs])),
+            (a * b, _trimmed(_schoolbook_mul(a, b))),
+            (a.scale_arg(lam),
+             _trimmed([c * lam ** k for k, c in enumerate(a.coeffs)]))):
+        assert_stored_form(result)
+        assert result.coeffs == reference
+
+
+def test_sum_with_unrelated_large_denominators_is_reduced():
+    # Mersenne primes and a power of 3 share no factor, so + works over
+    # their product, and the 2^61 - 1 that cancels must leave the result
+    m61, m89, m107, t90 = 2 ** 61 - 1, 2 ** 89 - 1, 2 ** 107 - 1, 3 ** 90
+    a = Poly((F(1, m61) + F(1, t90), F(1, m89)))
+    b = Poly((F(-1, m61), F(1, m107)))
+    total = a + b
+    assert_stored_form(total)
+    assert total.den == t90 * m89 * m107
+    assert total.nums == (m89 * m107, t90 * (m89 + m107))
+    assert total.coeffs == (F(1, t90), F(1, m89) + F(1, m107))
+    assert total - b == a and (total - a - b).nums == ()
+
+
+@settings(deadline=None)
+@given(wide_polys, st.integers(-2, 3))
+def test_laurent_equal_to_a_poly_hashes_like_it(p, val):
+    f = Laurent(p, val)
+    if val >= 0:
+        g = Poly((0,) * val + p.coeffs)
+        assert f == g and g == f and hash(f) == hash(g)
+        assert f in {g} and g in {f}
+    # a Laurent polynomial with a pole equals no Poly
+    assert (f == f.num) == f.is_polynomial()
+    assert hash(f) == hash(f.num) or not f.is_polynomial()
 
 
 @settings(max_examples=60, deadline=None)

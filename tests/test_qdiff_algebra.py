@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from qkrall import (Laurent, MixedBase, Poly, QDiffOperator,
                     poly_of_operator, q_derivative_ops)
-from conftest import wide_fracs
+from conftest import assert_normal_laurent, wide_fracs
 
 F = Fraction
 Q = F(2, 5)
@@ -51,6 +51,11 @@ def _schoolbook_apply(op: QDiffOperator, p: Laurent) -> dict[int, F]:
             for e, c in enumerate(p.poly.coeffs, p.val):
                 out[a + e] = out.get(a + e, F(0)) + fa * c * s ** e
     return {k: c for k, c in out.items() if c}
+
+
+def _terms(f: Laurent) -> dict[int, F]:
+    """f as a map from exponent to nonzero coefficient."""
+    return {e: c for e, c in enumerate(f.poly.coeffs, f.val) if c}
 
 
 def _top_exponent(p: Poly | Laurent) -> int:
@@ -210,6 +215,29 @@ def test_apply_kernel_equals_schoolbook(op, ps):
         image = op.apply(p)
         assert {k: c for k, c in enumerate(image.poly.coeffs, image.val)
                 if c} == _schoolbook_apply(op, p)
+
+
+@settings(deadline=None)
+@given(wide_laurents, wide_laurents,
+       st.one_of(st.fractions(min_value=-5, max_value=-1, max_denominator=7),
+                 st.builds(F, st.integers(1, 10 ** 9),
+                           st.integers(10 ** 9, 10 ** 12))),
+       based_ops)
+def test_laurent_and_apply_results_are_stored_canonically(f, g, lam, op):
+    # negative valuations, lam < 0 or with a large denominator, and the
+    # images of apply at negative exponents
+    f, g = Laurent(f.poly, f.val - 2), Laurent(g.poly, g.val - 1)
+    total = {e: _terms(f).get(e, F(0)) + _terms(g).get(e, F(0))
+             for e in _terms(f).keys() | _terms(g).keys()}
+    scaled = {e: c * lam ** e for e, c in _terms(f).items()}
+    for result, reference in (
+            (f + g, {e: c for e, c in total.items() if c}),
+            (f - f, {}),
+            (f.scale_arg(lam), scaled),
+            (op.apply(f), _schoolbook_apply(op, f)),
+            (op.apply(f.num), _schoolbook_apply(op, Laurent(f.num)))):
+        assert_normal_laurent(result)
+        assert _terms(result) == reference
 
 
 def test_apply_from_many_threads_on_one_operator():

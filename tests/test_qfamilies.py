@@ -15,7 +15,7 @@ from qkrall import (LaguerreParams, MeixnerParams, ParamDegeneracy, Poly,
                     laguerre_moments, laguerre_recurrence, meixner,
                     meixner_moments, meixner_recurrence,
                     polys_from_recurrence, q_power_exponent, qpochhammer)
-from conftest import B0, C0, Q0, T0, wide_fracs
+from conftest import B0, C0, Q0, T0, assert_stored_form, wide_fracs
 from series_families import series_family
 
 F = Fraction
@@ -275,4 +275,7 @@ def test_recurrence_step_equals_schoolbook(table):
             nxt[k] -= c[n] * x
         ref.append([x / a[n] for x in nxt])
     rec = ThreeTermRecurrence.from_tables(a, b, c)
-    assert [list(p.coeffs) for p in polys_from_recurrence(rec, len(a))] == ref
+    polys = polys_from_recurrence(rec, len(a))
+    assert [list(p.coeffs) for p in polys] == ref
+    for p in polys:  # a_n < 0 divides by a negative denominator
+        assert_stored_form(p)
