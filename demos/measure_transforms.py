@@ -33,7 +33,8 @@ withmass = add(mu, point_mass(lam, 0, F(7, 2)))
 print("after adding (7/2) delta at 1/4:",
       ", ".join(rational_str(withmass.moment(n)) for n in range(4)))
 
-# Chebyshev algorithm: monic orthogonal polynomials straight from the moments
+# monic orthogonal polynomials straight from the moments: each pi_k is paired
+# with the functional and stepped by the three-term recurrence
 gd = hankel_orthogonal(mu, 4)
 print("\nmonic orthogonal polynomials from the moments:")
 for n, p in enumerate(gd.polys):

@@ -16,12 +16,17 @@ from typing import Callable, Iterable
 
 from .errors import (CrossCheckFailed, DenominatorVanishes, NotQuasiDefinite,
                      ParamDegeneracy, UnknownTheorem, ZeroDilation)
-from .exact import (Poly, _over_common, _poly, check_depth, qpochhammer,
-                    rational)
+from .exact import Poly, _over_common, check_depth, qpochhammer, rational
 from .families import (LaguerreParams, MeixnerParams, ThreeTermRecurrence,
-                       meixner, meixner_recurrence, q_power_exponent)
+                       _recurrence_step, meixner, meixner_recurrence,
+                       q_power_exponent)
 
 Provider = Callable[[int, list[Fraction]], Fraction]
+
+
+def _pairing(nums: Iterable[int], ms: list[int], l: int = 0) -> int:
+    """<mu, x^l p> * den * mden, for p = nums/den and moments ms/mden."""
+    return sum(c * ms[i] for i, c in enumerate(nums, l) if c)
 
 
 class MomentFunctional:
@@ -55,8 +60,7 @@ class MomentFunctional:
     def pair(self, p: Poly) -> Fraction:
         """<mu, p> = sum of coeff_n * mu_n, summed over integers."""
         ms, mden = _over_common(self.moments(len(p.nums) - 1))
-        return Fraction(sum(c * m for c, m in zip(p.nums, ms) if c),
-                        p.den * mden)
+        return Fraction(_pairing(p.nums, ms), p.den * mden)
 
     def __repr__(self) -> str:
         return f"MomentFunctional(max_n={self.max_n})"
@@ -65,6 +69,7 @@ class MomentFunctional:
 def agree_up_to(mu_a: MomentFunctional, mu_b: MomentFunctional,
                 n_top: int) -> int | None:
     """First index <= n_top where the moments differ, or None if they agree."""
+    check_depth(n_top)
     for n in range(n_top + 1):
         if mu_a.moment(n) != mu_b.moment(n):
             return n
@@ -222,48 +227,44 @@ class GramData:
 
 
 def hankel_orthogonal(mu: MomentFunctional, n_top: int) -> GramData:
-    """Monic orthogonal polynomials pi_0..pi_{n_top} by the Chebyshev
-    algorithm on the moments m_0..m_{2 n_top}.
+    """Monic orthogonal polynomials pi_0..pi_{n_top} from the moments
+    m_0..m_{2 n_top}, each pi_k paired with the functional directly.
 
-    With sigma_{k,l} = <mu, pi_k x^l>, the norm h_k = sigma_{k,k} is
-    Delta_{k+1}/Delta_k, and the recurrence
+    The norm h_k = <mu, x^k pi_k> is Delta_{k+1}/Delta_k, and with
+    s_k = <mu, x^(k+1) pi_k> the recurrence
     pi_{k+1} = (x - alpha_k) pi_k - beta_k pi_{k-1} has
-    alpha_k = sigma_{k,k+1}/h_k - sigma_{k-1,k}/h_{k-1} and
-    beta_k = h_k/h_{k-1}; the sigma rows advance by the same recurrence.
+    alpha_k = s_k/h_k - s_{k-1}/h_{k-1} and beta_k = h_k/h_{k-1}; h_k and
+    s_k are Chebyshev's modified moments sigma_{k,k} and sigma_{k,k+1}.
     Raises NotQuasiDefinite(n) at the first vanishing Hankel determinant
     Delta_n with n <= n_top + 1 (norms through degree n_top need them all).
     """
     check_depth(n_top)
-    top = 2 * n_top
-    sigma = mu.moments(top)          # sigma_{k,l} at index l, l = k..top-k
-    prev_sigma = [Fraction(0)] * (top + 1)
+    ms, mden = _over_common(mu.moments(2 * n_top))
+    alphas: list[Fraction] = []
     norms: list[Fraction] = []
+    rec = ThreeTermRecurrence(lambda k: 1, alphas.__getitem__,
+                              lambda k: norms[k] / norms[k - 1])
     polys = [Poly.one()]
-    prev_poly = Poly.zero()
-    prev_ratio = Fraction(0)         # sigma_{k-1,k}/h_{k-1}
+    prev_ratio = Fraction(0)                 # s_{k-1}/h_{k-1}
     for k in range(n_top + 1):
-        h_k = sigma[k]
+        pi_k = polys[k]
+        h_k = _pairing(pi_k.nums, ms, k)     # times pi_k.den * mden
         if h_k == 0:
             raise NotQuasiDefinite(k + 1)
-        norms.append(h_k)
+        norms.append(Fraction(h_k, pi_k.den * mden))
         if k == n_top:
             break
-        ratio = sigma[k + 1] / h_k
-        alpha = ratio - prev_ratio
-        beta = h_k / norms[k - 1] if k else Fraction(0)
-        nxt = [Fraction(0)] * (top + 1)
-        for l in range(k + 1, top - k):
-            nxt[l] = sigma[l + 1] - alpha * sigma[l] - beta * prev_sigma[l]
-        prev_sigma, sigma = sigma, nxt
-        pi_k = polys[k]
-        polys.append(_poly([0, *pi_k.nums], pi_k.den) - alpha * pi_k
-                     - beta * prev_poly)
-        prev_poly, prev_ratio = pi_k, ratio
+        ratio = Fraction(_pairing(pi_k.nums, ms, k + 1), h_k)
+        alphas.append(ratio - prev_ratio)
+        # at k = 0 the step reads no pi_{k-1}, so polys[-1] is harmless
+        polys.append(_recurrence_step(rec, k, pi_k, polys[k - 1]))
+        prev_ratio = ratio
     return GramData(polys=polys, norms=norms)
 
 
 def favard_positivity(rec: ThreeTermRecurrence, n_top: int) -> list[bool]:
     """Entry i reports a_{n-1} c_n > 0 at n = i + 1, for n <= n_top."""
+    check_depth(n_top)
     return [rec.a(n - 1) * rec.c(n) > 0 for n in range(1, n_top + 1)]
 
 
@@ -277,6 +278,7 @@ def combine_with_point_mass(nu: MomentFunctional, lam: Fraction | int | str,
     (alpha_{n-1} + M p_{n-1}(lam)).  Returns (betas, q_polys) with
     betas[0] unused (0) and q_0 = 1.
     """
+    check_depth(n_top)
     lam = rational(lam)
     mass = rational(mass)
     denom_terms = [nu.pair(p) + mass * p(lam) for p in p_polys]
@@ -304,12 +306,10 @@ def gram_matrix(mu: MomentFunctional, polys: list[Poly]) -> list[list[Fraction]]
     rows = [(p.nums, p.den) for p in polys]
     gram = [[Fraction(0)] * len(polys) for _ in polys]
     for n, (pn, dn) in enumerate(rows):
-        v = [sum(c * moms[i + k] for i, c in enumerate(pn) if c)
-             for k in range(top + 1)]
+        v = [_pairing(pn, moms, k) for k in range(top + 1)]
         for m in range(n, len(polys)):
             pm, dm = rows[m]
-            gram[n][m] = gram[m][n] = Fraction(
-                sum(c * v[k] for k, c in enumerate(pm) if c), dn * dm * mden)
+            gram[n][m] = gram[m][n] = Fraction(_pairing(pm, v), dn * dm * mden)
     return gram
 
 

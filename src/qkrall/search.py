@@ -28,8 +28,8 @@ order is lower than the window) and scalar multiples of the identity are
 excluded automatically by that same requirement.
 
 The conjecture checkers build a perturbed moment functional, extract its
-monic orthogonal polynomials with the Chebyshev algorithm on its moments
-(``moments.hankel_orthogonal``), and scan half-widths
+monic orthogonal polynomials from its moments (``moments.hankel_orthogonal``,
+which pairs each one with the functional), and scan half-widths
 upward to locate the minimal even order admitting an eigenoperator,
 reporting every attempt.
 """

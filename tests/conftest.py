@@ -24,8 +24,9 @@ wide_fracs = st.one_of(
               st.integers(1, 10 ** 12)))
 
 # `--hypothesis-profile=deep` runs every property that does not pin its own
-# max_examples (the exact layer's stored-form properties and its product,
-# evaluation and _over_common kernels) on 2000 examples instead of 100.
+# max_examples (the exact layer's stored-form properties, its product,
+# evaluation and _over_common kernels, and the Hankel and Gram properties
+# of the moments layer) on 2000 examples instead of 100.
 settings.register_profile("deep", max_examples=2000)
 
 

@@ -233,14 +233,25 @@ functionals = st.one_of(recurrence_functionals(), christoffel_functionals(),
                         literal_functionals())
 
 
-@settings(max_examples=80, deadline=None)
+@settings(deadline=None)
 @given(functionals, st.integers(0, 8))
 def test_hankel_orthogonal_equals_hankel_solve_reference(mu, n_top):
     assert (_hankel_outcome(hankel_orthogonal, mu, n_top)
             == _hankel_outcome(_hankel_reference, mu, n_top))
 
 
-@settings(max_examples=60, deadline=None)
+@pytest.mark.parametrize("mu", [
+    christoffel(meixner_moments(MeixnerParams(Q0, B0, C0), 35),
+                Poly((B0 * C0 / Q0, 1))),
+    christoffel(laguerre_moments(LaguerreParams(Q0, T0), 35),
+                Poly((1, Q0)))], ids=["A f1={1}", "B1 f={1}"])
+def test_hankel_orthogonal_at_the_search_depth(mu):
+    # an order-4 search with h_max = 2 reads q_0..q_16 (n_top = 4 h_max + 8),
+    # twice the degree the property above reaches
+    assert hankel_orthogonal(mu, 16) == _hankel_reference(mu, 16)
+
+
+@settings(deadline=None)
 @given(st.one_of(recurrence_functionals(), christoffel_functionals(),
                  point_mass_functionals()),
        st.lists(st.lists(small, max_size=9).map(Poly), max_size=5))
@@ -282,6 +293,23 @@ def test_hankel_degeneracy_is_named_with_its_index():
     with pytest.raises(NotQuasiDefinite) as info:
         hankel_orthogonal(mu, 2)
     assert info.value.n == 3
+
+
+@pytest.mark.parametrize("entry", ["agree_up_to", "favard_positivity",
+                                   "combine_with_point_mass"])
+def test_negative_index_bound_is_refused(entry):
+    # a negative bound leaves an empty index range, which is no pass
+    mu = meixner_moments(MeixnerParams(Q0, B0, C0))
+    calls = {
+        "agree_up_to": lambda: agree_up_to(mu, mu, -1),
+        "favard_positivity": lambda: favard_positivity(
+            meixner_recurrence(MeixnerParams(Q0, B0, C0)), -1),
+        "combine_with_point_mass": lambda: combine_with_point_mass(
+            mu, 0, 1, [Poly.one()], -1),
+    }
+    with pytest.raises(ParamDegeneracy,
+                       match="n must be nonnegative, got n = -1"):
+        calls[entry]()
 
 
 def test_favard_positivity_flags():
