@@ -8,7 +8,9 @@ combination
     -(1/2) sigma_{n+1} p_n
         + sum_{j=1}^{n} (-1)^{j+1} sigma_{n+1-j} (prod_{i=1}^{j} eps_{n-i+1}) p_{n-j}.
 
-Each catalogued spec also carries a closed form: an explicit q-difference
+Its sum T_n is 0 at n = 0 and eps_n (sigma_n p_{n-1} - T_{n-1}) after, so
+the actions on p_0..p_N take one pass of O(N) polynomial operations.  Each
+catalogued spec also carries a closed form: an explicit q-difference
 operator whose action on p_n reproduces that combination exactly.  The two
 realizations are kept side by side so they can be checked against each other
 at any depth.
@@ -17,11 +19,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterator
 
 from .errors import UnsupportedFamily
 from .exact import Poly, check_depth
-from .families import (LAGUERRE, MEIXNER, PolynomialFamily, family_operator)
+from .families import (LAGUERRE, MEIXNER, PolynomialFamily, family_operator,
+                       per_family)
 from .operators import QDiffOperator, q_derivative_ops
 
 __all__ = ["DOperatorSpec", "dop_action", "dop_catalog", "verify_dop"]
@@ -46,17 +49,22 @@ class DOperatorSpec:
         return self.v * self.closed_form.q ** n
 
 
+def _actions(spec: DOperatorSpec, family: PolynomialFamily,
+             n_top: int) -> Iterator[Poly]:
+    """The defining actions on p_0..p_{n_top}, by the running sum T_n."""
+    tail = Poly.zero()
+    for n in range(n_top + 1):
+        if n:
+            tail = spec.eps(n) * (spec.sigma(n) * family.poly(n - 1) - tail)
+        yield Fraction(-1, 2) * spec.sigma(n + 1) * family.poly(n) + tail
+
+
 def dop_action(spec: DOperatorSpec, family: PolynomialFamily, n: int) -> Poly:
     """The defining lower-triangular action of a ladder on family member n."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    acc = Fraction(-1, 2) * spec.sigma(n + 1) * family.poly(n)
-    chain = Fraction(1)
-    for j in range(1, n + 1):
-        chain *= spec.eps(n - j + 1)
-        term = spec.sigma(n + 1 - j) * chain * family.poly(n - j)
-        acc = acc + term if j % 2 == 1 else acc - term
-    return acc
+    *_, action = _actions(spec, family, n)
+    return action
 
 
 def _meixner_specs(family: PolynomialFamily) -> tuple[DOperatorSpec, ...]:
@@ -116,6 +124,7 @@ def _laguerre_specs(family: PolynomialFamily) -> tuple[DOperatorSpec, ...]:
     return (spec1, spec2)
 
 
+@per_family
 def dop_catalog(family: PolynomialFamily) -> tuple[DOperatorSpec, ...]:
     """All catalogued ladder operators for the given family."""
     if family.kind == MEIXNER:
@@ -135,9 +144,8 @@ def verify_dop(spec: DOperatorSpec, family: PolynomialFamily,
     """
     check_depth(n_top)
     report = []
-    for n in range(n_top + 1):
-        via_closed = spec.closed_form.apply(family.poly(n))
-        residual = via_closed - dop_action(spec, family, n)
+    for n, action in enumerate(_actions(spec, family, n_top)):
+        residual = spec.closed_form.apply(family.poly(n)) - action
         report.append({
             "spec_id": spec.spec_id,
             "n": n,

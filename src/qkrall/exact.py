@@ -73,17 +73,17 @@ def _over_common(coeffs) -> tuple[list[int], int]:
 
 
 def qpochhammer(a: Fraction | int | str, q: Fraction | int | str, j: int) -> Fraction:
-    """q-shifted factorial (a; q)_j = (1 - a)(1 - aq)...(1 - aq^(j-1))."""
+    """q-shifted factorial (a; q)_j = (1 - a)(1 - aq)...(1 - aq^(j-1)) as one
+    integer product: 1 - aq^i = (vt^i - us^i)/(vt^i) at a = u/v, q = s/t."""
     if j < 0:
         raise ValueError("qpochhammer needs j >= 0")
-    a = rational(a)
-    q = rational(q)
-    out = Fraction(1)
-    term = a
+    a, q = rational(a), rational(q)
+    u, v, s, t = a.numerator, a.denominator, q.numerator, q.denominator
+    num = 1
     for _ in range(j):
-        out *= 1 - term
-        term *= q
-    return out
+        num *= v - u
+        u, v = u * s, v * t
+    return Fraction(num, a.denominator ** j * t ** (j * (j - 1) // 2))
 
 
 class Poly:

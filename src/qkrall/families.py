@@ -12,12 +12,14 @@ Three kinds are implemented, all with exact rational data:
 Each family's p_n follow from p_0 = 1 by its closed-form three-term
 recurrence (Koekoek, Lesky and Swarttouw 2010, sections 14.13, 14.21 and
 14.25).
-Families memoize their polynomials; the cache is append-only and guarded
-by a lock so families can be shared across threads.
+``meixner``, ``laguerre`` and ``alsalam_carlitz`` return the one family of
+their parameters from a process-wide least-recently-used table, and each
+family builds its polynomials, operator and ladders once, under its lock.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from dataclasses import dataclass, fields
@@ -141,7 +143,8 @@ class PolynomialFamily:
         self.kind = kind
         self.params = params
         self._cache: dict[int, Poly] = {0: Poly.one()}
-        self._lock = threading.Lock()
+        self._kept: dict[Callable, object] = {}
+        self._lock = threading.RLock()
 
     @property
     def q(self) -> Fraction:
@@ -176,18 +179,37 @@ class PolynomialFamily:
         return f"PolynomialFamily({self.kind!r}, {self.params!r})"
 
 
+# The last 128 families named (a benchmark cli-mix pass names 61).  Two
+# threads naming new parameters at once may get two equal families.
+@functools.lru_cache(maxsize=128)
+def _family(kind: str, params: FamilyParams) -> PolynomialFamily:
+    return PolynomialFamily(kind, params)
+
+
+def per_family(make: Callable) -> Callable:
+    """make(family), built once per family and kept in its ``_kept``."""
+    @functools.wraps(make)
+    def kept(family: PolynomialFamily):
+        with family._lock:
+            if make not in family._kept:
+                family._kept[make] = make(family)
+            return family._kept[make]
+    return kept
+
+
 def meixner(q, b, c) -> PolynomialFamily:
-    return PolynomialFamily(MEIXNER, MeixnerParams(q, b, c))
+    return _family(MEIXNER, MeixnerParams(q, b, c))
 
 
 def laguerre(q, t) -> PolynomialFamily:
-    return PolynomialFamily(LAGUERRE, LaguerreParams(q, t))
+    return _family(LAGUERRE, LaguerreParams(q, t))
 
 
 def alsalam_carlitz(q, a) -> PolynomialFamily:
-    return PolynomialFamily(AL_SALAM_CARLITZ, AlSalamCarlitzParams(q, a))
+    return _family(AL_SALAM_CARLITZ, AlSalamCarlitzParams(q, a))
 
 
+@per_family
 def family_operator(family: PolynomialFamily) -> QDiffOperator:
     """Second order q-difference operator with the family as eigenfunctions.
 

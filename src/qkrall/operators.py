@@ -6,9 +6,10 @@ shifts j, so action and composition are shift-and-add on coefficients.
 On a monomial D(x^e) = x^e g_e with g_e = sum_j q^(j e) f_j, so an operator
 acts through a table of the g_e that it fills as it is applied.  The
 table holds each g_e as integers over one denominator, so an application
-is an integer accumulation into the result's stored numerators.
-Operators over different bases q never mix.  The order of a nonzero
-operator is max shift minus min shift after dropping zero coefficients.
+is an integer accumulation into the result's stored numerators.  A
+second table holds the powers D^0..D^m, each composed once.  Operators
+over different bases q never mix.  The order of a nonzero operator is
+max shift minus min shift after dropping zero coefficients.
 """
 
 from __future__ import annotations
@@ -29,12 +30,12 @@ class QDiffOperator:
     ``_images`` maps e to g_e (see the module docstring) as a dense row
     of integers from x^lo on, lo the least valuation of the f_j, and its
     positive denominator.  It only caches what ``terms`` determine, so it
-    takes no part in ==, hash or to_json.  It is never mutated: a grown
-    table is a new dict, published by one attribute store, so a thread
-    that reads it sees a complete one.
+    takes no part in ==, hash or to_json, nor does ``_powers``.  Neither
+    table is mutated: a grown one is a new dict or tuple, published by
+    one attribute store, so a thread that reads it sees a complete one.
     """
 
-    __slots__ = ("q", "terms", "_images")
+    __slots__ = ("q", "terms", "_images", "_powers")
 
     def __init__(self, q: Fraction | int | str,
                  terms: Mapping[int, Laurent | Poly]):
@@ -50,6 +51,7 @@ class QDiffOperator:
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "terms", MappingProxyType(canon))
         object.__setattr__(self, "_images", {})
+        object.__setattr__(self, "_powers", ())
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("QDiffOperator is immutable")
@@ -163,6 +165,17 @@ class QDiffOperator:
                 terms[j] = terms[j] + contrib if j in terms else contrib
         return QDiffOperator(self.q, terms)
 
+    def powers(self, m: int) -> tuple[QDiffOperator, ...]:
+        """(d^0, ..., d^m) for d = self; each power is composed once."""
+        table = self._powers
+        if len(table) <= m:
+            grown = list(table) or [QDiffOperator.identity(self.q), self]
+            while len(grown) <= m:
+                grown.append(grown[-1].compose(self))
+            table = tuple(grown)
+            object.__setattr__(self, "_powers", table)
+        return table[:m + 1]
+
     def __matmul__(self, other: QDiffOperator) -> QDiffOperator:
         return self.compose(other)
 
@@ -220,13 +233,10 @@ def q_derivative_ops(q: Fraction | int | str) -> tuple[QDiffOperator, QDiffOpera
 
 
 def poly_of_operator(p: Poly, d: QDiffOperator) -> QDiffOperator:
-    """Evaluate the polynomial p at the operator d (Horner in the algebra)."""
-    if p.is_zero():
-        return QDiffOperator.zero(d.q)
-    acc = QDiffOperator(d.q, {0: Laurent.constant(p.leading())})
-    for k in range(p.degree() - 1, -1, -1):
-        acc = acc.compose(d)
-        c = p.coeff(k)
+    """p(d) = sum_j c_j d^j, read off the table of powers of d."""
+    terms: dict[int, Laurent] = {}
+    for c, power in zip(p.coeffs, d.powers(p.degree())):
         if c:
-            acc = acc + QDiffOperator(d.q, {0: Laurent.constant(c)})
-    return acc
+            for j, f in power.terms.items():
+                terms[j] = terms[j] + f * c if j in terms else f * c
+    return QDiffOperator(d.q, terms)

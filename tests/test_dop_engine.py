@@ -14,7 +14,8 @@ F = Fraction
 
 
 def _defining_action(spec, family, n) -> Poly:
-    """Local re-implementation of the triangular ladder action."""
+    """The triangular ladder action as its literal double sum: the oracle
+    for the running pass of dops.dop_action and dops.verify_dop."""
     acc = -F(1, 2) * spec.sigma(n + 1) * family.poly(n)
     chain = F(1)
     for j in range(1, n + 1):
@@ -38,11 +39,19 @@ def test_closed_forms_equal_defining_action(maker):
 
 
 def test_dop_action_helper_agrees_with_local_sum():
-    family = meixner(Q0, B0, C0)
-    for spec in dop_catalog(family):
-        for n in range(9):
-            assert dop_action(spec, family, n) == \
-                _defining_action(spec, family, n)
+    # all five specs, over bases in (0, 1), below zero and above one
+    for q in (Q0, F(-3, 7), F(5, 3)):
+        for family in (meixner(q, B0, C0), laguerre(q, T0)):
+            for spec in dop_catalog(family):
+                oracle = [_defining_action(spec, family, n)
+                          for n in range(13)]
+                assert [dop_action(spec, family, n)
+                        for n in range(13)] == oracle
+                assert [spec.closed_form.apply(family.poly(n))
+                        for n in range(13)] == oracle
+                report = verify_dop(spec, family, 12)
+                assert [e["n"] for e in report] == list(range(13))
+                assert all(e["passed"] for e in report), (q, spec.spec_id)
 
 
 def test_catalog_shapes_and_geometric_data():

@@ -117,6 +117,41 @@ def test_qpochhammer_small_cases():
     assert qpochhammer(q, q, 3) == (1 - q) * (1 - q ** 2) * (1 - q ** 3)
 
 
+def _schoolbook_qpochhammer(a: F, q: F, j: int) -> F:
+    """(a; q)_j as a running Fraction product, factor by factor."""
+    out = F(1)
+    for i in range(j):
+        out *= 1 - a * q ** i
+    return out
+
+
+# bases below -1, in (-1, 0), in (0, 1) and above 1, and drawn ones
+qpoch_bases = st.one_of(
+    st.sampled_from([F(-3, 2), F(-2, 7), F(2, 5), F(5, 2), F(7)]),
+    wide_fracs.filter(lambda v: v not in (0, 1, -1)))
+
+
+@settings(deadline=None)
+@given(st.one_of(st.just(F(0)), wide_fracs), qpoch_bases, st.integers(0, 12))
+@example(F(0), F(2, 5), 3)
+@example(F(1, 3), F(-3, 2), 0)
+@example(F(25, 4), F(2, 5), 4)  # a = q^-2: the third factor vanishes
+@example(F(-8, 27), F(-3, 2), 5)  # a = q^-3 at q < 0
+@example(F(-3, 5), F(5, 2), 6)
+def test_qpochhammer_equals_schoolbook(a, q, j):
+    got = qpochhammer(a, q, j)
+    assert type(got) is F and got == _schoolbook_qpochhammer(a, q, j)
+
+
+@settings(deadline=None)
+@given(qpoch_bases, st.integers(0, 5), st.integers(0, 4))
+def test_qpochhammer_vanishes_from_the_factor_at_a_power_of_q(q, m, extra):
+    # at a = q^-m the factor 1 - a q^m is the first to vanish
+    a = q ** -m
+    assert qpochhammer(a, q, m) == _schoolbook_qpochhammer(a, q, m) != 0
+    assert qpochhammer(a, q, m + 1 + extra) == 0
+
+
 def test_poly_basic_shape():
     p = Poly((1, 0, F(3, 2)))
     assert p.degree() == 2

@@ -154,6 +154,29 @@ def test_poly_of_operator_is_evaluation_on_eigenvectors():
         assert op.apply(xn) == r(Q ** n) * xn
 
 
+def _horner(p: Poly, d: QDiffOperator) -> QDiffOperator:
+    """p(d) by Horner's rule in the algebra, one composition per degree."""
+    acc = QDiffOperator.zero(d.q)
+    for c in reversed(p.coeffs):
+        acc = acc @ d + QDiffOperator(d.q, {0: Laurent.constant(c)})
+    return acc
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.builds(QDiffOperator, bases,
+                 st.dictionaries(st.integers(-2, 2), small_laurents,
+                                 max_size=3)),
+       st.lists(st.lists(small_fracs, max_size=6).map(Poly), min_size=1,
+                max_size=4))
+def test_poly_of_operator_equals_horner(op, ps):
+    # a fresh operator's table of powers grows as the drawn degrees come,
+    # then is read at every degree again from the top down
+    d = QDiffOperator(op.q, op.terms)
+    for p in ps + [Poly.zero()] + sorted(ps, key=Poly.degree, reverse=True):
+        assert poly_of_operator(p, d) == _horner(p, d)
+    assert len(d.powers(3)) == 4
+
+
 def test_json_round_trip_and_equality():
     d_q, d_inv = q_derivative_ops(Q)
     op = (d_q @ d_inv).mul_fn(Laurent(Poly((1, 0, 1)), -1)) + d_q

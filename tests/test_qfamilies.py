@@ -1,6 +1,7 @@
 """Classical families: series values, eigen equations, recurrences."""
 from __future__ import annotations
 
+import sys
 import threading
 from fractions import Fraction
 
@@ -9,12 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qkrall import (LaguerreParams, MeixnerParams, ParamDegeneracy, Poly,
-                    PolynomialFamily, ThreeTermRecurrence, UnsupportedFamily,
-                    alsalam_carlitz, derive_recurrence, family_operator,
-                    family_recurrence, gram_matrix, laguerre,
-                    laguerre_moments, laguerre_recurrence, meixner,
-                    meixner_moments, meixner_recurrence,
-                    polys_from_recurrence, q_power_exponent, qpochhammer)
+                    PolynomialFamily, QDiffOperator, ThreeTermRecurrence,
+                    UnsupportedFamily, alsalam_carlitz, derive_recurrence,
+                    dop_catalog, family_operator, family_recurrence,
+                    gram_matrix, laguerre, laguerre_moments,
+                    laguerre_recurrence, meixner, meixner_moments,
+                    meixner_recurrence, polys_from_recurrence,
+                    q_power_exponent, qpochhammer)
 from conftest import B0, C0, Q0, T0, assert_stored_form, wide_fracs
 from series_families import series_family
 
@@ -114,7 +116,8 @@ def test_laguerre_recurrence_polys_equal_series_to_degree_64(q, t):
 
 
 def test_threads_share_one_cache():
-    fam = meixner(Q0, B0, C0)
+    # a family of its own, outside the table, so that the threads grow it
+    fam = PolynomialFamily("q-meixner", MeixnerParams(Q0, B0, C0))
     got: dict[int, list] = {}
     start = threading.Barrier(6)
 
@@ -132,6 +135,74 @@ def test_threads_share_one_cache():
         for n, p in zip((3 * i + 9, i, 2 * i + 4), polys):
             assert p is fam.poly(n) and p == _series(fam).poly(n)
     assert len(got) == 6
+
+
+def test_one_family_per_parameter_set():
+    fam = meixner("2/5", "1/3", "3/2")
+    assert fam is meixner(F(2, 5), F(1, 3), F(3, 2))
+    assert fam is not meixner(F(2, 5), F(1, 3), F(5, 2))
+    assert laguerre(Q0, T0) is laguerre("2/5", "3/4")
+    assert laguerre(Q0, T0) is not laguerre(Q0, F(4, 3))
+    assert alsalam_carlitz(Q0, F(4, 3)) is alsalam_carlitz("2/5", "4/3")
+    assert alsalam_carlitz(Q0, F(4, 3)) is not alsalam_carlitz(Q0, F(3, 4))
+    for family in (fam, laguerre(Q0, T0)):
+        assert family_operator(family) is family_operator(family)
+        assert dop_catalog(family) is dop_catalog(family)
+    # a family built outside the table keeps its own operator
+    other = PolynomialFamily("q-meixner", fam.params)
+    assert family_operator(other) == family_operator(fam)
+    assert family_operator(other) is not family_operator(fam)
+
+
+def test_family_table_keeps_the_last_128_named():
+    # parameter sets that no other test names
+    fresh = [(F(3, 7), F(i + 1, 1009)) for i in range(256)]
+    first = laguerre(*fresh[0])
+    operator = family_operator(first)
+    for params in fresh[1:128]:
+        laguerre(*params)
+    # 127 families named after it: still kept, and now the latest named
+    assert laguerre(*fresh[0]) is first
+    for params in fresh[128:]:
+        laguerre(*params)
+    # 128 named after it: the 129th is built anew, with its own operator
+    again = laguerre(*fresh[0])
+    assert again is not first and again.params == first.params
+    assert family_operator(again) is not operator
+    assert family_operator(again) == operator
+
+
+def test_threads_grow_one_family_and_one_table_of_powers():
+    fam = meixner(F(3, 7), F(2, 9), F(5, 4))
+    start = threading.Barrier(4)
+    got: dict[int, tuple] = {}
+
+    def work(i: int) -> None:
+        start.wait(timeout=10)
+        op = family_operator(fam)
+        got[i] = (fam.poly(20), op, op.powers(6), dop_catalog(fam))
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads) and len(got) == 4
+    # the references come from a family outside the table
+    ref_fam = PolynomialFamily("q-meixner", fam.params)
+    d = family_operator(ref_fam)
+    powers = [QDiffOperator.identity(d.q)]
+    for _ in range(6):
+        powers.append(powers[-1] @ d)
+    for poly, op, table, specs in got.values():
+        assert poly == ref_fam.poly(20) and list(table) == powers
+        # one operator and one catalog, built once for all four threads
+        assert op is got[0][1] == d and specs is got[0][3]
 
 
 def test_derived_recurrence_matches_closed_form():
