@@ -17,12 +17,12 @@ at any depth.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Iterator
 
 from .errors import UnsupportedFamily
-from .exact import Poly, check_depth
+from .exact import Poly, _power, check_depth
 from .families import (LAGUERRE, MEIXNER, PolynomialFamily, family_operator,
                        per_family)
 from .operators import QDiffOperator, q_derivative_ops
@@ -30,23 +30,38 @@ from .operators import QDiffOperator, q_derivative_ops
 __all__ = ["DOperatorSpec", "dop_action", "dop_catalog", "verify_dop"]
 
 
-@dataclass(frozen=True, eq=False)
 class DOperatorSpec:
     """One ladder operator: its sequence eps_n, the scale v of
     sigma_n = v q^n, and its closed form, whose base is q.
 
     sigma_n = v q^n and the family's theta_n = theta_0 q^n are what allow
     a companion polynomial P1 of degree deg(P2) + 1 to be attached to a
-    polynomial P2 of any degree downstream (krall.build_P1).
+    polynomial P2 of any degree downstream (krall.build_P1).  A catalogued
+    spec composes its closed form when it is first read (``_lazy``), so a
+    caller that reads one ladder of a family composes only that one.
     """
 
-    spec_id: str
-    eps: Callable[[int], Fraction]
-    v: Fraction
-    closed_form: QDiffOperator
+    def __init__(self, spec_id: str, eps: Callable[[int], Fraction],
+                 v: Fraction, closed_form: QDiffOperator):
+        self.spec_id, self.eps, self.v = spec_id, eps, v
+        self.q = closed_form.q
+        self.closed_form = closed_form
+
+    @classmethod
+    def _lazy(cls, spec_id: str, eps: Callable[[int], Fraction], v: Fraction,
+              q: Fraction, compose: Callable[[], QDiffOperator]):
+        spec = cls.__new__(cls)
+        spec.spec_id, spec.eps, spec.v, spec.q = spec_id, eps, v, q
+        spec._compose = compose
+        return spec
+
+    @cached_property
+    def closed_form(self) -> QDiffOperator:
+        return self._compose()
 
     def sigma(self, n: int) -> Fraction:
-        return self.v * self.closed_form.q ** n
+        s, t = _power(self.q, n)
+        return Fraction(self.v.numerator * s, self.v.denominator * t)
 
 
 def _actions(spec: DOperatorSpec, family: PolynomialFamily,
@@ -67,61 +82,61 @@ def dop_action(spec: DOperatorSpec, family: PolynomialFamily, n: int) -> Poly:
     return action
 
 
-def _meixner_specs(family: PolynomialFamily) -> tuple[DOperatorSpec, ...]:
-    params = family.params
-    q, b, c = params.q, params.b, params.c
-    second_order = family_operator(family)
-    d_q, d_qinv = q_derivative_ops(q)
-    ident = QDiffOperator.identity(q)
+_ONE = Fraction(1)
 
-    one_minus_x = Poly((Fraction(1), Fraction(-1)))
-    spec1 = DOperatorSpec(
-        spec_id="q-meixner-1",
-        eps=lambda n: Fraction(1),
-        v=1 / (q * (q - 1)),
-        closed_form=(d_q.mul_fn(one_minus_x)
-                     + (second_order - 2 * ident) * (Fraction(1, 2) / (q - 1))),
+
+def _meixner_specs(family: PolynomialFamily) -> tuple[DOperatorSpec, ...]:
+    q, b, c = family.params.q, family.params.b, family.params.c
+    bn, bd, cn, cd = b.numerator, b.denominator, c.numerator, c.denominator
+    second_order = family_operator(family)
+
+    def eps2(n: int) -> Fraction:         # 1 / (1 - b q^n)
+        s, t = _power(q, n)
+        return Fraction(bd * t, bd * t - bn * s)
+
+    def eps3(n: int) -> Fraction:         # (c + q^n) / (c (1 - b q^n))
+        s, t = _power(q, n)
+        return Fraction(bd * (cn * t + cd * s), cn * (bd * t - bn * s))
+
+    def ladder(edge: Poly) -> QDiffOperator:
+        # edge D_q + (D_fam - 2) / (2 (q - 1))
+        ident = QDiffOperator.identity(q)
+        return (q_derivative_ops(q)[0].mul_fn(edge)
+                + (second_order - 2 * ident)
+                * (Fraction(1, 2) / (q - 1)))
+
+    return (
+        DOperatorSpec._lazy("q-meixner-1", lambda n: _ONE, 1 / (q * (q - 1)),
+                            q, lambda: ladder(Poly((1, -1)))),
+        DOperatorSpec._lazy(
+            "q-meixner-2", eps2, 1 / (c * (1 - q)), q,
+            lambda: (q_derivative_ops(q)[1]
+                     + second_order * (q / (2 * c * (q - 1))))),
+        DOperatorSpec._lazy("q-meixner-3", eps3, 1 / (q * (q - 1)), q,
+                            lambda: ladder(Poly((-b * c, -1)))),
     )
-    spec2 = DOperatorSpec(
-        spec_id="q-meixner-2",
-        eps=lambda n: Fraction(1) / (1 - b * q ** n),
-        v=1 / (c * (1 - q)),
-        closed_form=d_qinv + second_order * (q / (2 * c * (q - 1))),
-    )
-    minus_x_minus_bc = Poly((-b * c, Fraction(-1)))
-    spec3 = DOperatorSpec(
-        spec_id="q-meixner-3",
-        eps=lambda n: (c + q ** n) / (c * (1 - b * q ** n)),
-        v=1 / (q * (q - 1)),
-        closed_form=(d_q.mul_fn(minus_x_minus_bc)
-                     + (second_order - 2 * ident) * (Fraction(1, 2) / (q - 1))),
-    )
-    return (spec1, spec2, spec3)
 
 
 def _laguerre_specs(family: PolynomialFamily) -> tuple[DOperatorSpec, ...]:
-    params = family.params
-    q, t = params.q, params.t
-    d_q, d_qinv = q_derivative_ops(q)
-    ident = QDiffOperator.identity(q)
+    q, t = family.params.q, family.params.t
+    tn, td = t.numerator, t.denominator
 
-    one_minus_x = Poly((Fraction(1), Fraction(-1)))
-    one_plus_x = Poly((Fraction(1), Fraction(1)))
-    spec1 = DOperatorSpec(
-        spec_id="q-laguerre-1",
-        eps=lambda n: Fraction(1),
-        v=1 / q,
-        closed_form=(d_q.mul_fn(one_minus_x) * (q - 1)
-                     + d_qinv * ((1 - q) / (t * q)) - ident) * Fraction(1, 2),
+    def eps2(n: int) -> Fraction:         # 1 / (1 - t q^n)
+        s, w = _power(q, n)
+        return Fraction(td * w, td * w - tn * s)
+
+    def ladder(edge: Poly, scale: Fraction) -> QDiffOperator:
+        # (scale edge D_q + D_{1/q} (1 - q) / (t q) - 1) / 2
+        d_q, d_qinv = q_derivative_ops(q)
+        return (d_q.mul_fn(edge) * scale + d_qinv * ((1 - q) / (t * q))
+                - QDiffOperator.identity(q)) * Fraction(1, 2)
+
+    return (
+        DOperatorSpec._lazy("q-laguerre-1", lambda n: _ONE, 1 / q, q,
+                            lambda: ladder(Poly((1, -1)), q - 1)),
+        DOperatorSpec._lazy("q-laguerre-2", eps2, 1 / q, q,
+                            lambda: ladder(Poly((1, 1)), 1 - q)),
     )
-    spec2 = DOperatorSpec(
-        spec_id="q-laguerre-2",
-        eps=lambda n: Fraction(1) / (1 - t * q ** n),
-        v=1 / q,
-        closed_form=(d_q.mul_fn(one_plus_x) * (1 - q)
-                     + d_qinv * ((1 - q) / (t * q)) - ident) * Fraction(1, 2),
-    )
-    return (spec1, spec2)
 
 
 @per_family

@@ -1,16 +1,20 @@
 """Exact arithmetic over Q: scalars, polynomials, Laurent polynomials.
 
 Everything in the package funnels through this module, and nothing here
-ever touches a float.  Scalars are ``fractions.Fraction``.  A polynomial is
-stored as integer numerators, lowest degree first, over one positive
-denominator coprime to them; Laurent polynomials x^val * p (the
+ever touches a float.  Scalars are returned as ``fractions.Fraction``.  A
+polynomial is stored as integer numerators, lowest degree first, over one
+positive denominator coprime to them; Laurent polynomials x^val * p (the
 coefficients of q-difference operators) are kept in a normal form
 (p(0) != 0), so that in both syntactic equality is mathematical equality.
 
 Every operation on them, and the kernels of the other layers that read
 ``nums`` and ``den``, is a loop over integers that ends in one gcd
 reduction of its result; a ``Fraction`` is built only for a coefficient
-that is read through ``coeffs`` or returned as a scalar.
+that is read through ``coeffs`` or returned as a scalar.  The scalars of
+the q-constructions (recurrence coefficients, eigenvalues, ladder values,
+operator images, moments) are rational functions of q^n; each is one
+integer expression in u^n and v^n at q = u/v (``_power``), put into a
+``Fraction`` once.
 """
 
 from __future__ import annotations
@@ -23,6 +27,8 @@ from .errors import ParamDegeneracy, ZeroDenominator
 
 def rational(value: Fraction | int | str) -> Fraction:
     """Parse an exact rational from an int, Fraction or 'num/den' string."""
+    if type(value) is Fraction:
+        return value
     if isinstance(value, bool):
         raise TypeError("bool is not a rational")
     if isinstance(value, (Fraction, int)):
@@ -34,7 +40,7 @@ def rational(value: Fraction | int | str) -> Fraction:
 
 def rational_str(value: Fraction) -> str:
     """Serialize exactly: '7/3', '-2/5' or '4'.  Never a decimal."""
-    return str(Fraction(value))
+    return str(value if type(value) in (Fraction, int) else Fraction(value))
 
 
 def check_base(q: Fraction) -> None:
@@ -52,6 +58,14 @@ def check_depth(n: int) -> None:
     negative bound leaves an empty range, which may not count as a pass."""
     if n < 0:
         raise ParamDegeneracy(f"n must be nonnegative, got n = {n}")
+
+
+def _power(q: Fraction, k: int) -> tuple[int, int]:
+    """q^k as integers (num, den) for any integer k; den < 0 only when
+    q < 0 and k < 0 is odd."""
+    if k >= 0:
+        return q.numerator ** k, q.denominator ** k
+    return q.denominator ** -k, q.numerator ** -k
 
 
 def _over_common(coeffs) -> tuple[list[int], int]:
@@ -208,7 +222,8 @@ class Poly:
 
     def scale_arg(self, lam: Fraction | int | str) -> Poly:
         """Substitute x -> lam * x."""
-        return _scaled(self, rational(lam), 0)
+        lam = rational(lam)
+        return _scaled(self, lam.numerator, lam.denominator, 0)
 
     def shift_arg(self, lam: Fraction | int | str) -> Poly:
         """Substitute x -> x + lam."""
@@ -267,16 +282,15 @@ def _add(a: Poly, b: Poly, offset: int) -> Poly:
     return _poly(out, den)
 
 
-def _scaled(p: Poly, lam: Fraction, val: int) -> Poly:
-    """lam^val p(lam x) in one integer pass: at lam = u/v and d = deg p,
-    coefficient i is nums_i u^i v^(d-i) over den v^d, times lam^val."""
-    u, v = lam.numerator, lam.denominator
-    d = len(p.nums) - 1
-    power = lam ** val
-    top = power.numerator
-    return _poly([c * top * u ** i * v ** (d - i)
+def _scaled(p: Poly, u: int, v: int, val: int) -> Poly:
+    """lam^val p(lam x) at lam = u/v (integers, v != 0, and u != 0 if
+    val < 0) in one integer pass: coefficient i is nums_i lam^(val+i), that is
+    nums_i u^(val+i-a) v^(b-val-i) over den u^-a v^b, where
+    a = min(val, 0) and b = max(val + deg p, 0)."""
+    a, b = min(val, 0), max(val + len(p.nums) - 1, 0)
+    return _poly([c * u ** (val + i - a) * v ** (b - val - i)
                   for i, c in enumerate(p.nums)],
-                 p.den * power.denominator * v ** max(d, 0))
+                 p.den * u ** -a * v ** b)
 
 
 def divmod_poly(a: Poly, b: Poly) -> tuple[Poly, Poly]:
@@ -449,7 +463,11 @@ class Laurent:
 
     def scale_arg(self, lam: Fraction | int | str) -> Laurent:
         """Substitute x -> lam * x."""
-        return Laurent(_scaled(self.poly, rational(lam), self.val), self.val)
+        lam = rational(lam)
+        if lam == 0 and self.val < 0:
+            raise ZeroDenominator("Laurent polynomial has a pole at x = 0")
+        return Laurent(_scaled(self.poly, lam.numerator, lam.denominator,
+                               self.val), self.val)
 
     def __repr__(self) -> str:
         return f"Laurent({self.poly!r}, {self.val})"

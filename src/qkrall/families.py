@@ -27,8 +27,8 @@ from fractions import Fraction
 from typing import Callable
 
 from .errors import ParamDegeneracy, SingularSystem, UnsupportedFamily
-from .exact import (Laurent, Poly, _over_common, _poly, check_base,
-                    check_depth, rational)
+from .exact import (Laurent, Poly, _over_common, _poly, _power, check_base,
+                    check_depth, rational, rational_str)
 from .linalg import solve_exact
 from .operators import QDiffOperator
 
@@ -168,12 +168,13 @@ class PolynomialFamily:
         return [self.poly(k) for k in range(n + 1)]
 
     def theta(self, n: int) -> Fraction:
-        """Eigenvalue of the family operator on the degree-n polynomial."""
-        if self.kind == MEIXNER:
-            return self.q ** n
-        if self.kind == LAGUERRE:
-            return self.params.t * self.q ** n
-        raise UnsupportedFamily("no eigenvalue data for Al-Salam-Carlitz")
+        """Eigenvalue of the family operator on the degree-n polynomial:
+        q^n (q-Meixner) or t q^n (q-Laguerre)."""
+        if self.kind == AL_SALAM_CARLITZ:
+            raise UnsupportedFamily("no eigenvalue data for Al-Salam-Carlitz")
+        t = self.params.t if self.kind == LAGUERRE else 1
+        s, w = _power(self.q, n)
+        return Fraction(t.numerator * s, t.denominator * w)
 
     def __repr__(self) -> str:
         return f"PolynomialFamily({self.kind!r}, {self.params!r})"
@@ -207,6 +208,18 @@ def laguerre(q, t) -> PolynomialFamily:
 
 def alsalam_carlitz(q, a) -> PolynomialFamily:
     return _family(AL_SALAM_CARLITZ, AlSalamCarlitzParams(q, a))
+
+
+def _derived(label: str, make: Callable, *values):
+    """make(*values) for a parameter set that `label` derives from its
+    input; a set that the family excludes raises ParamDegeneracy naming
+    that set, not the input."""
+    try:
+        return make(*values)
+    except ParamDegeneracy as exc:
+        shown = ", ".join(rational_str(x) for x in values)
+        raise ParamDegeneracy(f"{label} derives {make.__name__}({shown}) "
+                              f"from its input, and there {exc}") from exc
 
 
 @per_family
@@ -250,22 +263,34 @@ class ThreeTermRecurrence:
 def meixner_recurrence(params: MeixnerParams) -> ThreeTermRecurrence:
     """Closed-form recurrence for the q-Meixner family, normalized so the
     underlying functional has total mass 1.  c(0) is returned as 0 since it
-    multiplies the absent p_{-1}."""
-    q, b, c = params.q, params.b, params.c
+    multiplies the absent p_{-1}.
+
+    a_n = c (1 - q^(n+1)) (1 - b q^(n+1)) / q^(2n+1),
+    b_n = 1 + c (1 - b q^(n+1)) / q^(2n+1) + (1 - q^n) (c + q^n) / q^(2n),
+    c_n = (c + q^n) / q^(2n); each is evaluated as one integer fraction in
+    U = u^n and V = v^n at q = u/v, b = bn/bd and c = cn/cd.
+    """
+    u, v = params.q.numerator, params.q.denominator
+    bn, bd = params.b.numerator, params.b.denominator
+    cn, cd = params.c.numerator, params.c.denominator
 
     def a_fn(n: int) -> Fraction:
-        return c * (1 - q ** (n + 1)) * (1 - b * q ** (n + 1)) / q ** (2 * n + 1)
+        U, V = u ** (n + 1), v ** (n + 1)
+        return Fraction(cn * (V - U) * (bd * V - bn * U),
+                        cd * bd * v * u ** (2 * n + 1))
 
     def c_fn(n: int) -> Fraction:
         if n == 0:
             return Fraction(0)
-        return (c + q ** n) / q ** (2 * n)
+        U, V = u ** n, v ** n
+        return Fraction((cn * V + cd * U) * V, cd * U * U)
 
     def b_fn(n: int) -> Fraction:
-        out = 1 + c * (1 - b * q ** (n + 1)) / q ** (2 * n + 1)
-        if n > 0:
-            out += (1 - q ** n) * (c + q ** n) / q ** (2 * n)
-        return out
+        # the last term vanishes at n = 0, where U = V = 1
+        U, V = u ** n, v ** n
+        den = cd * bd * u * U * U
+        return Fraction(den + cn * (bd * v * V - bn * u * U) * V
+                        + bd * u * (V - U) * (cn * V + cd * U), den)
 
     return ThreeTermRecurrence(a_fn, b_fn, c_fn)
 
@@ -273,38 +298,45 @@ def meixner_recurrence(params: MeixnerParams) -> ThreeTermRecurrence:
 def laguerre_recurrence(params: LaguerreParams) -> ThreeTermRecurrence:
     """Closed-form recurrence for the q-Laguerre family (t = q^alpha),
     normalized so the underlying functional has total mass 1.  c(0) is
-    returned as 0 since it multiplies the absent p_{-1}."""
-    q, t = params.q, params.t
+    returned as 0 since it multiplies the absent p_{-1}.
+
+    a_n = (1 - t q^(n+1)) (1 - q^(n+1)) / (t q^(2n+1)),
+    b_n = ((1 - q^(n+1)) + q (1 - t q^n)) / (t q^(2n+1)),
+    c_n = 1 / (t q^(2n)); each is evaluated as one integer fraction in
+    U = u^n and V = v^n at q = u/v and t = tn/td.
+    """
+    u, v = params.q.numerator, params.q.denominator
+    tn, td = params.t.numerator, params.t.denominator
 
     def a_fn(n: int) -> Fraction:
-        return ((1 - t * q ** (n + 1)) * (1 - q ** (n + 1))
-                / (t * q ** (2 * n + 1)))
+        U, V = u ** (n + 1), v ** (n + 1)
+        return Fraction((td * V - tn * U) * (V - U), tn * v * u ** (2 * n + 1))
 
     def b_fn(n: int) -> Fraction:
-        return (((1 - q ** (n + 1)) + q * (1 - t * q ** n))
-                / (t * q ** (2 * n + 1)))
+        U, V = u ** n, v ** n
+        return Fraction((td * (v * V - u * U) + u * (td * V - tn * U)) * V,
+                        tn * u * U * U)
 
     def c_fn(n: int) -> Fraction:
         if n == 0:
             return Fraction(0)
-        return 1 / (t * q ** (2 * n))
+        U, V = u ** n, v ** n
+        return Fraction(td * V * V, tn * U * U)
 
     return ThreeTermRecurrence(a_fn, b_fn, c_fn)
 
 
 def alsalam_carlitz_recurrence(
         params: AlSalamCarlitzParams) -> ThreeTermRecurrence:
-    """Closed-form recurrence for the Al-Salam-Carlitz family v_n(x; a).
-    c(0) is returned as 0 since it multiplies the absent p_{-1}."""
-    q, a = params.q, params.a
-
-    def c_fn(n: int) -> Fraction:
-        if n == 0:
-            return Fraction(0)
-        return (q ** n - 1) / q ** n
-
-    return ThreeTermRecurrence(lambda n: -a / q ** n,
-                               lambda n: (1 + a) / q ** n, c_fn)
+    """Closed-form recurrence for the Al-Salam-Carlitz family v_n(x; a):
+    a_n = -a / q^n, b_n = (1 + a) / q^n and c_n = (q^n - 1) / q^n, which
+    is 0 at n = 0, where it multiplies the absent p_{-1}."""
+    u, v = params.q.numerator, params.q.denominator
+    an, ad = params.a.numerator, params.a.denominator
+    return ThreeTermRecurrence(
+        lambda n: Fraction(-an * v ** n, ad * u ** n),
+        lambda n: Fraction((ad + an) * v ** n, ad * u ** n),
+        lambda n: Fraction(u ** n - v ** n, u ** n))
 
 
 def family_recurrence(family: PolynomialFamily) -> ThreeTermRecurrence:

@@ -33,7 +33,8 @@ from typing import Callable
 from .errors import CrossCheckFailed, GammaVanishes, ParamDegeneracy
 from .exact import Poly, check_base, check_depth, qpochhammer, rational
 from .families import (LaguerreParams, MeixnerParams, PolynomialFamily,
-                       alsalam_carlitz, family_operator, laguerre, meixner)
+                       _derived, alsalam_carlitz, family_operator, laguerre,
+                       meixner)
 from .dops import DOperatorSpec, dop_catalog
 from .moments import (LAGUERRE_I, LAGUERRE_II, MEIXNER_I, MEIXNER_II,
                       MEIXNER_III, MomentFunctional, check_instance,
@@ -216,27 +217,27 @@ def theorem_catalog(name: str, params: MeixnerParams | LaguerreParams,
         t = params.t
         fam = laguerre(q, t)
     if name == MEIXNER_I:
-        carrier = meixner(q, -c, 1 / (b * c))
+        carrier = _derived(name, meixner, q, -c, 1 / (b * c))
         p2 = carrier.poly(k).scale_arg(q)
 
         def displayed_beta(n: int) -> Fraction:
             return carrier.poly(k)(q ** (n + 1)) / carrier.poly(k)(q ** n)
     elif name == MEIXNER_II:
-        carrier = meixner(1 / q, b, c)
+        carrier = _derived(name, meixner, 1 / q, b, c)
         p2 = carrier.poly(k).scale_arg(b)
 
         def displayed_beta(n: int) -> Fraction:
             return (carrier.poly(k)(b * q ** n)
                     / ((1 - b * q ** n) * carrier.poly(k)(b * q ** (n - 1))))
     elif name == MEIXNER_III:
-        carrier = meixner(q, 1 / b, b * c)
+        carrier = _derived(name, meixner, q, 1 / b, b * c)
         p2 = carrier.poly(k).scale_arg(q)
 
         def displayed_beta(n: int) -> Fraction:
             return ((c + q ** n) / (c * (1 - b * q ** n))
                     * carrier.poly(k)(q ** (n + 1)) / carrier.poly(k)(q ** n))
     elif name == LAGUERRE_I:
-        carrier = alsalam_carlitz(q, 1 / t)
+        carrier = _derived(name, alsalam_carlitz, q, 1 / t)
         p2 = carrier.poly(k).scale_arg(q / t)
 
         def displayed_beta(n: int) -> Fraction:

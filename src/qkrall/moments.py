@@ -18,8 +18,8 @@ from .errors import (CrossCheckFailed, DenominatorVanishes, NotQuasiDefinite,
                      ParamDegeneracy, UnknownTheorem, ZeroDilation)
 from .exact import Poly, _over_common, check_depth, qpochhammer, rational
 from .families import (LaguerreParams, MeixnerParams, ThreeTermRecurrence,
-                       _recurrence_step, meixner, meixner_recurrence,
-                       q_power_exponent)
+                       _derived, _recurrence_step, meixner,
+                       meixner_recurrence, q_power_exponent)
 
 Provider = Callable[[int, list[Fraction]], Fraction]
 
@@ -123,12 +123,13 @@ def moments_from_recurrence(rec: ThreeTermRecurrence,
 
 
 def christoffel(mu: MomentFunctional, r: Poly) -> MomentFunctional:
-    """The functional r*mu: <r mu, p> = <mu, r p>."""
-    coeffs = list(r.coeffs)
+    """The functional r*mu: <r mu, p> = <mu, r p>, each moment one integer
+    sum over the lcm of the denominators of the moments it reads."""
+    nums, den = r.nums, r.den
 
     def provider(n: int, _prev: list[Fraction]) -> Fraction:
-        return sum((c * mu.moment(n + k) for k, c in enumerate(coeffs) if c),
-                   Fraction(0))
+        ms, mden = _over_common([mu.moment(n + k) for k in range(len(nums))])
+        return Fraction(_pairing(nums, ms), den * mden)
 
     max_n = None if mu.max_n is None else mu.max_n - max(r.degree(), 0)
     return MomentFunctional(provider, max_n=max_n)
@@ -348,16 +349,26 @@ def meixner_moments(params: MeixnerParams, n_depth: int = 64) -> MomentFunctiona
     normalized functional (moments_from_recurrence), so the recurrence
     holds for every admissible parameter set.
     """
-    q, b, c = params.q, params.b, params.c
+    u, v = params.q.numerator, params.q.denominator
+    cn, cd = params.c.numerator, params.c.denominator
+    bc = params.b * params.c
+    en, ed = bc.numerator, bc.denominator
     mu_1 = meixner_recurrence(params).b(0)
-    bc = b * c
 
     def provider(n: int, prev: list[Fraction]) -> Fraction:
         if n < 2:
             return Fraction(1) if n == 0 else mu_1
-        # the recurrence above at n - 2, divided through by q^(n-2)
-        r = 1 / q ** (n - 1)
-        return (c * r / q + 1 - bc) * prev[n - 1] + bc * (1 - r) * prev[n - 2]
+        # the recurrence above at n - 2, divided through by q^(n-2):
+        # mu_n = (c/q^n + 1 - bc) mu_{n-1} + bc (1 - 1/q^(n-1)) mu_{n-2},
+        # that is (a mu_{n-1} + b mu_{n-2}) / (cd ed u U) at U = u^(n-1)
+        # and V = v^(n-1), as one integer fraction
+        U, V = u ** (n - 1), v ** (n - 1)
+        a = ed * cn * v * V + cd * u * U * (ed - en)
+        b = en * (U - V) * cd * u
+        p1, p2 = prev[n - 1], prev[n - 2]
+        return Fraction(a * p1.numerator * p2.denominator
+                        + b * p2.numerator * p1.denominator,
+                        cd * ed * u * U * p1.denominator * p2.denominator)
 
     return MomentFunctional(provider, max_n=n_depth)
 
@@ -381,12 +392,16 @@ def laguerre_moments(params: LaguerreParams,
     (moments_from_recurrence), so the recurrence holds for every
     admissible (q, t).
     """
-    q, t = params.q, params.t
+    u, v = params.q.numerator, params.q.denominator
+    tn, td = params.t.numerator, params.t.denominator
 
     def provider(n: int, prev: list[Fraction]) -> Fraction:
         if n == 0:
             return Fraction(1)
-        return prev[n - 1] * (1 / (t * q ** n) - 1)
+        # mu_{n-1} (td V - tn U) / (tn U) at U = u^n, V = v^n
+        U, V = u ** n, v ** n
+        p = prev[n - 1]
+        return Fraction(p.numerator * (td * V - tn * U), p.denominator * tn * U)
 
     return MomentFunctional(provider, max_n=n_depth)
 
@@ -475,8 +490,9 @@ def measure_catalog(name: str, params: MeixnerParams | LaguerreParams,
         q, b, c = params.q, params.b, params.c
         base = meixner_moments(params, top + 2 * k)
         if name == MEIXNER_I:
-            shifted = meixner_moments(MeixnerParams(q, b, q ** (k + 1) * c),
-                                      top + 2 * k)
+            shifted = meixner_moments(
+                _derived(name, MeixnerParams, q, b, q ** (k + 1) * c),
+                top + 2 * k)
             r = _product(Poly((b * c * q ** i, 1)) for i in range(1, k + 1))
             built = christoffel(shifted, r)
             _cross_check(built, Poly((b * c * q ** (k + 1), 1)),
@@ -484,7 +500,8 @@ def measure_catalog(name: str, params: MeixnerParams | LaguerreParams,
             return built
         if name == MEIXNER_II:
             shifted = meixner_moments(
-                MeixnerParams(q, b / q ** (k + 1), q ** (k + 1) * c),
+                _derived(name, MeixnerParams, q, b / q ** (k + 1),
+                         q ** (k + 1) * c),
                 top + 2 * k)
             r = _product(Poly((-b / q ** i, 1)) for i in range(k))
             built = christoffel(shifted, r)
@@ -497,7 +514,7 @@ def measure_catalog(name: str, params: MeixnerParams | LaguerreParams,
         # seeded by the displayed pairing value at n = 0.
         c_scale = (c ** (k + 1) * q ** (k * (k + 1) // 2)
                    * qpochhammer(b / q ** k, q, k + 1))
-        carrier = meixner(q, 1 / b, b * c)
+        carrier = _derived(name, meixner, q, 1 / b, b * c)
         seed0 = (Fraction(-1) ** k * qpochhammer(q, q, k)
                  * qpochhammer(b / q ** k, q, k) * c ** k
                  * q ** ((k + 1) * k // 2) * carrier.poly(k)(q))

@@ -20,7 +20,7 @@ from types import MappingProxyType
 from typing import Mapping
 
 from .errors import MixedBase
-from .exact import (Laurent, Poly, _over_common, _poly, check_base,
+from .exact import (Laurent, Poly, _poly, _power, _scaled, check_base,
                     poly_from_json, poly_to_json, rational, rational_str)
 
 
@@ -33,6 +33,8 @@ class QDiffOperator:
     takes no part in ==, hash or to_json, nor does ``_powers``.  Neither
     table is mutated: a grown one is a new dict or tuple, published by
     one attribute store, so a thread that reads it sees a complete one.
+    The operators that one builds from others (sums, products, compositions)
+    take its q as checked (``_over``).
     """
 
     __slots__ = ("q", "terms", "_images", "_powers")
@@ -41,6 +43,9 @@ class QDiffOperator:
                  terms: Mapping[int, Laurent | Poly]):
         q = rational(q)
         check_base(q)
+        self._fill(q, terms)
+
+    def _fill(self, q: Fraction, terms: Mapping[int, Laurent | Poly]) -> None:
         canon: dict[int, Laurent] = {}
         for j in sorted(terms):
             f = terms[j]
@@ -52,6 +57,12 @@ class QDiffOperator:
         object.__setattr__(self, "terms", MappingProxyType(canon))
         object.__setattr__(self, "_images", {})
         object.__setattr__(self, "_powers", ())
+
+    def _over(self, terms: Mapping[int, Laurent | Poly]) -> QDiffOperator:
+        """The operator with these terms over self's q, already checked."""
+        op = object.__new__(QDiffOperator)
+        op._fill(self.q, terms)
+        return op
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("QDiffOperator is immutable")
@@ -102,10 +113,13 @@ class QDiffOperator:
             rows = {j: (f.val - lo, f.poly.nums, f.poly.den)
                     for j, f in self.terms.items()}
             for e in missing:
-                scales, den = _over_common(
-                    [self.q ** (j * e) / d for j, (_, _, d) in rows.items()])
+                # q^(je) / d = s / (t d) for each term, over one denominator
+                scales = [(*_power(self.q, j * e), d)
+                          for j, (_, _, d) in rows.items()]
+                den = math.lcm(*(t * d for _, t, d in scales))
                 g = [0] * width
-                for s, (offset, row, _) in zip(scales, rows.values()):
+                for (s, t, d), (offset, row, _) in zip(scales, rows.values()):
+                    s *= den // (t * d)
                     for i, c in enumerate(row, offset):
                         g[i] += s * c
                 d = math.gcd(den, *g)
@@ -132,44 +146,43 @@ class QDiffOperator:
         terms = dict(self.terms)
         for j, f in other.terms.items():
             terms[j] = terms[j] + f if j in terms else f
-        return QDiffOperator(self.q, terms)
+        return self._over(terms)
 
     def __sub__(self, other: QDiffOperator) -> QDiffOperator:
         return self + (-other)
 
     def __neg__(self) -> QDiffOperator:
-        return QDiffOperator(self.q, {j: -f for j, f in self.terms.items()})
+        return self._over({j: -f for j, f in self.terms.items()})
 
     def __mul__(self, scalar: Fraction | int) -> QDiffOperator:
         if not isinstance(scalar, (Fraction, int)):
             return NotImplemented
-        return QDiffOperator(self.q,
-                             {j: f * scalar for j, f in self.terms.items()})
+        return self._over({j: f * scalar for j, f in self.terms.items()})
 
     def __rmul__(self, scalar: Fraction | int) -> QDiffOperator:
         return self.__mul__(scalar)
 
     def mul_fn(self, f: Laurent | Poly) -> QDiffOperator:
         """Left-multiply by a coefficient function: (f*D)(p) = f * D(p)."""
-        return QDiffOperator(self.q, {j: f * g for j, g in self.terms.items()})
+        return self._over({j: f * g for j, g in self.terms.items()})
 
     def compose(self, other: QDiffOperator) -> QDiffOperator:
         """(self o other)(p) = self(other(p))."""
         self._require_same_base(other)
         terms: dict[int, Laurent] = {}
         for j1, f in self.terms.items():
-            scale = self.q ** j1
+            u, v = _power(self.q, j1)
             for j2, g in other.terms.items():
                 j = j1 + j2
-                contrib = f * g.scale_arg(scale)
+                contrib = f * Laurent(_scaled(g.poly, u, v, g.val), g.val)
                 terms[j] = terms[j] + contrib if j in terms else contrib
-        return QDiffOperator(self.q, terms)
+        return self._over(terms)
 
     def powers(self, m: int) -> tuple[QDiffOperator, ...]:
         """(d^0, ..., d^m) for d = self; each power is composed once."""
         table = self._powers
         if len(table) <= m:
-            grown = list(table) or [QDiffOperator.identity(self.q), self]
+            grown = list(table) or [self._over({0: Laurent.one()}), self]
             while len(grown) <= m:
                 grown.append(grown[-1].compose(self))
             table = tuple(grown)
@@ -239,4 +252,4 @@ def poly_of_operator(p: Poly, d: QDiffOperator) -> QDiffOperator:
         if c:
             for j, f in power.terms.items():
                 terms[j] = terms[j] + f * c if j in terms else f * c
-    return QDiffOperator(d.q, terms)
+    return d._over(terms)

@@ -25,8 +25,9 @@ wide_fracs = st.one_of(
 
 # `--hypothesis-profile=deep` runs every property that does not pin its own
 # max_examples (the exact layer's stored-form properties, its product,
-# evaluation and _over_common kernels, and the Hankel and Gram properties
-# of the moments layer) on 2000 examples instead of 100.
+# evaluation and _over_common kernels, the Hankel and Gram properties of
+# the moments layer, and the integer q^n closed forms against their
+# Fraction forms) on 2000 examples instead of 100.
 settings.register_profile("deep", max_examples=2000)
 
 

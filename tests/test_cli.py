@@ -103,6 +103,19 @@ def test_forbidden_parameter_ladder_is_invalid_input(capsys, tmp_path):
     assert "b = q^-1" in err
 
 
+@pytest.mark.parametrize("argv, derived", [
+    (("meixner-i", "--b", "1/3", "--c", "-5/2"),
+     "meixner(2/5, 5/2, -6/5)"),        # the carrier (q, -c, 1/(bc))
+    (("meixner-ii", "--b", "2/5"), "meixner(5/2, 2/5, 3/2)"),   # base 1/q
+    (("meixner-iii", "--b", "4/25"), "meixner(2/5, 25/4, 6/25)"),
+])
+def test_excluded_derived_parameter_set_is_named(capsys, argv, derived):
+    # the user's b is allowed; the set the theorem derives from it is not
+    code, _, err = _run(capsys, "verify-eigen", "--theorem", *argv)
+    assert code == 2
+    assert f"{argv[0]} derives {derived} from its input" in err
+
+
 def test_config_overrides_flags(capsys, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"k": 2}))
