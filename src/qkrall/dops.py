@@ -76,8 +76,7 @@ def _actions(spec: DOperatorSpec, family: PolynomialFamily,
 
 def dop_action(spec: DOperatorSpec, family: PolynomialFamily, n: int) -> Poly:
     """The defining lower-triangular action of a ladder on family member n."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    check_depth(n)
     *_, action = _actions(spec, family, n)
     return action
 
@@ -158,13 +157,13 @@ def verify_dop(spec: DOperatorSpec, family: PolynomialFamily,
     match leaves residual None and passed True.
     """
     check_depth(n_top)
-    report = []
+    report, op = [], spec.closed_form
     for n, action in enumerate(_actions(spec, family, n_top)):
-        residual = spec.closed_form.apply(family.poly(n)) - action
+        passed = op.sends(family.poly(n), action)
         report.append({
             "spec_id": spec.spec_id,
             "n": n,
-            "passed": residual.is_zero(),
-            "residual": None if residual.is_zero() else residual,
+            "passed": passed,
+            "residual": None if passed else op.apply(family.poly(n)) - action,
         })
     return report

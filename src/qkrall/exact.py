@@ -12,9 +12,8 @@ Every operation on them, and the kernels of the other layers that read
 reduction of its result; a ``Fraction`` is built only for a coefficient
 that is read through ``coeffs`` or returned as a scalar.  The scalars of
 the q-constructions (recurrence coefficients, eigenvalues, ladder values,
-operator images, moments) are rational functions of q^n; each is one
-integer expression in u^n and v^n at q = u/v (``_power``), put into a
-``Fraction`` once.
+moments) are rational functions of q^n; each is one integer expression in
+u^n and v^n at q = u/v (``_power``), put into a ``Fraction`` once.
 """
 
 from __future__ import annotations
@@ -189,10 +188,7 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         out = [0] * (len(self.nums) + len(other.nums) - 1)
-        for i, ca in enumerate(self.nums):
-            if ca:
-                for k, cb in enumerate(other.nums, i):
-                    out[k] += ca * cb
+        _convolve_into(out, 0, self.nums, other.nums)
         return _poly(out, self.den * other.den)
 
     def __rmul__(self, other: Fraction | int) -> Poly:
@@ -269,6 +265,14 @@ def _poly(nums: list[int], den: int) -> Poly:
     _set(p, "den", den // g)
     _set(p, "_coeffs", None)
     return p
+
+
+def _convolve_into(out: list[int], start: int, xs, ys) -> None:
+    """out[start + i + k] += xs[i] * ys[k] for all i, k."""
+    for i, x in enumerate(xs, start):
+        if x:
+            for k, y in enumerate(ys, i):
+                out[k] += x * y
 
 
 def _add(a: Poly, b: Poly, offset: int) -> Poly:

@@ -168,12 +168,8 @@ def find_operator(problem: SearchProblem) -> SearchResult:
     else:
         cand = [a + b for a, b in zip(u, w)]
 
-    terms = {}
-    for j in range(-h, h + 1):
-        g = Poly(_g_block(cand, j, h))
-        if not g.is_zero():
-            terms[j] = Laurent(g, -2 * h)
-    operator = QDiffOperator(q, terms)
+    operator = QDiffOperator(q, {j: Laurent(Poly(_g_block(cand, j, h)), -2 * h)
+                                 for j in range(-h, h + 1)})
     n_cols_g = (2 * h + 1) ** 2
     eigenvalues = tuple(cand[n_cols_g + n]
                         for n in range(len(problem.eigenpolys)))
@@ -181,8 +177,7 @@ def find_operator(problem: SearchProblem) -> SearchResult:
     if operator.order() != 2 * h:
         raise CrossCheckFailed("search produced a wrong-order operator")
     for n, p in enumerate(problem.eigenpolys):
-        residual = operator.apply(p) - eigenvalues[n] * p
-        if not residual.is_zero():
+        if not operator.sends(p, p, eigenvalues[n]):
             raise CrossCheckFailed(
                 f"search solution fails re-verification at n={n}")
     return SearchResult(True, operator, eigenvalues, dim)

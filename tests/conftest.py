@@ -25,9 +25,11 @@ wide_fracs = st.one_of(
 
 # `--hypothesis-profile=deep` runs every property that does not pin its own
 # max_examples (the exact layer's stored-form properties, its product,
-# evaluation and _over_common kernels, the Hankel and Gram properties of
-# the moments layer, and the integer q^n closed forms against their
-# Fraction forms) on 2000 examples instead of 100.
+# evaluation and _over_common kernels, the operator table against its
+# Laurent-term forms and QDiffOperator.sends against the residual, the
+# Hankel and Gram properties of the moments layer, and the integer q^n
+# closed forms against their Fraction forms) on 2000 examples instead of
+# 100.
 settings.register_profile("deep", max_examples=2000)
 
 
@@ -45,6 +47,16 @@ def assert_normal_laurent(f: Laurent) -> None:
     """f's poly is stored canonically and f is in normal form."""
     assert_stored_form(f.poly)
     assert f.poly.nums[0] != 0 if f.poly.nums else f.val == 0
+
+
+def apply_by_shifts(op, p: Poly | Laurent) -> Laurent:
+    """The definition D(p) = sum_j f_j * p(q^j x), one product per shift:
+    the reference for QDiffOperator.apply and for the residuals that the
+    verifiers report."""
+    out = Laurent.zero()
+    for j, f in op.terms.items():
+        out = out + f * p.scale_arg(op.q ** j)
+    return out
 
 
 @pytest.fixture(scope="session")

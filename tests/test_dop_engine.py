@@ -8,7 +8,7 @@ import pytest
 from qkrall import (DOperatorSpec, Poly, UnsupportedFamily, alsalam_carlitz,
                     dop_action, dop_catalog, laguerre, meixner,
                     q_derivative_ops, qpochhammer, verify_dop)
-from conftest import B0, C0, Q0, T0
+from conftest import B0, C0, Q0, T0, apply_by_shifts
 
 F = Fraction
 
@@ -89,6 +89,14 @@ def test_verify_dop_detects_wrong_ladder_data():
     failures = [e for e in report if not e["passed"]]
     assert failures, "a corrupted ladder sequence must be detected"
     assert all(e["residual"] is not None for e in failures)
+    # a failing entry carries closed_form(p_n) - action(n), from the
+    # definitions of both
+    for e in report:
+        n = e["n"]
+        want = (apply_by_shifts(good.closed_form, family.poly(n))
+                - _defining_action(bad, family, n))
+        assert e["passed"] is want.is_zero()
+        assert e["residual"] == (None if e["passed"] else want)
 
 
 def test_meixner_parameter_shift_identity():

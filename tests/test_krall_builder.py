@@ -8,12 +8,14 @@ import pytest
 import qkrall.krall
 from qkrall import (GammaVanishes, LaguerreParams, MeixnerParams,
                     ParamDegeneracy, Poly, QKrallError, UnknownTheorem,
-                    agree_up_to, build, dop_catalog, hankel_orthogonal,
-                    measure_catalog, meixner, meixner_moments,
-                    theorem_catalog, verify_dop, verify_eigen)
+                    agree_up_to, build, dop_action, dop_catalog,
+                    hankel_orthogonal, measure_catalog, meixner,
+                    meixner_moments, qpochhammer, theorem_catalog,
+                    verify_dop, verify_eigen)
 from qkrall import (LAGUERRE_I, LAGUERRE_II, MEIXNER_I, MEIXNER_II,
                     MEIXNER_III, THEOREMS)
-from conftest import B0, C0, Q0, T0
+from conftest import (B0, C0, Q0, T0, apply_by_shifts,
+                      reference_configs)
 
 F = Fraction
 
@@ -24,7 +26,7 @@ def _reference_build(n_top: int = 10):
 
 
 @pytest.mark.parametrize("entry", ["polys_up_to", "build", "verify_dop",
-                                   "hankel_orthogonal"])
+                                   "dop_action", "hankel_orthogonal"])
 def test_negative_index_bound_is_refused(entry):
     # a negative bound leaves an empty index range, which is no pass
     td = theorem_catalog(MEIXNER_I, MeixnerParams(Q0, B0, C0), 1)
@@ -32,6 +34,7 @@ def test_negative_index_bound_is_refused(entry):
         "polys_up_to": lambda: td.family.polys_up_to(-1),
         "build": lambda: build(td.family, td.spec, td.p2, -1),
         "verify_dop": lambda: verify_dop(td.spec, td.family, -1),
+        "dop_action": lambda: dop_action(td.spec, td.family, -1),
         "hankel_orthogonal": lambda: hankel_orthogonal(
             meixner_moments(td.family.params), -1),
     }
@@ -103,6 +106,32 @@ def test_beta_override_breaks_the_eigen_equation():
     bad = [e for e in report if not e["passed"]]
     assert bad and all(e["residual"] is not None for e in bad)
     assert any(e["n"] == 3 for e in bad)
+    # a failing entry carries D(q_n) - lambda_n q_n, from the definition
+    for e in report:
+        p, lam = tampered.qpoly(e["n"]), tampered.lam(e["n"])
+        want = apply_by_shifts(tampered.operator, p) - lam * p
+        assert e["passed"] is want.is_zero()
+        assert e["residual"] == (None if e["passed"] else want)
+
+
+def _gam_by_pochhammers(q: F, t: F, mass: F, i: int) -> F:
+    """1 + M (tq; q)_i / (q; q)_i, two q-Pochhammer products of length i."""
+    return 1 + mass * qpochhammer(t * q, q, i) / qpochhammer(q, q, i)
+
+
+def test_point_mass_displayed_beta_equals_built_beta():
+    # displayed beta_n = gam(n) / ((1 - t q^n) gam(n - 1)) with gam read
+    # through (q^(i+1); q)_alpha, on every laguerre-ii reference set
+    configs = [c for c in reference_configs() if c[0] == LAGUERRE_II]
+    assert len(configs) == 6
+    for name, params, alpha, mass in configs:
+        td = theorem_catalog(name, params, alpha, mass=mass)
+        kc = build(td.family, td.spec, td.p2, 40)
+        q, t = params.q, params.t
+        for n in range(1, 41):
+            gam = [_gam_by_pochhammers(q, t, mass, i) for i in (n - 1, n)]
+            want = gam[1] / ((1 - t * q ** n) * gam[0])
+            assert td.displayed_beta(n) == kc.beta(n) == want, (alpha, mass, n)
 
 
 def test_catalog_covers_all_instances():

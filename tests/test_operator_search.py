@@ -10,13 +10,14 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import qkrall.search
-from qkrall import (LAGUERRE_I, MEIXNER_I, GammaVanishes, LaguerreParams,
-                    MeixnerParams, NotQuasiDefinite, ParamDegeneracy, Poly,
-                    QDiffOperator, SearchProblem, build, check_conjecture_a,
-                    check_conjecture_b1, check_conjecture_b2, christoffel,
-                    find_operator, hankel_orthogonal, laguerre_moments,
-                    measure_catalog, meixner_moments, minimal_even_order,
-                    nullspace, theorem_catalog)
+from qkrall import (LAGUERRE_I, MEIXNER_I, CrossCheckFailed, GammaVanishes,
+                    LaguerreParams, MeixnerParams, NotQuasiDefinite,
+                    ParamDegeneracy, Poly, QDiffOperator, SearchProblem,
+                    build, check_conjecture_a, check_conjecture_b1,
+                    check_conjecture_b2, christoffel, find_operator,
+                    hankel_orthogonal, laguerre_moments, measure_catalog,
+                    meixner_moments, minimal_even_order, nullspace,
+                    theorem_catalog)
 from qkrall.search import _basis, _reduced_rows, _window_size
 from conftest import B0, C0, Q0, T0
 
@@ -43,6 +44,20 @@ def test_search_rediscovers_a_catalogued_operator():
     assert op.order() == 4
     for n, p in enumerate(polys[:10]):
         assert op.apply(p) == result.eigenvalues[n] * p
+
+
+def test_a_wrong_eigenvalue_fails_re_verification(monkeypatch):
+    # every basis vector's lambda_2 off by one: the operator is found, and
+    # its check D(q_n) == lambda_n q_n fails first at n = 2
+    polys, _ = _catalog_eigenpolys(1, _window_size(2))
+    problem = SearchProblem(tuple(polys), 2, Q0)
+    real = _basis(problem)
+    lam_2 = (2 * 2 + 1) ** 2 + 2
+    monkeypatch.setattr(qkrall.search, "_basis", lambda _: [
+        v[:lam_2] + [v[lam_2] + 1] + v[lam_2 + 1:] for v in real])
+    with pytest.raises(CrossCheckFailed,
+                       match="search solution fails re-verification at n=2"):
+        find_operator(problem)
 
 
 @settings(max_examples=4, deadline=None)

@@ -1,6 +1,7 @@
 """q-difference operator algebra: action, composition, order bookkeeping."""
 from __future__ import annotations
 
+import math
 import sys
 import threading
 from fractions import Fraction
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from qkrall import (Laurent, MixedBase, Poly, QDiffOperator,
                     poly_of_operator, q_derivative_ops)
-from conftest import assert_normal_laurent, wide_fracs
+from conftest import apply_by_shifts, assert_normal_laurent, wide_fracs
 
 F = Fraction
 Q = F(2, 5)
@@ -31,14 +32,6 @@ wide_laurents = st.builds(
 based_ops = st.builds(
     QDiffOperator, bases,
     st.dictionaries(st.integers(-2, 2), wide_laurents, max_size=3))
-
-
-def _apply_by_shifts(op: QDiffOperator, p: Poly | Laurent) -> Laurent:
-    """The definition D(p) = sum_j f_j * p(q^j x), one product per shift."""
-    out = Laurent.zero()
-    for j, f in op.terms.items():
-        out = out + f * p.scale_arg(op.q ** j)
-    return out
 
 
 def _schoolbook_apply(op: QDiffOperator, p: Laurent) -> dict[int, F]:
@@ -222,7 +215,7 @@ def test_apply_equals_shift_and_multiply(op, ps):
     for p in rising + rising[::-1] + ps:
         published = op._images
         snapshot = dict(published)
-        assert op.apply(p) == _apply_by_shifts(op, p)
+        assert op.apply(p) == apply_by_shifts(op, p)
         assert published == snapshot  # a grown table is a new dict
     fresh = QDiffOperator(op.q, op.terms)
     assert fresh == op and hash(fresh) == hash(op)
@@ -269,7 +262,7 @@ def test_apply_from_many_threads_on_one_operator():
     d_q, d_inv = q_derivative_ops(Q)
     op = (d_q @ d_inv).mul_fn(Laurent(Poly((1, 2)), -1)) + d_q
     polys = [Poly.monomial(k, F(k + 1, 3)) + Poly((1, -1)) for k in range(24)]
-    expected = [_apply_by_shifts(op, p) for p in polys]
+    expected = [apply_by_shifts(op, p) for p in polys]
     results: dict[tuple[int, int], Laurent] = {}
 
     def work(idx: int) -> None:
@@ -289,3 +282,160 @@ def test_apply_from_many_threads_on_one_operator():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert results == {(i, k): expected[k] for i in range(6) for k in range(24)}
+
+
+# The Laurent-term forms of the operator algebra: one Laurent operation
+# per term, each reducing its own coefficient.  The integer table is
+# checked against them term for term.
+
+def _nonzero(terms: dict) -> dict[int, Laurent]:
+    return {j: f for j, f in sorted(terms.items()) if not f.is_zero()}
+
+
+def _terms_sum(*parts: tuple[F | int, dict]) -> dict[int, Laurent]:
+    """sum_k c_k D_k on the terms of the D_k."""
+    out: dict[int, Laurent] = {}
+    for c, terms in parts:
+        for j, f in terms.items():
+            out[j] = out[j] + f * c if j in out else f * c
+    return _nonzero(out)
+
+
+def _terms_compose(q: F, a: dict, b: dict) -> dict[int, Laurent]:
+    """f_j1(x) g_j2(q^j1 x) at shift j1 + j2."""
+    out: dict[int, Laurent] = {}
+    for j1, f in a.items():
+        for j2, g in b.items():
+            term = f * g.scale_arg(q ** j1)
+            out[j1 + j2] = out[j1 + j2] + term if j1 + j2 in out else term
+    return _nonzero(out)
+
+
+def _terms_powers(q: F, d: dict, m: int) -> list[dict[int, Laurent]]:
+    table = [{0: Laurent.one()}]
+    while len(table) <= m:
+        table.append(_terms_compose(q, table[-1], d))
+    return table
+
+
+def assert_stored_operator(op: QDiffOperator, terms: dict) -> None:
+    """op is stored canonically and its terms, ==, hash and JSON are those
+    of the operator with these Laurent terms."""
+    assert type(op.den) is int and op.den > 0
+    shifts = [j for j, _, _ in op.rows]
+    assert shifts == sorted(set(shifts))
+    for _, _, row in op.rows:
+        assert row and row[0] and row[-1]
+        assert all(type(c) is int for c in row)
+    assert math.gcd(op.den, *(c for _, _, row in op.rows for c in row)) == 1
+    for f in op.terms.values():
+        assert_normal_laurent(f)
+    assert dict(op.terms) == terms and list(op.terms) == sorted(terms)
+    reference = QDiffOperator(op.q, terms)
+    assert op == reference and hash(op) == hash(reference)
+    assert hash(op) == hash((op.q, tuple(sorted(terms.items()))))
+    assert op.to_json() == reference.to_json()
+    assert QDiffOperator.from_json(op.to_json()) == op
+
+
+# shifts -3..3 with wide coefficients at valuations -3..2, over bases
+# below zero, above one and in between
+table_ops = st.builds(
+    QDiffOperator, bases,
+    st.dictionaries(st.integers(-3, 3), wide_laurents, max_size=3))
+scalars = st.one_of(st.just(F(0)), wide_fracs)
+
+
+@settings(deadline=None)
+@given(table_ops, st.dictionaries(st.integers(-3, 3), wide_laurents,
+                                  max_size=3),
+       scalars, wide_laurents, st.lists(small_fracs, max_size=4).map(Poly))
+def test_operator_table_equals_laurent_terms(a, terms, c, f, p):
+    q = a.q
+    b = QDiffOperator(q, terms)
+    ta, tb = dict(a.terms), dict(b.terms)
+    assert_stored_operator(a, _nonzero(ta))
+    assert_stored_operator(b, _nonzero(terms))
+    assert_stored_operator(a + b, _terms_sum((1, ta), (1, tb)))
+    assert_stored_operator(a - b, _terms_sum((1, ta), (-1, tb)))
+    assert_stored_operator(-a, _terms_sum((-1, ta)))
+    assert_stored_operator(a * c, _terms_sum((c, ta)))
+    assert_stored_operator(c * a, _terms_sum((c, ta)))
+    assert_stored_operator(a.mul_fn(f), _nonzero(
+        {j: f * g for j, g in ta.items()}))
+    assert_stored_operator(a.mul_fn(f.poly), _nonzero(
+        {j: g * f.poly for j, g in ta.items()}))
+    assert_stored_operator(a @ b, _terms_compose(q, ta, tb))
+    assert_stored_operator(b.compose(a), _terms_compose(q, tb, ta))
+    fresh = QDiffOperator(q, tb)
+    for got, want in zip(fresh.powers(3), _terms_powers(q, tb, 3)):
+        assert_stored_operator(got, want)
+    assert_stored_operator(poly_of_operator(p, fresh), _terms_sum(
+        *zip(p.coeffs, _terms_powers(q, tb, p.degree()))))
+
+
+@pytest.mark.parametrize("op", [
+    QDiffOperator.zero(Q), QDiffOperator.identity(F(-3, 2)),
+    QDiffOperator(F(7), {-2: Laurent(Poly((0, 0, 4)), -1),
+                         3: Poly((F(2, 3), 0, 0))})])
+def test_operator_table_edge_cases(op):
+    terms = dict(op.terms)
+    assert_stored_operator(op, terms)
+    assert_stored_operator(op - op, {})
+    assert_stored_operator(op * 0, {})
+    assert_stored_operator(op.mul_fn(Poly.zero()), {})
+    assert_stored_operator(op @ QDiffOperator.zero(op.q), {})
+    assert_stored_operator(QDiffOperator.zero(op.q) @ op, {})
+    assert_stored_operator(poly_of_operator(Poly.zero(), op), {})
+    assert_stored_operator(poly_of_operator(Poly.one(), op),
+                           {0: Laurent.one()})
+
+
+def _near_misses(image: Laurent, c: F) -> list[Poly | Laurent]:
+    """c r = image for the first r, and not for the rest: r with one
+    coefficient perturbed, or with a term beyond image's exponents on
+    either side, or image itself shifted by one power of x."""
+    r = image * (1 / c) if c else image
+    out = [r, r + Laurent.constant(1), Laurent(r.poly, r.val + 1)]
+    if not r.is_zero():
+        top = r.val + r.poly.degree()
+        mid = (r.val + top) // 2
+        out += [r + Laurent(Poly.constant(F(1, 3)), mid),
+                r + Laurent(Poly.one(), top + 1),
+                r + Laurent(Poly.constant(-2), r.val - 1)]
+    out += [f.as_poly() for f in out if f.is_polynomial()]
+    return out
+
+
+@settings(deadline=None)
+@given(st.one_of(based_ops, st.builds(QDiffOperator.zero, bases)),
+       st.one_of(operands, st.just(Poly.zero())), scalars)
+def test_sends_agrees_with_the_residual(op, p, c):
+    # operators with negative valuations give D(p) a pole at 0
+    image = op.apply(p)
+    for r in _near_misses(image, c) + [Poly.zero(), Laurent.zero()]:
+        assert op.sends(p, r, c) == (op.apply(p) - c * r).is_zero()
+    assert op.sends(p, image) and op.sends(p, image * 2, F(1, 2))
+
+
+def test_sends_on_zero_operator_zero_operand_and_zero_scalar():
+    d_q, _ = q_derivative_ops(Q)
+    zero = QDiffOperator.zero(Q)
+    p = Poly((1, 2, 3))
+    assert zero.sends(p, Poly.zero()) and zero.sends(p, p, 0)
+    assert not zero.sends(p, p) and not zero.sends(p, Laurent(p, -1), 5)
+    assert d_q.sends(Poly.zero(), Poly.zero()) and d_q.sends(Poly.zero(), p, 0)
+    assert not d_q.sends(Poly.zero(), p, F(1, 7))
+    assert d_q.sends(Poly.one(), p, 0) and not d_q.sends(p, p, 0)
+    # D_q(x^3) = (1 + q + q^2) x^2 and nothing else
+    x3 = Poly.monomial(3)
+    assert d_q.sends(x3, Poly.monomial(2), 1 + Q + Q ** 2)
+    assert not d_q.sends(x3, Poly.monomial(2), 1 + Q)
+    assert not d_q.sends(x3, Poly((1, 0, 1 + Q + Q ** 2)))
+    # D(1) = 2/x + 3 has a pole at 0: no polynomial matches it
+    pole = QDiffOperator(Q, {0: Laurent(Poly((2, 3)), -1)})
+    assert pole.sends(Poly.one(), Laurent(Poly((2, 3)), -1))
+    assert pole.sends(Poly.one(), Laurent(Poly((4, 6)), -1), F(1, 2))
+    assert not pole.sends(Poly.one(), Poly((3,)))
+    assert not pole.sends(Poly.one(), Poly((2, 3)))
+    assert not pole.sends(Poly.one(), Laurent(Poly((2,)), -1))
