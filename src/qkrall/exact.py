@@ -219,7 +219,7 @@ class Poly:
     def scale_arg(self, lam: Fraction | int | str) -> Poly:
         """Substitute x -> lam * x."""
         lam = rational(lam)
-        return _scaled(self, lam.numerator, lam.denominator, 0)
+        return _scaled(self, lam.numerator, lam.denominator)
 
     def shift_arg(self, lam: Fraction | int | str) -> Poly:
         """Substitute x -> x + lam."""
@@ -286,15 +286,12 @@ def _add(a: Poly, b: Poly, offset: int) -> Poly:
     return _poly(out, den)
 
 
-def _scaled(p: Poly, u: int, v: int, val: int) -> Poly:
-    """lam^val p(lam x) at lam = u/v (integers, v != 0, and u != 0 if
-    val < 0) in one integer pass: coefficient i is nums_i lam^(val+i), that is
-    nums_i u^(val+i-a) v^(b-val-i) over den u^-a v^b, where
-    a = min(val, 0) and b = max(val + deg p, 0)."""
-    a, b = min(val, 0), max(val + len(p.nums) - 1, 0)
-    return _poly([c * u ** (val + i - a) * v ** (b - val - i)
-                  for i, c in enumerate(p.nums)],
-                 p.den * u ** -a * v ** b)
+def _scaled(p: Poly, u: int, v: int) -> Poly:
+    """p(lam x) at lam = u/v (integers, v != 0) in one integer pass:
+    coefficient i is nums_i u^i v^(d-i) over den v^d, d = deg p."""
+    d = len(p.nums) - 1
+    return _poly([c * u ** i * v ** (d - i) for i, c in enumerate(p.nums)],
+                 p.den * v ** max(d, 0))
 
 
 def divmod_poly(a: Poly, b: Poly) -> tuple[Poly, Poly]:
@@ -364,8 +361,8 @@ class Laurent:
     """Laurent polynomial x^val * poly over Q.
 
     The normal form has poly(0) != 0, or poly zero with val = 0, so == on
-    the pair decides mathematical equality.  Sums and products are
-    shift-and-add on coefficients and never need a polynomial gcd.  As a
+    the pair decides mathematical equality.  Sums are shift-and-add on
+    coefficients and never need a polynomial gcd.  As a
     quotient num / den it reads num = x^max(val, 0) * poly and
     den = x^max(-val, 0): coprime, with a monic denominator.
     """
@@ -448,30 +445,6 @@ class Laurent:
 
     def __neg__(self) -> Laurent:
         return Laurent(-self.poly, self.val)
-
-    def __mul__(self, other: Laurent | Poly | Fraction | int) -> Laurent:
-        if isinstance(other, Laurent):
-            return Laurent(self.poly * other.poly, self.val + other.val)
-        if isinstance(other, (Poly, Fraction, int)):
-            return Laurent(self.poly * other, self.val)
-        return NotImplemented
-
-    def __rmul__(self, other: Poly | Fraction | int) -> Laurent:
-        return self.__mul__(other)
-
-    def __call__(self, x0: Fraction | int | str) -> Fraction:
-        x0 = rational(x0)
-        if x0 == 0 and self.val < 0:
-            raise ZeroDenominator("Laurent polynomial has a pole at x = 0")
-        return self.poly(x0) * x0 ** self.val
-
-    def scale_arg(self, lam: Fraction | int | str) -> Laurent:
-        """Substitute x -> lam * x."""
-        lam = rational(lam)
-        if lam == 0 and self.val < 0:
-            raise ZeroDenominator("Laurent polynomial has a pole at x = 0")
-        return Laurent(_scaled(self.poly, lam.numerator, lam.denominator,
-                               self.val), self.val)
 
     def __repr__(self) -> str:
         return f"Laurent({self.poly!r}, {self.val})"

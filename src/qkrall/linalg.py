@@ -3,19 +3,26 @@
 Pivoting is deterministic (first nonzero column, then smallest row index)
 so that every run of the package produces identical output.
 
-`nullspace` is certified rather than computed by `rref` directly.  It scales
-each row to a primitive integer row, keeps the rows that are independent of
-the rows kept before them modulo the prime 2^61 - 1, brings the kept rows to
-echelon form by fraction-free (Bareiss) elimination, and back-substitutes
-over Z for the standard RREF basis.  Rows independent mod p are independent
-over Q, so the kept rows R have full rank and nullspace(A) is contained in
-nullspace(R).  Every basis vector of nullspace(R) is then checked over Z
-against every row of A; when all checks pass the two nullspaces are equal,
-and since the RREF basis depends only on the nullspace, the result is the
-one `rref` gives.  When a check fails (a prime that drops a row of full
-rank over Q), the first failing row joins R: a row that some vector of
-nullspace(R) does not kill lies outside the row space of R, so R keeps
-full rank, and the solve repeats at most ncols times.
+`nullspace` is certified rather than computed by `rref` directly.  It reads
+each row over Z (a `Fraction` row over its common denominator) and keeps
+the rows independent, modulo the prime 2^61 - 1, of the rows kept before
+them; rows independent mod p are independent over Q.  If the r kept rows
+and the z columns that are zero in every row make r + z = ncols, the
+nullspace is spanned by the zero columns' unit vectors, with no solve or
+check: they lie in it, and its dimension ncols - rank(A) <= ncols - r = z.
+Every nonzero column is then a pivot, so they are the RREF basis.
+Otherwise only the kept rows R are made primitive (a row that vanishes mod
+p only because p divides its content is made primitive before it is
+reduced, so R is the choice the primitive rows give), fraction-free
+(Bareiss) elimination brings R to echelon form, and back-substitution over
+Z gives the RREF basis of nullspace(R), which contains nullspace(A).  Every
+basis vector is checked over Z against every row of A; when all checks
+pass the two nullspaces are equal, and since the RREF basis depends only
+on the nullspace, the result is the one `rref` gives.  When a check fails
+(a prime that drops a row of full rank over Q), the first failing row
+joins R: a row that some vector of nullspace(R) does not kill lies outside
+the row space of R, so R keeps full rank, and the solve repeats at most
+ncols times.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ from fractions import Fraction
 from operator import mul
 
 from .errors import SingularSystem
-from .exact import _integer_rows
+from .exact import _integer_rows, _over_common
 
 Matrix = list[list[Fraction]]
 
@@ -92,44 +99,55 @@ def solve_exact(a: Matrix, b: list[Fraction]) -> list[Fraction]:
 def nullspace(a: Matrix) -> list[list[Fraction]]:
     """Basis of the right nullspace of a, one vector per free column.
 
-    Entries may be `int` or `Fraction`; a row of `int`s needs no common
-    denominator and is only made primitive.  The basis is the standard one
-    read off the RREF: free column j gives the vector with 1 in slot j, so
-    output order is deterministic.  It is
-    found from the rows chosen mod p and certified over Z against every row
-    (see the module docstring); a row that fails the check joins the chosen
-    rows and the solve repeats.
+    Entries may be `int` or `Fraction`.  The basis is the standard one read
+    off the RREF: free column j gives the vector with 1 in slot j, so output
+    order is deterministic.  It is the zero columns' unit vectors when the
+    rank mod p reaches the number of nonzero columns; otherwise it is
+    solved from the rows chosen mod p, made primitive, and certified over Z
+    against every row (see the module docstring).
     """
     if not a:
         return []
     ncols = len(a[0])
-    rows = _integer_rows(a)
-    kept = [rows[i] for i in _independent_mod_p(rows, ncols)]
+    rows = [row if all(isinstance(c, int) for c in row)
+            else _over_common(row)[0] for row in a]
+    zero = [j for j, col in enumerate(zip(*rows)) if not any(col)]
+    kept = _independent_mod_p(rows, sorted(set(range(ncols)) - set(zero)))
+    if len(kept) + len(zero) == ncols:
+        return [[Fraction(int(i == j)) for i in range(ncols)] for j in zero]
+    kept = _integer_rows([rows[i] for i in kept])
     while True:
         basis = _integer_nullspace(kept, ncols)
         missed = next((row for row in rows for w, _ in basis
                        if sum(map(mul, row, w))), None)
         if missed is None:
             return [[Fraction(c, w[f]) for c in w] for w, f in basis]
-        kept.append(missed)
+        kept += _integer_rows([missed])
 
 
-def _independent_mod_p(rows: list[list[int]], ncols: int) -> list[int]:
-    """Indices of the rows independent, mod p, of the rows before them.
+def _independent_mod_p(rows: list[list[int]], cols: list[int]) -> list[int]:
+    """Indices of the rows independent, mod p, of the rows before them;
+    only the columns `cols` may hold a nonzero entry.
 
-    Keeps the kept rows in reduced echelon form mod p, stored by column:
-    free column j holds, for each pivot in order, that pivot row's entry
-    in column j (pivot columns are unit vectors and need no storage).  A
-    row's residual is then nonzero only in free columns.
+    A row is reduced as given, or made primitive first if that leaves it
+    zero.  The kept rows are held in reduced echelon form mod p, stored by
+    column: free column j holds, for each pivot in order, that pivot row's
+    entry in column j (pivot columns are unit vectors and need no storage),
+    so a row's residual is nonzero only in free columns, and the scan stops
+    once every column of `cols` is a pivot.
     """
     p = _PRIME
     pivots: list[int] = []
-    free: dict[int, list[int]] = {j: [] for j in range(ncols)}
+    free: dict[int, list[int]] = {j: [] for j in cols}
     kept = []
     for i, row in enumerate(rows):
         if not free:
             break
         r = [c % p for c in row]
+        if not any(r):  # p divides the content, or the row is zero
+            r = [c % p for prim in _integer_rows([row]) for c in prim]
+            if not r:
+                continue
         at_pivots = [r[c] for c in pivots]
         residual = {j: (r[j] - sum(map(mul, at_pivots, col))) % p
                     for j, col in free.items()}

@@ -41,8 +41,8 @@ from functools import partial
 from typing import Callable, Iterable, Sequence
 
 from .errors import CrossCheckFailed, NotQuasiDefinite, ParamDegeneracy
-from .exact import (Laurent, Poly, _integer_rows, check_base, rational,
-                    rational_str)
+from .exact import (Laurent, Poly, _integer_rows, _over_common, check_base,
+                    rational, rational_str)
 from .families import (LaguerreParams, MeixnerParams, q_power_exponent)
 from .krall import build, theorem_catalog
 from .linalg import nullspace, rref
@@ -131,13 +131,20 @@ def _reduced_rows(problem: SearchProblem) -> list[list[int]]:
 
 def _basis(problem: SearchProblem) -> list[list[Fraction]]:
     """The RREF nullspace basis of the joint system in the g_{j,i} and the
-    l_n, found from the reduced one (module docstring)."""
+    l_n, found from the reduced one (module docstring); each l_n = s_t(n)
+    is one integer sum, sum_j a^{(h+j)n} b^{(h-j)n} g_{j,t}, over (ab)^{hn}
+    and the vector's denominator."""
     h, q = problem.h, problem.q
     t = 2 * h
-    joint = [v + [sum(q ** (j * n) * v[(j + h) * (t + 1) + t]
-                      for j in range(-h, h + 1))
-                  for n in range(len(problem.eigenpolys))]
-             for v in nullspace(_reduced_rows(problem))]
+    a, b = q.numerator, q.denominator
+    joint = []
+    for v in nullspace(_reduced_rows(problem)):
+        g, den = _over_common(v[t::t + 1])  # g_{j,t} for j = -h..h
+        joint.append(v + [
+            Fraction(sum(a ** ((h + j) * n) * b ** ((h - j) * n) * g_j
+                         for j, g_j in enumerate(g, -h)),
+                     den * (a * b) ** (h * n))
+            for n in range(len(problem.eigenpolys))])
     return [v[::-1] for v in reversed(rref([v[::-1] for v in joint])[0])]
 
 

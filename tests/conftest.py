@@ -27,9 +27,9 @@ wide_fracs = st.one_of(
 # max_examples (the exact layer's stored-form properties, its product,
 # evaluation and _over_common kernels, the operator table against its
 # Laurent-term forms and QDiffOperator.sends against the residual, the
-# Hankel and Gram properties of the moments layer, and the integer q^n
-# closed forms against their Fraction forms) on 2000 examples instead of
-# 100.
+# Hankel and Gram properties of the moments layer, the integer q^n closed
+# forms against their Fraction forms, and the nullspace of matrices with
+# zero columns against `rref`) on 2000 examples instead of 100.
 settings.register_profile("deep", max_examples=2000)
 
 
@@ -49,13 +49,42 @@ def assert_normal_laurent(f: Laurent) -> None:
     assert f.poly.nums[0] != 0 if f.poly.nums else f.val == 0
 
 
+# Laurent products, evaluation and argument scaling, which the library does
+# not need: the oracle that the operator algebra and the verifiers'
+# residuals are checked against.
+
+def _laurent(f: Laurent | Poly) -> Laurent:
+    return f if isinstance(f, Laurent) else Laurent(f)
+
+
+def laurent_mul(f: Laurent | Poly,
+                g: Laurent | Poly | Fraction | int) -> Laurent:
+    """f * g: the product of the polynomial parts at the sum of the
+    valuations (a Poly or a scalar has valuation 0)."""
+    f = _laurent(f)
+    if isinstance(g, Laurent):
+        return Laurent(f.poly * g.poly, f.val + g.val)
+    return Laurent(f.poly * g, f.val)
+
+
+def laurent_at(f: Laurent, x0: Fraction | int) -> Fraction:
+    """f(x0) = x0^val poly(x0), for x0 != 0 when f has a pole."""
+    return f.poly(x0) * Fraction(x0) ** f.val
+
+
+def laurent_scale_arg(f: Laurent | Poly, lam: Fraction) -> Laurent:
+    """f(lam x) = lam^val x^val poly(lam x)."""
+    f = _laurent(f)
+    return Laurent(f.poly.scale_arg(lam) * lam ** f.val, f.val)
+
+
 def apply_by_shifts(op, p: Poly | Laurent) -> Laurent:
     """The definition D(p) = sum_j f_j * p(q^j x), one product per shift:
     the reference for QDiffOperator.apply and for the residuals that the
     verifiers report."""
     out = Laurent.zero()
     for j, f in op.terms.items():
-        out = out + f * p.scale_arg(op.q ** j)
+        out = out + laurent_mul(f, laurent_scale_arg(p, op.q ** j))
     return out
 
 

@@ -155,10 +155,22 @@ def test_row_missed_mod_p_leaves_a_smaller_basis(monkeypatch):
 
 def test_row_divisible_by_p_is_made_primitive_first(monkeypatch):
     # [p, 0] is zero mod p as given, but scaling it to a primitive row
-    # makes it [1, 0], so the modular choice keeps it and one solve does.
+    # makes it [1, 0], so the modular choice keeps it; with both columns
+    # pivots mod p the nullspace is decided with no solve.
     calls = _counting_rref(monkeypatch)
     solves = _counting_solves(monkeypatch)
     assert nullspace([[F(P), F(0)], [F(0), F(1)]]) == []
+    assert calls == []
+    assert solves == []
+
+
+def test_row_divisible_by_p_joins_a_single_solve(monkeypatch):
+    # as above, with a free column: [p, 0, p] is kept as [1, 0, 1], and
+    # one solve over both kept rows gives the basis
+    calls = _counting_rref(monkeypatch)
+    solves = _counting_solves(monkeypatch)
+    assert nullspace([[F(P), F(0), F(P)], [F(0), F(1), F(1)]]) == [
+        [F(-1), F(-1), F(1)]]
     assert calls == []
     assert solves == [2]
 
@@ -184,3 +196,61 @@ def integer_matrices(draw):
 def test_integer_rows_give_their_fraction_twins_basis(a):
     twin = [[F(c) for c in row] for row in a]
     assert nullspace(a) == nullspace(twin) == reference(twin)
+
+
+@st.composite
+def full_column_rank(draw):
+    """A triangular block with a nonzero diagonal and more rows below, in a
+    drawn row order, sometimes every row times p: full rank on every
+    column."""
+    cols = draw(st.integers(1, 6))
+    rows = [[F(0)] * j + [draw(entries.filter(bool))]
+            + draw(_matrix(1, cols - j - 1))[0] for j in range(cols)]
+    rows = draw(st.permutations(rows + draw(_matrix(draw(st.integers(0, 3)),
+                                                     cols))))
+    scale = draw(st.sampled_from([1, P]))
+    return [[scale * c for c in row] for row in rows]
+
+
+@st.composite
+def with_zero_columns(draw):
+    """Random, low-rank, integer (p-multiple rows among them) and full
+    column rank matrices with zero columns inserted."""
+    a = draw(st.one_of(random_matrices(), low_rank_products(),
+                       integer_matrices(), full_column_rank()))
+    for j in draw(st.lists(st.integers(0, len(a[0])), min_size=1,
+                           max_size=3)):
+        for row in a:
+            row.insert(j, type(row[0])(0))
+    return a
+
+
+@settings(deadline=None)
+@given(with_zero_columns())
+def test_nullspace_with_zero_columns_equals_rref_basis(a):
+    assert nullspace(a) == reference(a)
+
+
+def test_full_rank_on_the_nonzero_columns_needs_no_solve(monkeypatch):
+    # columns 0 and 3 are zero and the others are independent mod p (the
+    # first row once made primitive), so the basis is the unit vectors of
+    # columns 0 and 3
+    a = [[0, P, 2 * P, 0], [0, 3, 4, 0], [0, 5, 6, 0]]
+    want = reference(a)
+    solves = _counting_solves(monkeypatch)
+    assert nullspace(a) == want == [[1, 0, 0, 0], [0, 0, 0, 1]]
+    assert solves == []
+
+
+def test_only_kept_rows_are_made_primitive(monkeypatch):
+    a = [[1, 2, 3], [2, 4, 6], [3, 6, 9], [0, 1, 1]]
+    made = []
+    primitive = linalg._integer_rows
+
+    def counted(rows):
+        made.extend(rows)
+        return primitive(rows)
+
+    monkeypatch.setattr(linalg, "_integer_rows", counted)
+    assert nullspace(a) == reference(a) == [[-1, -1, 1]]
+    assert made == [[1, 2, 3], [0, 1, 1]]

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import qkrall.linalg
 import qkrall.search
 from qkrall import (LAGUERRE_I, MEIXNER_I, CrossCheckFailed, GammaVanishes,
                     LaguerreParams, MeixnerParams, NotQuasiDefinite,
@@ -255,6 +256,55 @@ def test_conjecture_a_at_order_eight():
         json.dumps(report, sort_keys=True).encode()).hexdigest()
     assert digest == ("fe18553f402328d004f0ba0ea0119b99"
                       "4a511b9bae67fdfcd88b8bfab2df652c")
+
+
+def _solves_per_attempt(monkeypatch) -> dict[int, int]:
+    """Number of `_integer_nullspace` calls made by each half-width's
+    find_operator."""
+    solves = []
+    solve, find = qkrall.linalg._integer_nullspace, qkrall.search.find_operator
+    per_h: dict[int, int] = {}
+
+    def counted_solve(rows, ncols):
+        solves.append(len(rows))
+        return solve(rows, ncols)
+
+    def counted_find(problem):
+        start = len(solves)
+        result = find(problem)
+        per_h[problem.h] = len(solves) - start
+        return result
+
+    monkeypatch.setattr(qkrall.linalg, "_integer_nullspace", counted_solve)
+    monkeypatch.setattr(qkrall.search, "find_operator", counted_find)
+    return per_h
+
+
+@pytest.mark.parametrize("check, params, kwargs, digest", [
+    (check_conjecture_a, MeixnerParams(Q0, B0, C0), {"f3": [1, 2]},
+     "6cdab6c3c274c4aa2cdc3ab4f3ba81608372ba5cd86f4959c611d2f8e877f769"),
+    (check_conjecture_a, MeixnerParams(Q0, B0, C0), {"f1": [1], "h_max": 2},
+     "0a12937fcf1be470eb887d2c399268f91e07da874f67b400e20d5fbf422dfb2e"),
+    (check_conjecture_a, MeixnerParams(Q0, B0, C0), {"f3": [1], "h_max": 2},
+     "77d75a536f3538793f16809e3d6a78addb27e9e0bb7cd12db37d07faabcfe1d5"),
+    (check_conjecture_b1, LaguerreParams(Q0, T0), {"f_set": [1], "h_max": 2},
+     "418a193a3fbd06e484cbf271ef1160c603dac81155e5c3397f6aa5d2a24742e1")],
+    ids=["A-f3=1,2", "A-f1=1", "A-f3=1", "B1-f=1"])
+def test_not_found_attempts_are_decided_without_a_solve(monkeypatch, check,
+                                                        params, kwargs,
+                                                        digest):
+    # below the found order only the identity solves the system, and its
+    # column g_{0,2h} is zero in every row, so the rank mod p certifies the
+    # attempt; the found attempt still solves and checks over Z
+    per_h = _solves_per_attempt(monkeypatch)
+    report = check(params, **kwargs)
+    *missed, hit = report["attempts"]
+    for attempt in missed:
+        assert attempt["found"] is False and attempt["nullspace_dim"] == 1
+        assert per_h[attempt["half_width"]] == 0
+    assert hit["found"] is True and per_h[hit["half_width"]] >= 1
+    assert hashlib.sha256(
+        json.dumps(report, sort_keys=True).encode()).hexdigest() == digest
 
 
 def test_conjecture_a_mixed_factors_at_order_eight():
