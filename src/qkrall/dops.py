@@ -11,9 +11,11 @@ combination
 Its sum T_n is 0 at n = 0 and eps_n (sigma_n p_{n-1} - T_{n-1}) after, so
 the actions on p_0..p_N take one pass of O(N) polynomial operations.  Each
 catalogued spec also carries a closed form: an explicit q-difference
-operator whose action on p_n reproduces that combination exactly.  The two
-realizations are kept side by side so they can be checked against each other
-at any depth.
+operator, composed when it is first read, whose action on p_n reproduces
+that combination exactly.  The two realizations are kept side by side so
+they can be checked against each other at any depth: ``verify_dop`` reads
+each residual closed_form(p_n) - action(n), or None, off one application
+of the closed form (``QDiffOperator.residual``).
 """
 from __future__ import annotations
 
@@ -32,28 +34,20 @@ __all__ = ["DOperatorSpec", "dop_action", "dop_catalog", "verify_dop"]
 
 class DOperatorSpec:
     """One ladder operator: its sequence eps_n, the scale v of
-    sigma_n = v q^n, and its closed form, whose base is q.
+    sigma_n = v q^n, the base q, and its closed form, which ``compose``
+    builds over q when ``closed_form`` is first read.
 
     sigma_n = v q^n and the family's theta_n = theta_0 q^n are what allow
     a companion polynomial P1 of degree deg(P2) + 1 to be attached to a
-    polynomial P2 of any degree downstream (krall.build_P1).  A catalogued
-    spec composes its closed form when it is first read (``_lazy``), so a
-    caller that reads one ladder of a family composes only that one.
+    polynomial P2 of any degree downstream (krall.build_P1).  A caller
+    that reads one ladder of a family composes only that one.
     """
 
     def __init__(self, spec_id: str, eps: Callable[[int], Fraction],
-                 v: Fraction, closed_form: QDiffOperator):
-        self.spec_id, self.eps, self.v = spec_id, eps, v
-        self.q = closed_form.q
-        self.closed_form = closed_form
-
-    @classmethod
-    def _lazy(cls, spec_id: str, eps: Callable[[int], Fraction], v: Fraction,
-              q: Fraction, compose: Callable[[], QDiffOperator]):
-        spec = cls.__new__(cls)
-        spec.spec_id, spec.eps, spec.v, spec.q = spec_id, eps, v, q
-        spec._compose = compose
-        return spec
+                 v: Fraction, q: Fraction,
+                 compose: Callable[[], QDiffOperator]):
+        self.spec_id, self.eps, self.v, self.q = spec_id, eps, v, q
+        self._compose = compose
 
     @cached_property
     def closed_form(self) -> QDiffOperator:
@@ -105,14 +99,14 @@ def _meixner_specs(family: PolynomialFamily) -> tuple[DOperatorSpec, ...]:
                 * (Fraction(1, 2) / (q - 1)))
 
     return (
-        DOperatorSpec._lazy("q-meixner-1", lambda n: _ONE, 1 / (q * (q - 1)),
-                            q, lambda: ladder(Poly((1, -1)))),
-        DOperatorSpec._lazy(
+        DOperatorSpec("q-meixner-1", lambda n: _ONE, 1 / (q * (q - 1)), q,
+                      lambda: ladder(Poly((1, -1)))),
+        DOperatorSpec(
             "q-meixner-2", eps2, 1 / (c * (1 - q)), q,
             lambda: (q_derivative_ops(q)[1]
                      + second_order * (q / (2 * c * (q - 1))))),
-        DOperatorSpec._lazy("q-meixner-3", eps3, 1 / (q * (q - 1)), q,
-                            lambda: ladder(Poly((-b * c, -1)))),
+        DOperatorSpec("q-meixner-3", eps3, 1 / (q * (q - 1)), q,
+                      lambda: ladder(Poly((-b * c, -1)))),
     )
 
 
@@ -131,10 +125,10 @@ def _laguerre_specs(family: PolynomialFamily) -> tuple[DOperatorSpec, ...]:
                 - QDiffOperator.identity(q)) * Fraction(1, 2)
 
     return (
-        DOperatorSpec._lazy("q-laguerre-1", lambda n: _ONE, 1 / q, q,
-                            lambda: ladder(Poly((1, -1)), q - 1)),
-        DOperatorSpec._lazy("q-laguerre-2", eps2, 1 / q, q,
-                            lambda: ladder(Poly((1, 1)), 1 - q)),
+        DOperatorSpec("q-laguerre-1", lambda n: _ONE, 1 / q, q,
+                      lambda: ladder(Poly((1, -1)), q - 1)),
+        DOperatorSpec("q-laguerre-2", eps2, 1 / q, q,
+                      lambda: ladder(Poly((1, 1)), 1 - q)),
     )
 
 
@@ -157,13 +151,8 @@ def verify_dop(spec: DOperatorSpec, family: PolynomialFamily,
     match leaves residual None and passed True.
     """
     check_depth(n_top)
-    report, op = [], spec.closed_form
-    for n, action in enumerate(_actions(spec, family, n_top)):
-        passed = op.sends(family.poly(n), action)
-        report.append({
-            "spec_id": spec.spec_id,
-            "n": n,
-            "passed": passed,
-            "residual": None if passed else op.apply(family.poly(n)) - action,
-        })
-    return report
+    op = spec.closed_form
+    return [{"spec_id": spec.spec_id, "n": n,
+             "passed": (res := op.residual(family.poly(n), action)) is None,
+             "residual": res}
+            for n, action in enumerate(_actions(spec, family, n_top))]

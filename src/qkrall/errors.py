@@ -29,11 +29,11 @@ class UnsupportedFamily(QKrallError):
 
 
 class GammaVanishes(QKrallError):
-    """P2(theta_n) = 0, so the construction breaks at index n."""
+    """gamma_n = P2(theta_{n-1}) = 0, so the construction breaks at index n."""
 
     def __init__(self, n: int, message: str | None = None):
         self.n = n
-        super().__init__(message or f"gamma_{n + 1} = P2(theta_{n}) vanishes")
+        super().__init__(message or f"gamma_{n} = P2(theta_{n - 1}) vanishes")
 
 
 class UnknownTheorem(QKrallError):

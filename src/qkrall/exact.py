@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import repeat
 
 from .errors import ParamDegeneracy, ZeroDenominator
 
@@ -317,7 +318,7 @@ def _integer_rows(a: list[list[Fraction | int]]) -> list[list[int]]:
     A row of `int`s skips the common denominator."""
     out = []
     for row in a:
-        if not all(isinstance(c, int) for c in row):
+        if not all(map(isinstance, row, repeat(int))):
             row, _ = _over_common(row)
         g = math.gcd(*row)
         if g:

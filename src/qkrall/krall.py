@@ -38,8 +38,8 @@ from .families import (LaguerreParams, MeixnerParams, PolynomialFamily,
                        meixner)
 from .dops import DOperatorSpec, dop_catalog
 from .moments import (LAGUERRE_I, LAGUERRE_II, MEIXNER_I, MEIXNER_II,
-                      MEIXNER_III, MomentFunctional, check_instance,
-                      measure_catalog)
+                      MEIXNER_III, MomentFunctional, _product,
+                      check_instance, measure_catalog)
 from .operators import QDiffOperator, poly_of_operator
 
 __all__ = ["KrallConstruction", "TheoremData", "build", "build_P1",
@@ -81,25 +81,24 @@ class KrallConstruction:
         return (poly_of_operator(self.p1, d_fam) * Fraction(1, 2)
                 + self.spec.closed_form @ poly_of_operator(self.p2, d_fam))
 
+    def _at(self, label: str, table: tuple, first: int, n: int):
+        """table[n - first], for n in first..first + len(table) - 1."""
+        if not first <= n < first + len(table):
+            raise IndexError(f"{label} index {n} outside "
+                             f"{first}..{first + len(table) - 1}")
+        return table[n - first]
+
     def gamma(self, n: int) -> Fraction:
-        if not 1 <= n <= self.n_top + 1:
-            raise IndexError(f"gamma index {n} outside 1..{self.n_top + 1}")
-        return self._gammas[n - 1]
+        return self._at("gamma", self._gammas, 1, n)
 
     def lam(self, n: int) -> Fraction:
-        if not 0 <= n <= self.n_top:
-            raise IndexError(f"lambda index {n} outside 0..{self.n_top}")
-        return self._lambdas[n]
+        return self._at("lambda", self._lambdas, 0, n)
 
     def beta(self, n: int) -> Fraction:
-        if not 1 <= n <= self.n_top:
-            raise IndexError(f"beta index {n} outside 1..{self.n_top}")
-        return self._betas[n - 1]
+        return self._at("beta", self._betas, 1, n)
 
     def qpoly(self, n: int) -> Poly:
-        if not 0 <= n <= self.n_top:
-            raise IndexError(f"q-poly index {n} outside 0..{self.n_top}")
-        return self._qpolys[n]
+        return self._at("q-poly", self._qpolys, 0, n)
 
     def qpolys(self) -> list[Poly]:
         return list(self._qpolys)
@@ -115,12 +114,9 @@ def build(family: PolynomialFamily, spec: DOperatorSpec, p2: Poly,
     used by the catalogued instances.
     """
     check_depth(n_top)
-    gammas = []
-    for n in range(1, n_top + 2):
-        value = p2(family.theta(n - 1))
-        if value == 0:
-            raise GammaVanishes(n)
-        gammas.append(value)
+    gammas = [p2(family.theta(n)) for n in range(n_top + 1)]
+    if 0 in gammas:
+        raise GammaVanishes(gammas.index(0) + 1)
 
     p1 = build_P1(p2, family.theta(0), spec.v, family.q)
 
@@ -143,9 +139,8 @@ def build(family: PolynomialFamily, spec: DOperatorSpec, p2: Poly,
                     f"beta override index {idx} outside 1..{n_top}")
             betas[idx - 1] = rational(value)
 
-    qpolys = [family.poly(0)]
-    for n in range(1, n_top + 1):
-        qpolys.append(family.poly(n) + betas[n - 1] * family.poly(n - 1))
+    qpolys = [family.poly(0)] + [family.poly(n) + beta * family.poly(n - 1)
+                                 for n, beta in enumerate(betas, 1)]
 
     return KrallConstruction(
         family=family, spec=spec, p2=p2, p1=p1, n_top=n_top,
@@ -155,16 +150,10 @@ def build(family: PolynomialFamily, spec: DOperatorSpec, p2: Poly,
 
 def verify_eigen(kc: KrallConstruction) -> list[dict]:
     """Check operator(q_n) = lambda_n q_n exactly for n = 0..kc.n_top."""
-    report = []
-    for n in range(kc.n_top + 1):
-        p, lam = kc.qpoly(n), kc.lam(n)
-        passed = kc.operator.sends(p, p, lam)
-        report.append({
-            "n": n,
-            "passed": passed,
-            "residual": None if passed else kc.operator.apply(p) - lam * p,
-        })
-    return report
+    op = kc.operator
+    return [{"n": n, "passed": (res := op.residual(p, p, lam)) is None,
+             "residual": res}
+            for n, (p, lam) in enumerate(zip(kc._qpolys, kc._lambdas))]
 
 
 @dataclass(frozen=True, eq=False)
@@ -221,12 +210,14 @@ def theorem_catalog(name: str, params: MeixnerParams | LaguerreParams,
     else:
         t = params.t
         fam = laguerre(q, t)
+
+    def ratio(n: int) -> Fraction:  # p_k(q^(n+1)) / p_k(q^n), p_k the carrier's
+        return carrier.poly(k)(q_n(n + 1)) / carrier.poly(k)(q_n(n))
+
     if name == MEIXNER_I:
         carrier = _derived(name, meixner, q, -c, 1 / (b * c))
         p2 = carrier.poly(k).scale_arg(q)
-
-        def displayed_beta(n: int) -> Fraction:
-            return carrier.poly(k)(q_n(n + 1)) / carrier.poly(k)(q_n(n))
+        displayed_beta = ratio
     elif name == MEIXNER_II:
         carrier = _derived(name, meixner, 1 / q, b, c)
         p2 = carrier.poly(k).scale_arg(b)
@@ -239,20 +230,15 @@ def theorem_catalog(name: str, params: MeixnerParams | LaguerreParams,
         p2 = carrier.poly(k).scale_arg(q)
 
         def displayed_beta(n: int) -> Fraction:
-            return ((c + q_n(n)) / (c * (1 - b * q_n(n)))
-                    * carrier.poly(k)(q_n(n + 1)) / carrier.poly(k)(q_n(n)))
+            return (c + q_n(n)) / (c * (1 - b * q_n(n))) * ratio(n)
     elif name == LAGUERRE_I:
         carrier = _derived(name, alsalam_carlitz, q, 1 / t)
         p2 = carrier.poly(k).scale_arg(q / t)
-
-        def displayed_beta(n: int) -> Fraction:
-            return carrier.poly(k)(q_n(n + 1)) / carrier.poly(k)(q_n(n))
+        displayed_beta = ratio
     else:  # the point-mass instance: k = alpha with t = q^alpha
-        factors = Poly.one()
-        for i in range(k):
-            factors = factors * Poly((Fraction(1), -(q ** i) / q ** (k - 1)))
         q_k = qpochhammer(q, q, k)
-        p2 = Poly.one() + (mass / q_k) * factors
+        p2 = Poly.one() + (mass / q_k) * _product(
+            Poly((Fraction(1), -(q ** i) / q ** (k - 1))) for i in range(k))
 
         def gam(i: int) -> Fraction:
             # (tq; q)_i / (q; q)_i = (q^(i+1); q)_k / (q; q)_k at t = q^k

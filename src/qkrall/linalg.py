@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import repeat
 from operator import mul
 
 from .errors import SingularSystem
@@ -109,7 +110,7 @@ def nullspace(a: Matrix) -> list[list[Fraction]]:
     if not a:
         return []
     ncols = len(a[0])
-    rows = [row if all(isinstance(c, int) for c in row)
+    rows = [row if all(map(isinstance, row, repeat(int)))
             else _over_common(row)[0] for row in a]
     zero = [j for j, col in enumerate(zip(*rows)) if not any(col)]
     kept = _independent_mod_p(rows, sorted(set(range(ncols)) - set(zero)))

@@ -87,16 +87,18 @@ def moments_from_recurrence(rec: ThreeTermRecurrence,
     O(n) operations per moment; meixner_moments and laguerre_moments use
     their families' shorter moment recurrences and are tested against it.
     """
-    # a_j, b_j, c_j are evaluated once each, since every step reads them all
+    # a_j, b_j, c_j are evaluated once each, since every step reads them
+    # all; MomentFunctional asks for mu_0, mu_1, ... in order, so the call
+    # for mu_n steps w from x^(n-1)'s p-coordinates to x^n's
     a_t: list[Fraction] = []
     b_t: list[Fraction] = []
     c_t: list[Fraction] = []
-    state: dict = {"n": 0, "w": [Fraction(1)]}
+    w = [Fraction(1)]
 
     def provider(n: int, _prev: list[Fraction]) -> Fraction:
-        while state["n"] < n:
-            w = state["w"]
-            m = state["n"]
+        nonlocal w
+        if n:
+            m = n - 1
             try:
                 a_m, b_m = rec.a(m), rec.b(m)
                 c_m = rec.c(m) if m else Fraction(0)
@@ -107,17 +109,11 @@ def moments_from_recurrence(rec: ThreeTermRecurrence,
             a_t.append(a_m)
             b_t.append(b_m)
             c_t.append(c_m)
-            nxt = [Fraction(0)] * (m + 2)
-            for i in range(m + 2):
-                if i >= 1:
-                    nxt[i] += a_t[i - 1] * w[i - 1]
-                if i < len(w):
-                    nxt[i] += b_t[i] * w[i]
-                if i + 1 < len(w):
-                    nxt[i] += c_t[i + 1] * w[i + 1]
-            state["w"] = nxt
-            state["n"] = m + 1
-        return state["w"][0]
+            w = [(a_t[i - 1] * w[i - 1] if i else 0)
+                 + (b_t[i] * w[i] if i <= m else 0)
+                 + (c_t[i + 1] * w[i + 1] if i < m else 0)
+                 for i in range(m + 2)]
+        return w[0]
 
     return MomentFunctional(provider, max_n=n_depth)
 

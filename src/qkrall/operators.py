@@ -10,9 +10,9 @@ and compositions are integer loops over the rows ending in one gcd each.
 D(x^e) = x^e g_e with g_e = sum_j q^(je) f_j: at q = u/v and h = max |j|
 an operator fills, as it is applied, a table of the integer rows
 (uv)^(h|e|) den g_e, as (uv)^(h|e|) q^(je) = u^(h|e|+je) v^(h|e|-je).
-``apply`` sums over that table, and ``sends`` decides D(p) == c r from the
-same sum without forming a residual.  Operators over different bases q
-never mix.
+``apply`` sums over that table, and ``residual`` decides D(p) == c r on
+the same sum, forming D(p) - c r from it only when that is not zero.
+Operators over different bases q never mix.
 """
 
 from __future__ import annotations
@@ -148,15 +148,20 @@ class QDiffOperator:
         out, den, val = self._image_sum(p)
         return Laurent(_poly(out, den), val)
 
-    def sends(self, p: Poly | Laurent, r: Poly | Laurent,
-              c: Fraction | int = 1) -> bool:
-        """Whether D(p) == c r: D(p)'s integer sum and r's numerators, each
-        scaled by the other's denominator, compared without a residual."""
+    def residual(self, p: Poly | Laurent, r: Poly | Laurent,
+                 c: Fraction | int = 1) -> Laurent | None:
+        """None if D(p) == c r, else D(p) - c r: D(p)'s integer sum and r's
+        numerators, each scaled by the other's denominator, subtracted."""
         out, den, val = self._image_sum(p)
         rs, rden, rval = _parts(r)
         a, b = c.denominator * rden, c.numerator * den
-        return ({e: x * a for e, x in enumerate(out, val) if x}
-                == {e: y * b for e, y in enumerate(rs, rval) if y and b})
+        lo = min(val, rval)
+        acc = [0] * (max(val + len(out), rval + len(rs)) - lo)
+        for i, x in enumerate(out, val - lo):
+            acc[i] = x * a
+        for i, y in enumerate(rs, rval - lo):
+            acc[i] -= y * b
+        return Laurent(_poly(acc, den * a), lo) if any(acc) else None
 
     def _require_same_base(self, other: QDiffOperator) -> None:
         if self.q != other.q:

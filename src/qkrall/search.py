@@ -184,7 +184,7 @@ def find_operator(problem: SearchProblem) -> SearchResult:
     if operator.order() != 2 * h:
         raise CrossCheckFailed("search produced a wrong-order operator")
     for n, p in enumerate(problem.eigenpolys):
-        if not operator.sends(p, p, eigenvalues[n]):
+        if operator.residual(p, p, eigenvalues[n]) is not None:
             raise CrossCheckFailed(
                 f"search solution fails re-verification at n={n}")
     return SearchResult(True, operator, eigenvalues, dim)

@@ -9,7 +9,8 @@ from hypothesis import settings
 from hypothesis import strategies as st
 
 from qkrall import (LAGUERRE_I, LAGUERRE_II, MEIXNER_I, MEIXNER_II,
-                    MEIXNER_III, LaguerreParams, Laurent, MeixnerParams, Poly)
+                    MEIXNER_III, LaguerreParams, Laurent, MeixnerParams, Poly,
+                    QDiffOperator)
 
 Q0 = Fraction(2, 5)
 B0 = Fraction(1, 3)
@@ -26,7 +27,7 @@ wide_fracs = st.one_of(
 # `--hypothesis-profile=deep` runs every property that does not pin its own
 # max_examples (the exact layer's stored-form properties, its product,
 # evaluation and _over_common kernels, the operator table against its
-# Laurent-term forms and QDiffOperator.sends against the residual, the
+# Laurent-term forms and QDiffOperator.residual against apply, the
 # Hankel and Gram properties of the moments layer, the integer q^n closed
 # forms against their Fraction forms, and the nullspace of matrices with
 # zero columns against `rref`) on 2000 examples instead of 100.
@@ -86,6 +87,19 @@ def apply_by_shifts(op, p: Poly | Laurent) -> Laurent:
     for j, f in op.terms.items():
         out = out + laurent_mul(f, laurent_scale_arg(p, op.q ** j))
     return out
+
+
+def count_image_sums(monkeypatch) -> list:
+    """Log each operand that QDiffOperator._image_sum, the one integer pass
+    behind apply and residual, is run on; the log is returned."""
+    log, real = [], QDiffOperator._image_sum
+
+    def counted(self, p):
+        log.append(p)
+        return real(self, p)
+
+    monkeypatch.setattr(QDiffOperator, "_image_sum", counted)
+    return log
 
 
 @pytest.fixture(scope="session")

@@ -103,6 +103,18 @@ def test_forbidden_parameter_ladder_is_invalid_input(capsys, tmp_path):
     assert "b = q^-1" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("laguerre-ii", "--alpha", "1", "--m", "-1"),    # P2(theta_0) = 1 + m
+    ("meixner-iii", "--q", "5/12", "--b", "5/18", "--c", "7/4", "--k", "1"),
+])
+def test_vanishing_gamma_names_its_index(capsys, argv):
+    # build raises GammaVanishes(1): gamma_1 = P2(theta_0) is zero
+    code, out, err = _run(capsys, "build-krall", "--theorem", *argv,
+                          "--n", "4")
+    assert code == 2 and out == ""
+    assert "GammaVanishes: gamma_1 = P2(theta_0) vanishes" in err
+
+
 @pytest.mark.parametrize("argv, derived", [
     (("meixner-i", "--b", "1/3", "--c", "-5/2"),
      "meixner(2/5, 5/2, -6/5)"),        # the carrier (q, -c, 1/(bc))

@@ -8,7 +8,7 @@ import pytest
 from qkrall import (DOperatorSpec, Poly, UnsupportedFamily, alsalam_carlitz,
                     dop_action, dop_catalog, laguerre, meixner,
                     q_derivative_ops, qpochhammer, verify_dop)
-from conftest import B0, C0, Q0, T0, apply_by_shifts
+from conftest import B0, C0, Q0, T0, apply_by_shifts, count_image_sums
 
 F = Fraction
 
@@ -80,12 +80,16 @@ def test_verify_dop_reports_clean_pass():
         assert all(entry["residual"] is None for entry in report)
 
 
-def test_verify_dop_detects_wrong_ladder_data():
+def test_verify_dop_detects_wrong_ladder_data(monkeypatch):
     family = meixner(Q0, B0, C0)
     good = dop_catalog(family)[0]
     bad = DOperatorSpec(spec_id="broken", eps=lambda n: 2 * good.eps(n),
-                        v=good.v, closed_form=good.closed_form)
+                        v=good.v, q=good.q,
+                        compose=lambda: good.closed_form)
+    passes = count_image_sums(monkeypatch)
     report = verify_dop(bad, family, 4)
+    # one pass per entry decides it and, if it fails, gives its residual
+    assert passes == [family.poly(n) for n in range(5)]
     failures = [e for e in report if not e["passed"]]
     assert failures, "a corrupted ladder sequence must be detected"
     assert all(e["residual"] is not None for e in failures)

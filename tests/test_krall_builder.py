@@ -14,7 +14,7 @@ from qkrall import (GammaVanishes, LaguerreParams, MeixnerParams,
                     verify_dop, verify_eigen)
 from qkrall import (LAGUERRE_I, LAGUERRE_II, MEIXNER_I, MEIXNER_II,
                     MEIXNER_III, THEOREMS)
-from conftest import (B0, C0, Q0, T0, apply_by_shifts,
+from conftest import (B0, C0, Q0, T0, apply_by_shifts, count_image_sums,
                       reference_configs)
 
 F = Fraction
@@ -93,16 +93,20 @@ def test_gamma_vanishing_is_reported_with_its_index():
     with pytest.raises(GammaVanishes) as info:
         build(fam, spec, p2, 8)
     assert info.value.n == 3
+    assert str(info.value) == "gamma_3 = P2(theta_2) vanishes"
 
 
-def test_beta_override_breaks_the_eigen_equation():
+def test_beta_override_breaks_the_eigen_equation(monkeypatch):
     td = theorem_catalog(MEIXNER_II, meixner(Q0, B0, C0).params, 1)
     clean = build(td.family, td.spec, td.p2, 6)
     assert all(e["passed"] for e in verify_eigen(clean))
     tampered = build(td.family, td.spec, td.p2, 6,
                      beta_override={3: F(7)})
     assert tampered.beta(3) == 7
+    passes = count_image_sums(monkeypatch)
     report = verify_eigen(tampered)
+    # one pass per entry decides it and, if it fails, gives its residual
+    assert passes == tampered.qpolys()
     bad = [e for e in report if not e["passed"]]
     assert bad and all(e["residual"] is not None for e in bad)
     assert any(e["n"] == 3 for e in bad)

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from qkrall import (LAGUERRE_I, LAGUERRE_II, MEIXNER_I, MEIXNER_II,
                     MEIXNER_III, THEOREMS, DenominatorVanishes, GramData,
                     LaguerreParams, MeixnerParams, MomentFunctional,
-                    NotQuasiDefinite, ParamDegeneracy, Poly, UnknownTheorem,
+                    NotQuasiDefinite, ParamDegeneracy, Poly,
+                    ThreeTermRecurrence, UnknownTheorem,
                     ZeroDilation, leading_principal_minors, solve_exact,
                     add, agree_up_to, christoffel, derive_recurrence, dilate,
                     favard_positivity, geronimus, gram_matrix,
@@ -38,6 +39,22 @@ def test_meixner_moments_mass_one_and_recurrence_consistency():
     rec = derive_recurrence(series_family(fam.kind, fam.params), 14)
     alt = moments_from_recurrence(rec, 12)
     assert agree_up_to(mu, alt, 12) is None
+
+
+@pytest.mark.parametrize("length", [1, 2, 5])
+def test_recurrence_tables_run_out_after_their_last_step(length):
+    # mu_n takes one step with a_(n-1), b_(n-1) and c_(n-1), so tables of
+    # `length` entries give mu_0..mu_length and then run out
+    rec = meixner_recurrence(MeixnerParams(Q0, B0, C0))
+    a, b, c = ([f(j) for j in range(length)] for f in (rec.a, rec.b, rec.c))
+    walk = moments_from_recurrence(ThreeTermRecurrence.from_tables(a, b, c),
+                                   12)
+    assert walk.moments(length) == meixner_moments(
+        MeixnerParams(Q0, B0, C0)).moments(length)
+    for _ in range(2):  # a failed step leaves the walk as it was
+        with pytest.raises(ValueError, match="recurrence depth exhausted "
+                           f"while extending to moment {length + 1}$"):
+            walk.moment(length + 1)
 
 
 def test_laguerre_moments_match_family_orthogonality():

@@ -412,33 +412,44 @@ def _near_misses(image: Laurent, c: F) -> list[Poly | Laurent]:
 @settings(deadline=None)
 @given(st.one_of(based_ops, st.builds(QDiffOperator.zero, bases)),
        st.one_of(operands, st.just(Poly.zero())), scalars)
-def test_sends_agrees_with_the_residual(op, p, c):
+def test_residual_is_none_or_apply_minus_c_r(op, p, c):
     # operators with negative valuations give D(p) a pole at 0
     image = op.apply(p)
     for r in _near_misses(image, c) + [Poly.zero(), Laurent.zero()]:
-        assert op.sends(p, r, c) == (
-            op.apply(p) - laurent_mul(r, c)).is_zero()
-    assert op.sends(p, image) and op.sends(p, laurent_mul(image, 2), F(1, 2))
+        want = image - laurent_mul(r, c)
+        assert op.residual(p, r, c) == (None if want.is_zero() else want)
+    assert op.residual(p, image) is None
+    assert op.residual(p, laurent_mul(image, 2), F(1, 2)) is None
 
 
-def test_sends_on_zero_operator_zero_operand_and_zero_scalar():
+def _misses(op: QDiffOperator, p: Poly, r: Poly | Laurent,
+            c: F | int = 1) -> bool:
+    """D(p) != c r, and residual reports exactly apply(p) - c r."""
+    want = op.apply(p) - laurent_mul(r, c)
+    return not want.is_zero() and op.residual(p, r, c) == want
+
+
+def test_residual_on_zero_operator_zero_operand_and_zero_scalar():
     d_q, _ = q_derivative_ops(Q)
     zero = QDiffOperator.zero(Q)
     p = Poly((1, 2, 3))
-    assert zero.sends(p, Poly.zero()) and zero.sends(p, p, 0)
-    assert not zero.sends(p, p) and not zero.sends(p, Laurent(p, -1), 5)
-    assert d_q.sends(Poly.zero(), Poly.zero()) and d_q.sends(Poly.zero(), p, 0)
-    assert not d_q.sends(Poly.zero(), p, F(1, 7))
-    assert d_q.sends(Poly.one(), p, 0) and not d_q.sends(p, p, 0)
+    assert zero.residual(p, Poly.zero()) is None
+    assert zero.residual(p, p, 0) is None
+    assert _misses(zero, p, p) and _misses(zero, p, Laurent(p, -1), 5)
+    assert d_q.residual(Poly.zero(), Poly.zero()) is None
+    assert d_q.residual(Poly.zero(), p, 0) is None
+    assert _misses(d_q, Poly.zero(), p, F(1, 7))
+    assert d_q.residual(Poly.one(), p, 0) is None and _misses(d_q, p, p, 0)
     # D_q(x^3) = (1 + q + q^2) x^2 and nothing else
     x3 = Poly.monomial(3)
-    assert d_q.sends(x3, Poly.monomial(2), 1 + Q + Q ** 2)
-    assert not d_q.sends(x3, Poly.monomial(2), 1 + Q)
-    assert not d_q.sends(x3, Poly((1, 0, 1 + Q + Q ** 2)))
+    assert d_q.residual(x3, Poly.monomial(2), 1 + Q + Q ** 2) is None
+    assert _misses(d_q, x3, Poly.monomial(2), 1 + Q)
+    assert _misses(d_q, x3, Poly((1, 0, 1 + Q + Q ** 2)))
     # D(1) = 2/x + 3 has a pole at 0: no polynomial matches it
     pole = QDiffOperator(Q, {0: Laurent(Poly((2, 3)), -1)})
-    assert pole.sends(Poly.one(), Laurent(Poly((2, 3)), -1))
-    assert pole.sends(Poly.one(), Laurent(Poly((4, 6)), -1), F(1, 2))
-    assert not pole.sends(Poly.one(), Poly((3,)))
-    assert not pole.sends(Poly.one(), Poly((2, 3)))
-    assert not pole.sends(Poly.one(), Laurent(Poly((2,)), -1))
+    one = Poly.one()
+    assert pole.residual(one, Laurent(Poly((2, 3)), -1)) is None
+    assert pole.residual(one, Laurent(Poly((4, 6)), -1), F(1, 2)) is None
+    assert _misses(pole, one, Poly((3,)))
+    assert _misses(pole, one, Poly((2, 3)))
+    assert _misses(pole, one, Laurent(Poly((2,)), -1))
