@@ -78,14 +78,18 @@ def dop_action(spec: DOperatorSpec, family: PolynomialFamily, n: int) -> Poly:
 _ONE = Fraction(1)
 
 
+def _inverse_gap(x: Fraction, q: Fraction) -> Callable[[int], Fraction]:
+    """n -> 1 / (1 - x q^n), one integer fraction in the powers of q."""
+    def eps(n: int) -> Fraction:
+        s, t = _power(q, n)
+        return Fraction(x.denominator * t, x.denominator * t - x.numerator * s)
+    return eps
+
+
 def _meixner_specs(family: PolynomialFamily) -> tuple[DOperatorSpec, ...]:
     q, b, c = family.params.q, family.params.b, family.params.c
     bn, bd, cn, cd = b.numerator, b.denominator, c.numerator, c.denominator
     second_order = family_operator(family)
-
-    def eps2(n: int) -> Fraction:         # 1 / (1 - b q^n)
-        s, t = _power(q, n)
-        return Fraction(bd * t, bd * t - bn * s)
 
     def eps3(n: int) -> Fraction:         # (c + q^n) / (c (1 - b q^n))
         s, t = _power(q, n)
@@ -102,7 +106,7 @@ def _meixner_specs(family: PolynomialFamily) -> tuple[DOperatorSpec, ...]:
         DOperatorSpec("q-meixner-1", lambda n: _ONE, 1 / (q * (q - 1)), q,
                       lambda: ladder(Poly((1, -1)))),
         DOperatorSpec(
-            "q-meixner-2", eps2, 1 / (c * (1 - q)), q,
+            "q-meixner-2", _inverse_gap(b, q), 1 / (c * (1 - q)), q,
             lambda: (q_derivative_ops(q)[1]
                      + second_order * (q / (2 * c * (q - 1))))),
         DOperatorSpec("q-meixner-3", eps3, 1 / (q * (q - 1)), q,
@@ -112,11 +116,6 @@ def _meixner_specs(family: PolynomialFamily) -> tuple[DOperatorSpec, ...]:
 
 def _laguerre_specs(family: PolynomialFamily) -> tuple[DOperatorSpec, ...]:
     q, t = family.params.q, family.params.t
-    tn, td = t.numerator, t.denominator
-
-    def eps2(n: int) -> Fraction:         # 1 / (1 - t q^n)
-        s, w = _power(q, n)
-        return Fraction(td * w, td * w - tn * s)
 
     def ladder(edge: Poly, scale: Fraction) -> QDiffOperator:
         # (scale edge D_q + D_{1/q} (1 - q) / (t q) - 1) / 2
@@ -127,7 +126,7 @@ def _laguerre_specs(family: PolynomialFamily) -> tuple[DOperatorSpec, ...]:
     return (
         DOperatorSpec("q-laguerre-1", lambda n: _ONE, 1 / q, q,
                       lambda: ladder(Poly((1, -1)), q - 1)),
-        DOperatorSpec("q-laguerre-2", eps2, 1 / q, q,
+        DOperatorSpec("q-laguerre-2", _inverse_gap(t, q), 1 / q, q,
                       lambda: ladder(Poly((1, 1)), 1 - q)),
     )
 

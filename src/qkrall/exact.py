@@ -10,10 +10,12 @@ coefficients of q-difference operators) are kept in a normal form
 Every operation on them, and the kernels of the other layers that read
 ``nums`` and ``den``, is a loop over integers that ends in one gcd
 reduction of its result; a ``Fraction`` is built only for a coefficient
-that is read through ``coeffs`` or returned as a scalar.  The scalars of
-the q-constructions (recurrence coefficients, eigenvalues, ladder values,
-moments) are rational functions of q^n; each is one integer expression in
-u^n and v^n at q = u/v (``_power``), put into a ``Fraction`` once.
+that is read through ``coeffs``, ``coeff`` or ``leading`` or returned as a
+scalar.  The scalars of the q-constructions (recurrence coefficients,
+eigenvalues, ladder values, moments, and the Krall construction's gamma_n,
+lambda_n, beta_n and displayed beta_n) are rational functions of q^n; each
+is one integer expression in u^n and v^n at q = u/v (``_power``, and
+``_eval`` for a polynomial at such a point), put into a ``Fraction`` once.
 """
 
 from __future__ import annotations
@@ -158,11 +160,11 @@ class Poly:
     def leading(self) -> Fraction:
         if not self.nums:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fraction(self.nums[-1], self.den)
 
     def coeff(self, k: int) -> Fraction:
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
+        if 0 <= k < len(self.nums):
+            return Fraction(self.nums[k], self.den)
         return Fraction(0)
 
     def __eq__(self, other: object) -> bool:
@@ -208,14 +210,8 @@ class Poly:
         return out
 
     def __call__(self, x0: Fraction | int | str) -> Fraction:
-        """Horner over Z: sum_k nums_k u^k v^(d-k) over den v^d at u/v."""
         x0 = rational(x0)
-        u, v = x0.numerator, x0.denominator
-        acc, vk = 0, 1
-        for c in reversed(self.nums):
-            acc = acc * u + c * vk
-            vk *= v
-        return Fraction(acc * v, self.den * vk)
+        return Fraction(*_eval(self, x0.numerator, x0.denominator))
 
     def scale_arg(self, lam: Fraction | int | str) -> Poly:
         """Substitute x -> lam * x."""
@@ -276,15 +272,25 @@ def _convolve_into(out: list[int], start: int, xs, ys) -> None:
                 out[k] += x * y
 
 
-def _add(a: Poly, b: Poly, offset: int) -> Poly:
-    """a + x^offset b, over the lcm of the two denominators."""
-    den = math.lcm(a.den, b.den)
+def _add(a: Poly, b: Poly, offset: int, s: int = 1, t: int = 1) -> Poly:
+    """a + x^offset (s/t) b, t > 0, in one pass over lcm(a.den, t b.den)."""
+    den = math.lcm(a.den, b.den * t)
     out = [c * (den // a.den) for c in a.nums]
     out.extend([0] * (offset + len(b.nums) - len(out)))
-    s = den // b.den
+    s *= den // (b.den * t)
     for i, c in enumerate(b.nums, offset):
         out[i] += c * s
     return _poly(out, den)
+
+
+def _eval(p: Poly, u: int, v: int) -> tuple[int, int]:
+    """p(u/v) as integers (num, den) for v != 0, by Horner over Z:
+    num = v sum_k nums_k u^k v^(d-k) and den = p.den v^(d+1), d = deg p."""
+    acc, vk = 0, 1
+    for c in reversed(p.nums):
+        acc = acc * u + c * vk
+        vk *= v
+    return acc * v, p.den * vk
 
 
 def _scaled(p: Poly, u: int, v: int) -> Poly:

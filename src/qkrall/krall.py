@@ -13,15 +13,17 @@ operator
     D = (1/2) P1(D_fam) + L o P2(D_fam),
 
 where D_fam is the family's second-order operator and L the ladder closed
-form.  Every q_n is an eigenfunction of D; the eigenvalues lambda_n satisfy
-lambda_n - lambda_{n-1} = sigma_n gamma_n and lambda_{n+1} + lambda_n =
-P1(theta_n), and both identities are re-checked during the build rather
-than assumed.
+form.  Every q_n is an eigenfunction of D; the eigenvalues lambda_n follow
+lambda_n - lambda_{n-1} = sigma_n gamma_n, and lambda_{n+1} + lambda_n =
+P1(theta_n) is re-checked during the build rather than assumed.  Each
+scalar is one integer expression at the integer pair theta_0 q^n, put into
+one Fraction.
 
 theorem_catalog bundles the five ready-made instances: for each one the
-carrier polynomial P2 and the displayed beta sequence are returned, and the
-matching moment functional (with its product-identity cross-check) is
-built when it is first read.
+carrier polynomial P2 and the displayed beta sequence (a ratio of two
+integer polynomial evaluations times a factor, in one Fraction) are
+returned, and the matching moment functional (with its product-identity
+cross-check) is built when it is first read.
 """
 from __future__ import annotations
 
@@ -31,8 +33,8 @@ from functools import cached_property
 from typing import Callable
 
 from .errors import CrossCheckFailed, GammaVanishes, ParamDegeneracy
-from .exact import (Poly, _power, check_base, check_depth, qpochhammer,
-                    rational)
+from .exact import (Poly, _add, _eval, _power, check_base, check_depth,
+                    qpochhammer, rational)
 from .families import (LaguerreParams, MeixnerParams, PolynomialFamily,
                        _derived, alsalam_carlitz, family_operator, laguerre,
                        meixner)
@@ -53,9 +55,14 @@ def build_P1(p2: Poly, u: Fraction, v: Fraction, q: Fraction) -> Poly:
     p2 = sum_j w_j x^j; its degree is deg(p2) + 1.
     """
     check_base(q)
-    inner = Poly(tuple(p2.coeff(j) * (1 - Fraction(2) / (1 - q ** (j + 1)))
-                       for j in range(p2.degree() + 1)))
-    return Poly((Fraction(0), v * q / u)) * inner
+    # coefficient j >= 1 is -(v q / u) w_(j-1) (1 + q^j) / (1 - q^j), one
+    # integer fraction c w_(j-1) (B + A) / (d (B - A)) at q^j = A/B
+    a, b = q.numerator, q.denominator
+    c = -v.numerator * a * u.denominator
+    d = v.denominator * b * u.numerator * p2.den
+    return Poly((0, *(Fraction(c * w * (b ** j + a ** j),
+                               d * (b ** j - a ** j))
+                      for j, w in enumerate(p2.nums, 1))))
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,24 +121,34 @@ def build(family: PolynomialFamily, spec: DOperatorSpec, p2: Poly,
     used by the catalogued instances.
     """
     check_depth(n_top)
-    gammas = [p2(family.theta(n)) for n in range(n_top + 1)]
+    theta0, q = family.theta(0), family.q
+    thetas = [(theta0.numerator * s, theta0.denominator * w)
+              for s, w in (_power(q, n) for n in range(n_top + 1))]
+    gammas = [Fraction(*_eval(p2, *x)) for x in thetas]
     if 0 in gammas:
         raise GammaVanishes(gammas.index(0) + 1)
 
-    p1 = build_P1(p2, family.theta(0), spec.v, family.q)
+    p1 = build_P1(p2, theta0, spec.v, q)
 
-    lambdas = [(p1(family.theta(0)) - spec.sigma(1) * p2(family.theta(0)))
+    lambdas = [(Fraction(*_eval(p1, *thetas[0])) - spec.sigma(1) * gammas[0])
                / 2]
-    for n in range(1, n_top + 1):
-        lambdas.append(lambdas[n - 1] + spec.sigma(n) * gammas[n - 1])
     for n in range(n_top):
-        if lambdas[n + 1] + lambdas[n] != p1(family.theta(n)):
+        # lambda_{n+1} = lambda_n + sigma_{n+1} gamma_{n+1} is the pair
+        # (num, lo.den d); the P1 check reads that pair, then it is reduced
+        lo, s, g = lambdas[n], spec.sigma(n + 1), gammas[n]
+        d = s.denominator * g.denominator
+        num = lo.numerator * d + lo.denominator * s.numerator * g.numerator
+        pn, pd = _eval(p1, *thetas[n])
+        if (num + lo.numerator * d) * pd != pn * lo.denominator * d:
             raise CrossCheckFailed(
                 f"lambda_{n + 1} + lambda_{n} != P1(theta_{n}); the ladder "
                 "sequences are inconsistent with P1")
+        lambdas.append(Fraction(num, lo.denominator * d))
 
-    betas = [spec.eps(n) * gammas[n] / gammas[n - 1]
-             for n in range(1, n_top + 1)]
+    betas = [Fraction(e.numerator * hi.numerator * lo.denominator,
+                      e.denominator * hi.denominator * lo.numerator)
+             for e, hi, lo in zip(map(spec.eps, range(1, n_top + 1)),
+                                  gammas[1:], gammas)]
     if beta_override:
         for idx, value in beta_override.items():
             if not 1 <= idx <= n_top:
@@ -139,8 +156,9 @@ def build(family: PolynomialFamily, spec: DOperatorSpec, p2: Poly,
                     f"beta override index {idx} outside 1..{n_top}")
             betas[idx - 1] = rational(value)
 
-    qpolys = [family.poly(0)] + [family.poly(n) + beta * family.poly(n - 1)
-                                 for n, beta in enumerate(betas, 1)]
+    qpolys = [family.poly(0)] + [
+        _add(family.poly(n), family.poly(n - 1), 0, beta.numerator,
+             beta.denominator) for n, beta in enumerate(betas, 1)]
 
     return KrallConstruction(
         family=family, spec=spec, p2=p2, p1=p1, n_top=n_top,
@@ -201,51 +219,55 @@ def theorem_catalog(name: str, params: MeixnerParams | LaguerreParams,
     mass = check_instance(name, params, k_or_alpha, mass)
     k, q = k_or_alpha, params.q
 
-    def q_n(n: int) -> Fraction:
-        return Fraction(*_power(q, n))
-
     if isinstance(params, MeixnerParams):
         b, c = params.b, params.c
+        bn, bd, cn, cd = b.numerator, b.denominator, c.numerator, c.denominator
         fam = meixner(q, b, c)
     else:
         t = params.t
+        tn, td = t.numerator, t.denominator
         fam = laguerre(q, t)
 
-    def ratio(n: int) -> Fraction:  # p_k(q^(n+1)) / p_k(q^n), p_k the carrier's
-        return carrier.poly(k)(q_n(n + 1)) / carrier.poly(k)(q_n(n))
+    def ratio(pk: Poly, x: Fraction = Fraction(1), factor=lambda s, w: (1, 1)):
+        # n -> f pk(x q^(n+1)) / pk(x q^n) in one Fraction, with
+        # f = factor(s, w) at q^n = s/w
+        xn, xd = x.numerator, x.denominator
+
+        def displayed_beta(n: int) -> Fraction:
+            (s, w), (hs, hw) = _power(q, n), _power(q, n + 1)
+            (fn, fd), (hn, hd) = factor(s, w), _eval(pk, xn * hs, xd * hw)
+            ln, ld = _eval(pk, xn * s, xd * w)
+            return Fraction(fn * hn * ld, fd * hd * ln)
+        return displayed_beta
 
     if name == MEIXNER_I:
-        carrier = _derived(name, meixner, q, -c, 1 / (b * c))
-        p2 = carrier.poly(k).scale_arg(q)
-        displayed_beta = ratio
+        carrier = _derived(name, meixner, q, -c, 1 / (b * c)).poly(k)
+        p2, displayed_beta = carrier.scale_arg(q), ratio(carrier)
     elif name == MEIXNER_II:
-        carrier = _derived(name, meixner, 1 / q, b, c)
-        p2 = carrier.poly(k).scale_arg(b)
-
-        def displayed_beta(n: int) -> Fraction:
-            return (carrier.poly(k)(b * q_n(n))
-                    / ((1 - b * q_n(n)) * carrier.poly(k)(b * q_n(n - 1))))
+        # p_k(b q^n) / ((1 - b q^n) p_k(b q^(n-1)))
+        carrier = _derived(name, meixner, 1 / q, b, c).poly(k)
+        p2 = carrier.scale_arg(b)
+        displayed_beta = ratio(carrier, b / q,
+                               lambda s, w: (bd * w, bd * w - bn * s))
     elif name == MEIXNER_III:
-        carrier = _derived(name, meixner, q, 1 / b, b * c)
-        p2 = carrier.poly(k).scale_arg(q)
-
-        def displayed_beta(n: int) -> Fraction:
-            return (c + q_n(n)) / (c * (1 - b * q_n(n))) * ratio(n)
+        # (c + q^n) / (c (1 - b q^n)) times the carrier ratio
+        carrier = _derived(name, meixner, q, 1 / b, b * c).poly(k)
+        p2 = carrier.scale_arg(q)
+        displayed_beta = ratio(carrier, factor=lambda s, w: (
+            bd * (cn * w + cd * s), cn * (bd * w - bn * s)))
     elif name == LAGUERRE_I:
-        carrier = _derived(name, alsalam_carlitz, q, 1 / t)
-        p2 = carrier.poly(k).scale_arg(q / t)
-        displayed_beta = ratio
+        carrier = _derived(name, alsalam_carlitz, q, 1 / t).poly(k)
+        p2, displayed_beta = carrier.scale_arg(q / t), ratio(carrier)
     else:  # the point-mass instance: k = alpha with t = q^alpha
-        q_k = qpochhammer(q, q, k)
-        p2 = Poly.one() + (mass / q_k) * _product(
+        r = mass / qpochhammer(q, q, k)
+        p2 = Poly.one() + r * _product(
             Poly((Fraction(1), -(q ** i) / q ** (k - 1))) for i in range(k))
-
-        def gam(i: int) -> Fraction:
-            # (tq; q)_i / (q; q)_i = (q^(i+1); q)_k / (q; q)_k at t = q^k
-            return 1 + mass * qpochhammer(q_n(i + 1), q, k) / q_k
-
-        def displayed_beta(n: int) -> Fraction:
-            return gam(n) / ((1 - t * q_n(n)) * gam(n - 1))
+        # gam(i) = 1 + M (tq; q)_i / (q; q)_i = G(q^i) at t = q^k, with
+        # G(X) = 1 + r (qX; q)_k; beta_n = gam(n) / ((1 - t q^n) gam(n - 1))
+        gam = Poly.one() + r * _product(Poly((1, -q ** j))
+                                        for j in range(1, k + 1))
+        displayed_beta = ratio(gam, 1 / q,
+                               lambda s, w: (td * w, td * w - tn * s))
     return TheoremData(name=name, family=fam,
                        spec=dop_catalog(fam)[_LADDER[name]], p2=p2,
                        displayed_beta=displayed_beta,

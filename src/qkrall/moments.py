@@ -9,6 +9,7 @@ exact rationals throughout; no representing measure is ever constructed.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
@@ -16,7 +17,8 @@ from typing import Callable, Iterable
 
 from .errors import (CrossCheckFailed, DenominatorVanishes, NotQuasiDefinite,
                      ParamDegeneracy, UnknownTheorem, ZeroDilation)
-from .exact import Poly, _over_common, check_depth, qpochhammer, rational
+from .exact import (Poly, _add, _eval, _over_common, _power, check_depth,
+                    qpochhammer, rational)
 from .families import (LaguerreParams, MeixnerParams, ThreeTermRecurrence,
                        _derived, _recurrence_step, meixner,
                        meixner_recurrence, q_power_exponent)
@@ -153,16 +155,14 @@ def point_mass(lam: Fraction | int | str, j: int = 0,
     """mass * delta_lam^(j) with <delta_lam^(j), x^n> = (-1)^j (x^n)^(j)(lam)."""
     if j < 0:
         raise ValueError("derivative order must be >= 0")
-    lam = rational(lam)
-    mass = rational(mass)
+    lam, mass = rational(lam), rational(mass)
 
     def provider(n: int, _prev: list[Fraction]) -> Fraction:
         if n < j:
             return Fraction(0)
-        falling = Fraction(1)
-        for i in range(j):
-            falling *= n - i
-        return mass * Fraction(-1) ** j * falling * lam ** (n - j)
+        s, w = _power(lam, n - j)
+        return Fraction((-1) ** j * math.prod(range(n - j + 1, n + 1))
+                        * mass.numerator * s, mass.denominator * w)
 
     return MomentFunctional(provider)
 
@@ -276,17 +276,26 @@ def combine_with_point_mass(nu: MomentFunctional, lam: Fraction | int | str,
     betas[0] unused (0) and q_0 = 1.
     """
     check_depth(n_top)
-    lam = rational(lam)
-    mass = rational(mass)
-    denom_terms = [nu.pair(p) + mass * p(lam) for p in p_polys]
+    lam, mass = rational(lam), rational(mass)
+    mn, md = mass.numerator, mass.denominator
+    # alpha_n + M p_n(lam) as integer pairs, nu's moments over one denominator
+    ms, mden = _over_common(
+        nu.moments(max((p.degree() for p in p_polys), default=-1)))
+    terms = []
+    for p in p_polys:
+        en, ed = _eval(p, lam.numerator, lam.denominator)
+        terms.append((_pairing(p.nums, ms) * md * ed + mn * en * p.den * mden,
+                      p.den * mden * md * ed))
     betas: list[Fraction] = [Fraction(0)]
     q_polys: list[Poly] = [Poly.one()]
     for n in range(1, n_top + 1):
-        if denom_terms[n - 1] == 0:
+        (hn, hd), (ln, ld) = terms[n], terms[n - 1]
+        if ln == 0:
             raise DenominatorVanishes(n)
-        beta = -denom_terms[n] / denom_terms[n - 1]
+        beta = Fraction(-hn * ld, hd * ln)
         betas.append(beta)
-        q_polys.append(p_polys[n] + beta * p_polys[n - 1])
+        q_polys.append(_add(p_polys[n], p_polys[n - 1], 0, beta.numerator,
+                            beta.denominator))
     return betas, q_polys
 
 
@@ -410,12 +419,16 @@ def _product(factors: Iterable[Poly]) -> Poly:
 
 
 def _cross_check(built: MomentFunctional, divisor: Poly,
-                 reference: MomentFunctional, label: str) -> None:
-    lhs = christoffel(built, divisor)
-    bad = agree_up_to(lhs, reference, CHECK_TO)
-    if bad is not None:
-        raise CrossCheckFailed(
-            f"{label}: cross-check fails first at moment {bad}")
+                 base: MomentFunctional, s: Fraction, label: str) -> None:
+    """<built, x^n divisor> = s base_n for n = 0..CHECK_TO, each compared
+    by cross-multiplication over one common denominator of built's moments."""
+    ms, mden = _over_common(built.moments(CHECK_TO + divisor.degree()))
+    for n in range(CHECK_TO + 1):
+        m = base.moment(n)
+        if (_pairing(divisor.nums, ms, n) * s.denominator * m.denominator
+                != s.numerator * m.numerator * divisor.den * mden):
+            raise CrossCheckFailed(
+                f"{label}: cross-check fails first at moment {n}")
 
 
 # The parameter kind each catalogued instance is built from.
@@ -491,8 +504,8 @@ def measure_catalog(name: str, params: MeixnerParams | LaguerreParams,
                 top + 2 * k)
             r = _product(Poly((b * c * q ** i, 1)) for i in range(1, k + 1))
             built = christoffel(shifted, r)
-            _cross_check(built, Poly((b * c * q ** (k + 1), 1)),
-                         scale(base, qpochhammer(-c, q, k + 1)), name)
+            _cross_check(built, Poly((b * c * q ** (k + 1), 1)), base,
+                         qpochhammer(-c, q, k + 1), name)
             return built
         if name == MEIXNER_II:
             shifted = meixner_moments(
@@ -501,9 +514,9 @@ def measure_catalog(name: str, params: MeixnerParams | LaguerreParams,
                 top + 2 * k)
             r = _product(Poly((-b / q ** i, 1)) for i in range(k))
             built = christoffel(shifted, r)
-            _cross_check(built, Poly((-b / q ** k, 1)),
-                         scale(base, qpochhammer(b / q ** k, q, k + 1)
-                               * qpochhammer(-c, q, k + 1)), name)
+            _cross_check(built, Poly((-b / q ** k, 1)), base,
+                         qpochhammer(b / q ** k, q, k + 1)
+                         * qpochhammer(-c, q, k + 1), name)
             return built
         # Meixner III: Geronimus from the displayed relation
         # (x - q^{k+1}) rho~ = c^{k+1} q^C(k+1,2) (b/q^k; q)_{k+1} rho,
@@ -515,8 +528,7 @@ def measure_catalog(name: str, params: MeixnerParams | LaguerreParams,
                  * qpochhammer(b / q ** k, q, k) * c ** k
                  * q ** ((k + 1) * k // 2) * carrier.poly(k)(q))
         built = geronimus(base, q ** (k + 1), c_scale, seed0)
-        _cross_check(built, Poly((-q ** (k + 1), 1)), scale(base, c_scale),
-                     name)
+        _cross_check(built, Poly((-q ** (k + 1), 1)), base, c_scale, name)
         return built
     q, t = params.q, params.t
     if name == LAGUERRE_I:
@@ -529,8 +541,8 @@ def measure_catalog(name: str, params: MeixnerParams | LaguerreParams,
         # factor, so the identity pins this choice.
         lam = q ** (k + 1)
         built = christoffel(scale(dilate(base, lam), lam), r)
-        _cross_check(built, Poly((1, Fraction(1) / q ** (k + 1))),
-                     scale(base, Fraction(1) / t ** (k + 1)), name)
+        _cross_check(built, Poly((1, Fraction(1) / q ** (k + 1))), base,
+                     1 / t ** (k + 1), name)
         return built
     lower = laguerre_moments(LaguerreParams(q, t / q), top)
     built = add(point_mass(0, 0, mass), lower)
@@ -538,5 +550,5 @@ def measure_catalog(name: str, params: MeixnerParams | LaguerreParams,
     # alpha-level functional; the constant is the first moment of
     # rho_{alpha-1} since <rho_alpha, 1> = 1.
     upper = laguerre_moments(params, top)
-    _cross_check(built, Poly.x(), scale(upper, lower.moment(1)), name)
+    _cross_check(built, Poly.x(), upper, lower.moment(1), name)
     return built

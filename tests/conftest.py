@@ -29,8 +29,11 @@ wide_fracs = st.one_of(
 # evaluation and _over_common kernels, the operator table against its
 # Laurent-term forms and QDiffOperator.residual against apply, the
 # Hankel and Gram properties of the moments layer, the integer q^n closed
-# forms against their Fraction forms, and the nullspace of matrices with
-# zero columns against `rref`) on 2000 examples instead of 100.
+# forms against their Fraction forms, among them the Krall construction's
+# (build, the five displayed betas, _eval, the catalog's product-identity
+# cross-check, combine_with_point_mass and point_mass), and the nullspace
+# of matrices with zero columns against `rref`) on 2000 examples instead
+# of 100.
 settings.register_profile("deep", max_examples=2000)
 
 
@@ -42,6 +45,10 @@ def assert_stored_form(p: Poly) -> None:
     assert not p.nums or p.nums[-1] != 0
     assert math.gcd(p.den, *p.nums) == 1
     assert p.coeffs == tuple(Fraction(c, p.den) for c in p.nums)
+    # coeff and leading read one entry each, 0 outside the stored range
+    assert ([p.coeff(k) for k in range(-1, len(p.nums) + 1)]
+            == [0, *p.coeffs, 0])
+    assert not p.nums or p.leading() == p.coeffs[-1]
 
 
 def assert_normal_laurent(f: Laurent) -> None:

@@ -14,14 +14,20 @@ from fractions import Fraction
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from qkrall import (LAGUERRE, MEIXNER, MEIXNER_I, AlSalamCarlitzParams,
-                    LaguerreParams, Laurent, MeixnerParams, ParamDegeneracy,
-                    Poly, PolynomialFamily, QDiffOperator, add,
-                    alsalam_carlitz_recurrence, christoffel, dop_catalog,
-                    laguerre_moments, laguerre_recurrence, meixner_moments,
-                    meixner_recurrence, moments_from_recurrence, point_mass,
-                    rational, rational_str, theorem_catalog)
-from qkrall.exact import _scaled
+from qkrall import (LAGUERRE, LAGUERRE_I, LAGUERRE_II, MEIXNER, MEIXNER_I,
+                    MEIXNER_II, MEIXNER_III, THEOREMS, AlSalamCarlitzParams,
+                    CrossCheckFailed, DenominatorVanishes, DOperatorSpec,
+                    GammaVanishes, LaguerreParams, Laurent, MeixnerParams,
+                    MomentFunctional, ParamDegeneracy, Poly,
+                    PolynomialFamily, QDiffOperator, add, alsalam_carlitz,
+                    alsalam_carlitz_recurrence, build, christoffel,
+                    combine_with_point_mass, dop_catalog, geronimus,
+                    laguerre_moments, laguerre_recurrence, meixner,
+                    meixner_moments, meixner_recurrence,
+                    moments_from_recurrence, point_mass, rational,
+                    rational_str, theorem_catalog)
+from qkrall.exact import _eval, _scaled
+from qkrall.moments import CHECK_TO, _cross_check
 from conftest import assert_normal_laurent, assert_stored_form, wide_fracs
 
 F = Fraction
@@ -232,6 +238,17 @@ def test_scaled_equals_fraction_form(p, u, v):
     assert got == Poly(want)
 
 
+@settings(deadline=None)
+@given(st.lists(wide_fracs, max_size=6).map(Poly), nonzero_ints,
+       nonzero_ints)
+@example(Poly((1, F(-3, 4), 2)), 6, -4)
+@example(Poly(()), 5, -3)
+def test_eval_equals_fraction_form(p, u, v):
+    # the point u/v need not be in lowest terms, and v may be negative
+    num, den = _eval(p, u, v)
+    assert F(num, den) == sum((c * F(u, v) ** i
+                               for i, c in enumerate(p.coeffs)), F(0))
+
 def _meixner_moment_forms(p: MeixnerParams, depth: int) -> list[F]:
     q, bc = p.q, p.b * p.c
     mu = [F(1), _meixner_forms(p, 0)[1]]
@@ -289,6 +306,233 @@ def test_christoffel_equals_fraction_form(q, b, c, r, masses):
         want = sum((c * mu.moment(n + k) for k, c in enumerate(r.coeffs)),
                    F(0))
         assert nu.moment(n) == want
+
+
+# The Krall construction and the catalog checks over integers, against
+# the Fraction forms they replaced.
+
+def _at(p: Poly, x: F) -> F:
+    """p(x) by Horner over the Fraction coefficients."""
+    out = F(0)
+    for c in reversed(p.coeffs):
+        out = out * x + c
+    return out
+
+
+def _build_form(family: PolynomialFamily, spec: DOperatorSpec, p2: Poly,
+                n_top: int):
+    """(gammas, lambdas, betas, q_n, P1) of build as Fraction forms, or
+    ("gamma", n) / ("lambda", n) where build raises GammaVanishes(n) or
+    its check lambda_{n+1} + lambda_n = P1(theta_n) first fails."""
+    q, u, v = family.q, family.theta(0), spec.v
+    p1 = Poly((F(0), v * q / u)) * Poly(
+        [c * (1 - F(2) / (1 - q ** (j + 1))) for j, c in enumerate(p2.coeffs)])
+    thetas = [u * q ** n for n in range(n_top + 1)]
+    gammas = [_at(p2, x) for x in thetas]
+    if 0 in gammas:
+        return "gamma", gammas.index(0) + 1
+    lambdas = [(_at(p1, u) - v * spec.q * gammas[0]) / 2]
+    for n in range(1, n_top + 1):
+        lambdas.append(lambdas[n - 1] + v * spec.q ** n * gammas[n - 1])
+    for n in range(n_top):
+        if lambdas[n + 1] + lambdas[n] != _at(p1, thetas[n]):
+            return "lambda", n
+    betas = [spec.eps(n) * gammas[n] / gammas[n - 1]
+             for n in range(1, n_top + 1)]
+    qpolys = [family.poly(0)] + [family.poly(n) + beta * family.poly(n - 1)
+                                 for n, beta in enumerate(betas, 1)]
+    return gammas, lambdas, betas, qpolys, p1
+
+
+@settings(deadline=None)
+@given(bases, wide_fracs, wide_fracs, st.booleans(), st.integers(0, 2),
+       st.lists(wide_fracs, max_size=4).map(Poly), st.integers(0, 8),
+       st.one_of(st.none(), bases))
+@example(F(2, 5), F(1, 3), F(3, 2), True, 0, Poly((1, 2)), 4, F(3, 7))
+@_with_bases(F(-5, 3), F(-3, 7), True, 2, Poly((F(-3, 4), 2)), 6, None)
+@_with_bases(F(-5, 3), F(-3, 7), False, 1, Poly((F(-3, 4), 2)), 6, None)
+def test_build_equals_fraction_form(q, b, c, is_meixner, which, p2, n_top,
+                                    spec_q):
+    if is_meixner:
+        family = PolynomialFamily(MEIXNER, _accepted(MeixnerParams, q, b, c))
+    else:
+        family = PolynomialFamily(LAGUERRE, _accepted(LaguerreParams, q, b))
+    specs = dop_catalog(family)
+    spec = specs[which % len(specs)]
+    if spec_q is not None:  # sigma_n over another base fails the lambda check
+        spec = DOperatorSpec(spec.spec_id, spec.eps, spec.v, spec_q,
+                             lambda: None)
+    want = _build_form(family, spec, p2, n_top)
+    try:
+        kc = build(family, spec, p2, n_top)
+    except GammaVanishes as exc:
+        assert want == ("gamma", exc.n)
+        return
+    except CrossCheckFailed as exc:
+        assert want[0] == "lambda"
+        n = want[1]
+        assert str(exc).startswith(
+            f"lambda_{n + 1} + lambda_{n} != P1(theta_{n});")
+        return
+    gammas, lambdas, betas, qpolys, p1 = want
+    got = ([kc.gamma(n) for n in range(1, n_top + 2)],
+           [kc.lam(n) for n in range(n_top + 1)],
+           [kc.beta(n) for n in range(1, n_top + 1)])
+    assert got == (gammas, lambdas, betas)
+    assert all(type(x) is F for xs in got for x in xs)
+    assert kc.qpolys() == qpolys and kc.p1 == p1
+    for p in (*qpolys, p1):
+        assert_stored_form(p)
+
+
+def _displayed_beta_form(name: str, params, k: int, mass, n: int) -> F:
+    """beta_n as each instance displays it, in Fractions."""
+    q = params.q
+    if name == LAGUERRE_II:
+        t = params.t
+
+        def gam(i: int) -> F:   # 1 + M (q^(i+1); q)_k / (q; q)_k
+            num = den = F(1)
+            for j in range(1, k + 1):
+                num *= 1 - q ** (i + j)
+                den *= 1 - q ** j
+            return 1 + mass * num / den
+        return gam(n) / ((1 - t * q ** n) * gam(n - 1))
+    if name == LAGUERRE_I:
+        pk = alsalam_carlitz(q, 1 / params.t).poly(k)
+        return _at(pk, q ** (n + 1)) / _at(pk, q ** n)
+    b, c = params.b, params.c
+    if name == MEIXNER_I:
+        pk = meixner(q, -c, 1 / (b * c)).poly(k)
+        return _at(pk, q ** (n + 1)) / _at(pk, q ** n)
+    if name == MEIXNER_II:
+        pk = meixner(1 / q, b, c).poly(k)
+        return (_at(pk, b * q ** n)
+                / ((1 - b * q ** n) * _at(pk, b * q ** (n - 1))))
+    pk = meixner(q, 1 / b, b * c).poly(k)
+    return ((c + q ** n) / (c * (1 - b * q ** n))
+            * (_at(pk, q ** (n + 1)) / _at(pk, q ** n)))
+
+
+def _outcome(f, *args):
+    """f(*args), a Fraction, or ZeroDivisionError if it raises that."""
+    try:
+        value = f(*args)
+    except ZeroDivisionError:
+        return ZeroDivisionError
+    assert type(value) is F
+    return value
+
+
+@settings(deadline=None)
+@given(bases, wide_fracs, wide_fracs, st.sampled_from(THEOREMS),
+       st.integers(0, 3), st.integers(1, 10))
+@_with_bases(F(-5, 3), F(-3, 7), MEIXNER_II, 2, 3)
+@_with_bases(F(-5, 3), F(-3, 7), MEIXNER_III, 2, 3)
+@_with_bases(F(-5, 3), F(-3, 7), LAGUERRE_II, 2, 3)
+def test_displayed_betas_equal_fraction_forms(q, b, c, name, k, n):
+    # b and c are the Meixner b and c; b is the Laguerre t of laguerre-i,
+    # and c the point mass M of laguerre-ii, whose t is q^alpha
+    if name in (MEIXNER_I, MEIXNER_II, MEIXNER_III):
+        params, mass = _accepted(MeixnerParams, q, b, c), None
+    elif name == LAGUERRE_I:
+        params, mass = _accepted(LaguerreParams, q, b), None
+    else:
+        k = max(k, 1)
+        params, mass = _accepted(LaguerreParams, q, q ** k), c
+    td = _accepted(theorem_catalog, name, params, k, mass)
+    assert (_outcome(td.displayed_beta, n)
+            == _outcome(_displayed_beta_form, name, params, k, mass, n))
+
+
+def _spike(m: int, delta: F) -> MomentFunctional:
+    """The functional whose one nonzero moment is delta at m."""
+    return MomentFunctional(lambda n, _prev: delta if n == m else F(0))
+
+
+@settings(deadline=None)
+@given(bases, wide_fracs, wide_fracs, wide_fracs, wide_fracs, wide_fracs,
+       st.one_of(st.none(), st.tuples(st.integers(0, CHECK_TO + 2),
+                                      wide_fracs.filter(bool))),
+       st.one_of(st.none(), st.lists(wide_fracs, max_size=3).map(Poly)))
+@_with_bases(F(-5, 3), F(-3, 7), F(2, 3), F(-7, 4), F(1, 9), None, None)
+@_with_bases(F(-5, 3), F(-3, 7), F(2, 3), F(-7, 4), F(1, 9), (7, F(1)),
+             None)
+@_with_bases(F(-5, 3), F(-3, 7), F(2, 3), F(-7, 4), F(1, 9),
+             (CHECK_TO + 1, F(-2, 3)), None)
+def test_catalog_cross_check_equals_fraction_form(q, b, c, lam, s, seed0,
+                                                  spike, divisor):
+    # (x - lam) built = s base holds for the Geronimus functional, until a
+    # spike in its moments breaks it
+    base = meixner_moments(_accepted(MeixnerParams, q, b, c), CHECK_TO + 4)
+    built = geronimus(base, lam, s, seed0)
+    if spike is not None:
+        built = add(built, _spike(*spike))
+    divisor = Poly((-lam, 1)) if divisor is None else divisor
+    want = next((n for n in range(CHECK_TO + 1)
+                 if sum((d * built.moment(n + i)
+                         for i, d in enumerate(divisor.coeffs)), F(0))
+                 != s * base.moment(n)), None)
+    try:
+        _cross_check(built, divisor, base, s, "label")
+    except CrossCheckFailed as exc:
+        assert str(exc) == f"label: cross-check fails first at moment {want}"
+    else:
+        assert want is None
+
+
+def _combine_form(nu: MomentFunctional, lam: F, mass: F, p_polys: list,
+                  n_top: int):
+    """(betas, q_polys) of combine_with_point_mass as Fraction forms, or
+    the n at which it raises DenominatorVanishes(n)."""
+    terms = [sum((c * nu.moment(i) for i, c in enumerate(p.coeffs)), F(0))
+             + mass * _at(p, lam) for p in p_polys]
+    betas, q_polys = [F(0)], [Poly.one()]
+    for n in range(1, n_top + 1):
+        if terms[n - 1] == 0:
+            return n
+        betas.append(-terms[n] / terms[n - 1])
+        q_polys.append(p_polys[n] + betas[n] * p_polys[n - 1])
+    return betas, q_polys
+
+
+@settings(deadline=None)
+@given(bases, wide_fracs, wide_fracs, wide_fracs, wide_fracs,
+       st.lists(st.lists(wide_fracs, max_size=5).map(Poly), min_size=1,
+                max_size=6), st.integers(0, 5))
+@_with_bases(F(-5, 3), F(-3, 7), F(0), F(7, 3),
+             [Poly((1,)), Poly((F(-1, 2), 1)), Poly((1, 0, 3))], 2)
+@_with_bases(F(-5, 3), F(-3, 7), F(2), F(-1), [Poly(()), Poly((1, 2)),
+                                               Poly((0, 1))], 2)
+def test_combine_with_point_mass_equals_fraction_form(q, b, c, lam, mass,
+                                                      p_polys, n_top):
+    nu = meixner_moments(_accepted(MeixnerParams, q, b, c), 5)
+    n_top = min(n_top, len(p_polys) - 1)
+    want = _combine_form(nu, lam, mass, p_polys, n_top)
+    try:
+        betas, q_polys = combine_with_point_mass(nu, lam, mass, p_polys,
+                                                 n_top)
+    except DenominatorVanishes as exc:
+        assert want == exc.n
+        return
+    assert (betas, q_polys) == want
+    assert all(type(x) is F for x in betas)
+    for p in q_polys:
+        assert_stored_form(p)
+
+
+@settings(deadline=None)
+@given(wide_fracs, st.integers(0, 3), wide_fracs)
+@example(F(0), 0, F(3, 2))
+@example(F(-7, 3), 3, F(-2, 5))
+def test_point_mass_moments_equal_fraction_form(lam, j, mass):
+    mu = point_mass(lam, j, mass)
+    for n in range(12):
+        falling = F(1)
+        for i in range(j):
+            falling *= n - i
+        want = mass * F(-1) ** j * falling * lam ** (n - j) if n >= j else 0
+        assert mu.moment(n) == want and type(mu.moment(n)) is F
 
 
 def test_rational_keeps_what_it_is_given():

@@ -6,8 +6,9 @@ from fractions import Fraction
 import pytest
 
 import qkrall.krall
-from qkrall import (GammaVanishes, LaguerreParams, MeixnerParams,
-                    ParamDegeneracy, Poly, QKrallError, UnknownTheorem,
+from qkrall import (CrossCheckFailed, DOperatorSpec, GammaVanishes,
+                    LaguerreParams, MeixnerParams, ParamDegeneracy, Poly,
+                    QKrallError, UnknownTheorem,
                     agree_up_to, build, dop_action, dop_catalog,
                     hankel_orthogonal, measure_catalog, meixner,
                     meixner_moments, qpochhammer, theorem_catalog,
@@ -94,6 +95,22 @@ def test_gamma_vanishing_is_reported_with_its_index():
         build(fam, spec, p2, 8)
     assert info.value.n == 3
     assert str(info.value) == "gamma_3 = P2(theta_2) vanishes"
+
+
+def test_lambda_check_names_its_first_failing_index():
+    # sigma_n = v q^n read over a base other than the family's: lambda_1 +
+    # lambda_0 = P1(theta_0) holds by the definition of lambda_0, and the
+    # next sum is the first that the ladder data gets wrong
+    fam = meixner(Q0, B0, C0)
+    good = dop_catalog(fam)[0]
+    spec = DOperatorSpec(good.spec_id, good.eps, good.v, F(3, 7),
+                         lambda: good.closed_form)
+    p2 = Poly((1, 2))
+    assert build(fam, spec, p2, 1).lam(1) is not None
+    with pytest.raises(CrossCheckFailed) as info:
+        build(fam, spec, p2, 4)
+    assert str(info.value) == ("lambda_2 + lambda_1 != P1(theta_1); the "
+                               "ladder sequences are inconsistent with P1")
 
 
 def test_beta_override_breaks_the_eigen_equation(monkeypatch):

@@ -7,8 +7,10 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import qkrall.moments
 from qkrall import (LAGUERRE_I, LAGUERRE_II, MEIXNER_I, MEIXNER_II,
-                    MEIXNER_III, THEOREMS, DenominatorVanishes, GramData,
+                    MEIXNER_III, THEOREMS, CrossCheckFailed,
+                    DenominatorVanishes, GramData,
                     LaguerreParams, MeixnerParams, MomentFunctional,
                     NotQuasiDefinite, ParamDegeneracy, Poly,
                     ThreeTermRecurrence, UnknownTheorem,
@@ -21,6 +23,7 @@ from qkrall import (LAGUERRE_I, LAGUERRE_II, MEIXNER_I, MEIXNER_II,
                     meixner_moments, meixner_recurrence,
                     moments_from_recurrence, point_mass, scale, shift,
                     theorem_catalog)
+from qkrall.moments import CHECK_TO
 from conftest import B0, C0, Q0, T0
 from series_families import series_family
 
@@ -374,6 +377,31 @@ def test_measure_catalog_builds_all_five():
         measure_catalog("nope", mp, 1)
     with pytest.raises(UnknownTheorem):
         measure_catalog(MEIXNER_I, lp, 1)
+
+
+@pytest.mark.parametrize("at", [7, CHECK_TO, CHECK_TO + 1])
+def test_catalog_cross_check_names_its_first_failing_moment(monkeypatch, at):
+    # meixner-i's reference is the plain q-Meixner functional, scaled; off
+    # by one at moment `at` alone, it fails the check there, and past the
+    # compared moments 0..CHECK_TO it is not read
+    params = MeixnerParams(Q0, B0, C0)
+    real = qkrall.moments.meixner_moments
+
+    def meixner_moments(p, n_depth=64):
+        mu = real(p, n_depth)
+        if p != params:
+            return mu
+        return MomentFunctional(lambda n, _: mu.moment(n) + (n == at),
+                                max_n=mu.max_n)
+
+    monkeypatch.setattr(qkrall.moments, "meixner_moments", meixner_moments)
+    if at > CHECK_TO:
+        assert measure_catalog(MEIXNER_I, params, 1).moment(at) is not None
+        return
+    with pytest.raises(CrossCheckFailed) as info:
+        measure_catalog(MEIXNER_I, params, 1)
+    assert str(info.value) == (
+        f"meixner-i: cross-check fails first at moment {at}")
 
 
 @pytest.mark.parametrize("name", THEOREMS)
