@@ -213,7 +213,7 @@ def _mark(ok: bool) -> str:
 
 
 def _params_echo(params) -> dict:
-    """The rational fields of a params dataclass, as exact strings."""
+    """The rational fields of a params record, as exact strings."""
     return {k: rational_str(v) for k, v in sorted(vars(params).items())
             if isinstance(v, Fraction)}
 

@@ -21,6 +21,7 @@ is one integer expression in u^n and v^n at q = u/v (``_power``, and
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from itertools import repeat
 
@@ -60,6 +61,60 @@ def check_depth(n: int) -> None:
     negative bound leaves an empty range, which may not count as a pass."""
     if n < 0:
         raise ParamDegeneracy(f"n must be nonnegative, got n = {n}")
+
+
+_set = object.__setattr__
+
+
+class Record:
+    """Immutable record whose fields are its subclass's annotations.
+
+    Built by position or keyword and checked by ``_validate``; compared
+    and hashed by its fields within one class (``eq=False`` in the class
+    statement keeps identity).  Plain methods, so that no source is
+    generated and compiled at import.  Instances keep the ``__dict__``
+    that ``vars`` and ``functools.cached_property`` read.
+    """
+
+    def __init_subclass__(cls, eq: bool = True) -> None:
+        cls._fields = tuple(cls.__annotations__)
+        cls._key = operator.attrgetter(*cls._fields)
+        if not eq:
+            cls.__eq__, cls.__hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, *args, **kwargs) -> None:
+        names = self._fields
+        if kwargs or len(args) != len(names):
+            rest = names[len(args):]
+            if len(args) > len(names) or kwargs.keys() != set(rest):
+                raise TypeError(f"{type(self).__name__} takes the fields "
+                                f"{', '.join(names)}, each once")
+            args += tuple(map(kwargs.__getitem__, rest))
+        for name, value in zip(names, args):
+            _set(self, name, value)
+        self._validate()
+
+    def _validate(self) -> None:
+        """Check, or normalise with ``object.__setattr__``, the fields."""
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
 
 
 def _power(q: Fraction, k: int) -> tuple[int, int]:
@@ -244,9 +299,6 @@ class Poly:
                 parts.append(mono if c == 1 else f"-{mono}" if c == -1 else f"{c}*{mono}")
         out = " + ".join(parts)
         return out.replace("+ -", "- ")
-
-
-_set = object.__setattr__
 
 
 def _poly(nums: list[int], den: int) -> Poly:

@@ -22,13 +22,12 @@ from __future__ import annotations
 import functools
 import math
 import threading
-from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Callable
 
 from .errors import ParamDegeneracy, SingularSystem, UnsupportedFamily
-from .exact import (Laurent, Poly, _over_common, _poly, _power, check_base,
-                    check_depth, rational, rational_str)
+from .exact import (Laurent, Poly, Record, _over_common, _poly, _power,
+                    check_base, check_depth, rational, rational_str)
 from .linalg import solve_exact
 from .operators import QDiffOperator
 
@@ -67,20 +66,18 @@ def q_power_exponent(value: Fraction, q: Fraction) -> int | None:
     return None
 
 
-def _coerce(params) -> None:
-    """Store every field of a frozen params dataclass as an exact rational."""
-    for field in fields(params):
-        object.__setattr__(params, field.name,
-                           rational(getattr(params, field.name)))
+def _coerce(params: Record) -> None:
+    """Store every field of a params record as an exact rational."""
+    for name in params._fields:
+        object.__setattr__(params, name, rational(getattr(params, name)))
 
 
-@dataclass(frozen=True)
-class MeixnerParams:
+class MeixnerParams(Record):
     q: Fraction
     b: Fraction
     c: Fraction
 
-    def __post_init__(self):
+    def _validate(self):
         _coerce(self)
         q, b, c = self.q, self.b, self.c
         check_base(q)
@@ -94,14 +91,13 @@ class MeixnerParams:
             raise ParamDegeneracy(f"c = -q^{e} is excluded for the Meixner family")
 
 
-@dataclass(frozen=True)
-class LaguerreParams:
+class LaguerreParams(Record):
     """q-Laguerre data; t stands for q^alpha and may be any allowed rational."""
 
     q: Fraction
     t: Fraction
 
-    def __post_init__(self):
+    def _validate(self):
         _coerce(self)
         q, t = self.q, self.t
         check_base(q)
@@ -112,12 +108,11 @@ class LaguerreParams:
             raise ParamDegeneracy(f"t = q^{e} is excluded for the Laguerre family")
 
 
-@dataclass(frozen=True)
-class AlSalamCarlitzParams:
+class AlSalamCarlitzParams(Record):
     q: Fraction
     a: Fraction
 
-    def __post_init__(self):
+    def _validate(self):
         _coerce(self)
         check_base(self.q)
         if self.a == 0:
@@ -245,8 +240,7 @@ def family_operator(family: PolynomialFamily) -> QDiffOperator:
     raise UnsupportedFamily("no canonical operator for Al-Salam-Carlitz")
 
 
-@dataclass(frozen=True)
-class ThreeTermRecurrence:
+class ThreeTermRecurrence(Record):
     """Coefficients of  x p_n = a_n p_{n+1} + b_n p_n + c_n p_{n-1}."""
 
     a: Callable[[int], Fraction]

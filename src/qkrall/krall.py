@@ -27,14 +27,13 @@ cross-check) is built when it is first read.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable
 
 from .errors import CrossCheckFailed, GammaVanishes, ParamDegeneracy
-from .exact import (Poly, _add, _eval, _power, check_base, check_depth,
-                    qpochhammer, rational)
+from .exact import (Poly, Record, _add, _eval, _power, check_base,
+                    check_depth, qpochhammer, rational)
 from .families import (LaguerreParams, MeixnerParams, PolynomialFamily,
                        _derived, alsalam_carlitz, family_operator, laguerre,
                        meixner)
@@ -65,8 +64,7 @@ def build_P1(p2: Poly, u: Fraction, v: Fraction, q: Fraction) -> Poly:
                       for j, w in enumerate(p2.nums, 1))))
 
 
-@dataclass(frozen=True, eq=False)
-class KrallConstruction:
+class KrallConstruction(Record, eq=False):
     """The full output of one build: sequences, polynomials, operator."""
 
     family: PolynomialFamily
@@ -174,8 +172,7 @@ def verify_eigen(kc: KrallConstruction) -> list[dict]:
             for n, (p, lam) in enumerate(zip(kc._qpolys, kc._lambdas))]
 
 
-@dataclass(frozen=True, eq=False)
-class TheoremData:
+class TheoremData(Record, eq=False):
     """One catalogued instance: everything needed to build and verify it.
 
     ``measure`` is built by ``measure_catalog`` (moment depth ``n_depth``)

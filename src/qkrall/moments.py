@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable
 
 from .errors import (CrossCheckFailed, DenominatorVanishes, NotQuasiDefinite,
                      ParamDegeneracy, UnknownTheorem, ZeroDilation)
-from .exact import (Poly, _add, _eval, _over_common, _power, check_depth,
-                    qpochhammer, rational)
+from .exact import (Poly, Record, _add, _eval, _over_common, _power,
+                    check_depth, qpochhammer, rational)
 from .families import (LaguerreParams, MeixnerParams, ThreeTermRecurrence,
                        _derived, _recurrence_step, meixner,
                        meixner_recurrence, q_power_exponent)
@@ -212,8 +211,7 @@ def dilate(mu: MomentFunctional, lam: Fraction | int | str) -> MomentFunctional:
     return MomentFunctional(provider, max_n=mu.max_n)
 
 
-@dataclass(frozen=True)
-class GramData:
+class GramData(Record):
     """Monic orthogonal polynomials of a functional with their norms
     norms[n] = <mu, pi_n^2> = Delta_{n+1}/Delta_n, Delta_n the n x n leading
     Hankel determinant.

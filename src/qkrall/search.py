@@ -35,14 +35,13 @@ reporting every attempt.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from typing import Callable, Iterable, Sequence
 
 from .errors import CrossCheckFailed, NotQuasiDefinite, ParamDegeneracy
-from .exact import (Laurent, Poly, _integer_rows, _over_common, check_base,
-                    rational, rational_str)
+from .exact import (Laurent, Poly, Record, _integer_rows, _over_common,
+                    check_base, rational, rational_str)
 from .families import (LaguerreParams, MeixnerParams, q_power_exponent)
 from .krall import build, theorem_catalog
 from .linalg import nullspace, rref
@@ -62,15 +61,14 @@ def _window_size(h: int) -> int:
     return 4 * h + 9
 
 
-@dataclass(frozen=True)
-class SearchProblem:
+class SearchProblem(Record):
     """Eigenpolynomials q_0..q_N, deg q_n = n, for half-width h at base q."""
 
     eigenpolys: tuple[Poly, ...]
     h: int
     q: Fraction
 
-    def __post_init__(self):
+    def _validate(self):
         if self.h < 1:
             raise ValueError("window half-width must be positive")
         need = _window_size(self.h)
@@ -83,8 +81,7 @@ class SearchProblem:
         check_base(self.q)
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(Record):
     found: bool
     operator: object | None
     eigenvalues: tuple[Fraction, ...] | None
