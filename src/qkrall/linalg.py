@@ -4,25 +4,28 @@ Pivoting is deterministic (first nonzero column, then smallest row index)
 so that every run of the package produces identical output.
 
 `nullspace` is certified rather than computed by `rref` directly.  It reads
-each row over Z (a `Fraction` row over its common denominator) and keeps
-the rows independent, modulo the prime 2^61 - 1, of the rows kept before
-them; rows independent mod p are independent over Q.  If the r kept rows
-and the z columns that are zero in every row make r + z = ncols, the
-nullspace is spanned by the zero columns' unit vectors, with no solve or
-check: they lie in it, and its dimension ncols - rank(A) <= ncols - r = z.
-Every nonzero column is then a pivot, so they are the RREF basis.
-Otherwise only the kept rows R are made primitive (a row that vanishes mod
-p only because p divides its content is made primitive before it is
-reduced, so R is the choice the primitive rows give), fraction-free
-(Bareiss) elimination brings R to echelon form, and back-substitution over
-Z gives the RREF basis of nullspace(R), which contains nullspace(A).  Every
-basis vector is checked over Z against every row of A; when all checks
-pass the two nullspaces are equal, and since the RREF basis depends only
-on the nullspace, the result is the one `rref` gives.  When a check fails
-(a prime that drops a row of full rank over Q), the first failing row
-joins R: a row that some vector of nullspace(R) does not kill lies outside
-the row space of R, so R keeps full rank, and the solve repeats at most
-ncols times.
+each row over Z and scans the rows mod p = 2^61 - 1, keeping the r rows R
+independent mod p (so over Q) of those kept before them.  The scan holds R
+in reduced echelon form mod p, and a kept row stays zero at every free
+column left of its pivot: a new pivot is the leftmost nonzero of a
+residual, and an update only subtracts a row zero there.  So the scan's
+pivots and stored free columns (with a unit vector for each zero column)
+are the RREF of R mod p and its nullspace basis, each vector zero at the
+pivots right of its free column.  Further primes eliminate R alone.  Rank
+mod a prime is at most rank over Q, on every leading block of columns too,
+so no prime's pivot list is lexicographically earlier than the one over Q:
+a prime leaving R rank-deficient or giving a later list than one seen is
+dropped, and an earlier list replaces those kept.  The kept primes are
+combined by CRT and each entry reconstructed by Wang's method (|num|, den
+<= sqrt(M/2) for M the product of the primes).  The vectors are checked
+over Z.  One failing a row of R shows the reconstruction premature (or the
+pivots wrong): a prime is added.  Once all kill R, they are ncols - r
+independent vectors of nullspace(R), a basis of it, and with their zeros
+they give a reduced echelon form with that nullspace, the RREF of R; the
+RREF basis is unique, so they are it.  A vector failing another row proves
+that row outside the row space of R: it joins R, eliminated afresh mod the
+first prime keeping all its rows.  When all rows pass, nullspace(A) =
+nullspace(R), and the vectors are the basis `rref` gives.
 """
 
 from __future__ import annotations
@@ -101,11 +104,8 @@ def nullspace(a: Matrix) -> list[list[Fraction]]:
     """Basis of the right nullspace of a, one vector per free column.
 
     Entries may be `int` or `Fraction`.  The basis is the standard one read
-    off the RREF: free column j gives the vector with 1 in slot j, so output
-    order is deterministic.  It is the zero columns' unit vectors when the
-    rank mod p reaches the number of nonzero columns; otherwise it is
-    solved from the rows chosen mod p, made primitive, and certified over Z
-    against every row (see the module docstring).
+    off the RREF (free column j gives the vector with 1 in slot j), found
+    mod primes and certified over Z (module docstring).
     """
     if not a:
         return []
@@ -113,22 +113,70 @@ def nullspace(a: Matrix) -> list[list[Fraction]]:
     rows = [row if all(map(isinstance, row, repeat(int)))
             else _over_common(row)[0] for row in a]
     zero = [j for j, col in enumerate(zip(*rows)) if not any(col)]
-    kept = _independent_mod_p(rows, sorted(set(range(ncols)) - set(zero)))
-    if len(kept) + len(zero) == ncols:
-        return [[Fraction(int(i == j)) for i in range(ncols)] for j in zero]
-    kept = _integer_rows([rows[i] for i in kept])
+    cols = sorted(set(range(ncols)) - set(zero))
+    kept, pivots, image = _independent_mod_p(rows, cols, _PRIME)
+    modulus, primes = _PRIME, _primes()
     while True:
-        basis = _integer_nullspace(kept, ncols)
-        missed = next((row for row in rows for w, _ in basis
-                       if sum(map(mul, row, w))), None)
-        if missed is None:
-            return [[Fraction(c, w[f]) for c in w] for w, f in basis]
-        kept += _integer_rows([missed])
+        basis = _lift(image, modulus, pivots, ncols)
+        if basis is not None and not any(sum(map(mul, rows[i], w))
+                                         for _, w, _ in basis for i in kept):
+            done = set(kept)
+            missed = next((i for _, w, _ in basis for i, row in enumerate(rows)
+                           if i not in done and sum(map(mul, row, w))), None)
+            if missed is None:
+                basis += [(j, [int(i == j) for i in range(ncols)], 1)
+                          for j in zero]
+                return [[Fraction(c, d) for c in w] for _, w, d in sorted(basis)]
+            kept.append(missed)
+            pivots = None
+        for q in primes:
+            got, piv, res = _independent_mod_p([rows[i] for i in kept], cols, q)
+            if len(got) == len(kept) and (pivots is None or piv <= pivots):
+                break
+        if piv == pivots:
+            inv = pow(modulus, -1, q)
+            image = {f: [x + modulus * ((y - x) * inv % q)
+                         for x, y in zip(image[f], res[f])] for f in image}
+            modulus *= q
+        else:
+            pivots, image, modulus = piv, res, q
 
 
-def _independent_mod_p(rows: list[list[int]], cols: list[int]) -> list[int]:
-    """Indices of the rows independent, mod p, of the rows before them;
-    only the columns `cols` may hold a nonzero entry.
+def _primes():
+    """The primes below 2^62, largest first: Miller-Rabin to the twelve
+    prime bases 2..37 is exact below 3.3 * 10^24."""
+    for n in range((1 << 62) - 1, 2, -2):
+        s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = 2^s d, d odd
+        if all(pow(b, (n - 1) >> s, n) == 1
+               or any(pow(b, (n - 1) >> i, n) == n - 1 for i in range(1, s + 1))
+               for b in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)):
+            yield n
+
+
+def _lift(image: dict, m: int, pivots: list[int], ncols: int) -> list | None:
+    """Each free column f's vector (1 at f, at the pivots the rationals of
+    its residues mod m by Wang) as (f, numerators, denominator), or None."""
+    bound = math.isqrt(m // 2)
+    basis = []
+    for f, residues in image.items():
+        v = [int(i == f) for i in range(ncols)]
+        for c, u in zip(pivots, residues):
+            r0, r1, t0, t1 = m, u, 0, 1
+            while r1 > bound:
+                k = r0 // r1
+                r0, r1, t0, t1 = r1, r0 - k * r1, t1, t0 - k * t1
+            if abs(t1) > bound or math.gcd(r1, t1) != 1:
+                return None
+            v[c] = Fraction(r1, t1)
+        basis.append((f, *_over_common(v)))
+    return basis
+
+
+def _independent_mod_p(rows: list[list[int]], cols: list[int],
+                       p: int) -> tuple[list[int], list[int], dict]:
+    """The rows independent, mod p, of the rows before them, as (their
+    indices, the sorted pivot columns, each free column's RREF nullspace
+    vector mod p at those pivots); only `cols` may hold a nonzero entry.
 
     A row is reduced as given, or made primitive first if that leaves it
     zero.  The kept rows are held in reduced echelon form mod p, stored by
@@ -137,7 +185,6 @@ def _independent_mod_p(rows: list[list[int]], cols: list[int]) -> list[int]:
     so a row's residual is nonzero only in free columns, and the scan stops
     once every column of `cols` is a pivot.
     """
-    p = _PRIME
     pivots: list[int] = []
     free: dict[int, list[int]] = {j: [] for j in cols}
     kept = []
@@ -163,56 +210,9 @@ def _independent_mod_p(rows: list[list[int]], cols: list[int]) -> list[int]:
             free[j] = [(x - y * n_j) % p for x, y in zip(col, col_new)]
             free[j].append(n_j)
         pivots.append(new)
-    return kept
-
-
-def _integer_nullspace(rows: list[list[int]],
-                       ncols: int) -> list[tuple[list[int], int]]:
-    """Nullspace of integer rows of full row rank, as (vector, free column).
-
-    Fraction-free (Bareiss) elimination with the `rref` pivot rule gives an
-    echelon form whose last pivot d is, up to sign, the determinant of the
-    pivot columns; by Cramer's rule d times the RREF basis vector of free
-    column f is integral, so back-substitution divides exactly.  Each
-    vector is returned primitive; dividing by its entry at f gives the RREF
-    vector.
-    """
-    m = list(rows)
-    pivots: list[int] = []
-    prev = 1
-    k = 0
-    for col in range(ncols):
-        pivot_row = next((i for i in range(k, len(m)) if m[i][col]), None)
-        if pivot_row is None:
-            continue
-        m[k], m[pivot_row] = m[pivot_row], m[k]
-        top = m[k]
-        a = top[col]
-        tail = top[col + 1:]
-        for i in range(k + 1, len(m)):
-            row = m[i]
-            b = row[col]
-            m[i] = [0] * (col + 1) + [
-                (a * x - b * y) // prev for x, y in zip(row[col + 1:], tail)]
-        prev = a
-        pivots.append(col)
-        k += 1
-    d = prev
-    pivot_set = set(pivots)
-    basis = []
-    for f in range(ncols):
-        if f in pivot_set:
-            continue
-        w = [0] * ncols
-        w[f] = d
-        for i in range(len(pivots) - 1, -1, -1):
-            row = m[i]
-            s = sum(row[pivots[j]] * w[pivots[j]]
-                    for j in range(i + 1, len(pivots)))
-            w[pivots[i]] = -(d * row[f] + s) // row[pivots[i]]
-        g = math.gcd(*w)
-        basis.append(([c // g for c in w], f))
-    return basis
+    order = sorted(range(len(pivots)), key=pivots.__getitem__)
+    return kept, sorted(pivots), {j: [-col[k] % p for k in order]
+                                  for j, col in free.items()}
 
 
 def leading_principal_minors(h: Matrix) -> list[Fraction]:

@@ -31,9 +31,10 @@ wide_fracs = st.one_of(
 # Hankel and Gram properties of the moments layer, the integer q^n closed
 # forms against their Fraction forms, among them the Krall construction's
 # (build, the five displayed betas, _eval, the catalog's product-identity
-# cross-check, combine_with_point_mass and point_mass), and the nullspace
-# of matrices with zero columns against `rref`) on 2000 examples instead
-# of 100.
+# cross-check, combine_with_point_mass and point_mass), the nullspace of
+# matrices with zero columns and of large-entry matrices against `rref`,
+# and the rank scan against the RREF mod p) on 2000 examples instead of
+# 100.
 settings.register_profile("deep", max_examples=2000)
 
 

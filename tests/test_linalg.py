@@ -3,7 +3,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qkrall import linalg
@@ -11,6 +11,21 @@ from qkrall.linalg import nullspace, rref
 
 F = Fraction
 P = (1 << 61) - 1  # the prime the rows are chosen modulo
+
+
+def _first_primes(count: int) -> list[int]:
+    """The primes `nullspace` adds after 2^61 - 1, in order."""
+    primes = linalg._primes()
+    return [next(primes) for _ in range(count)]
+
+
+Q1, Q2, Q3 = _first_primes(3)
+
+
+def test_primes_are_those_just_below_2_62():
+    # the published table of the primes just less than 2^62
+    assert [(1 << 62) - q for q in _first_primes(10)] == [
+        57, 87, 117, 143, 153, 167, 171, 195, 203, 273]
 
 
 def reference(a):
@@ -49,11 +64,12 @@ def random_matrices(draw):
 
 
 @st.composite
-def low_rank_products(draw):
+def low_rank_products(draw, values=entries):
     """L R with inner size k below both sides, so the rank is at most k."""
     rows, cols = draw(st.tuples(st.integers(2, 8), st.integers(2, 8)))
     k = draw(st.integers(1, min(rows, cols) - 1))
-    left, right = draw(_matrix(rows, k)), draw(_matrix(k, cols))
+    left = draw(_matrix(rows, k, values))
+    right = draw(_matrix(k, cols, values))
     return [[sum((left[i][s] * right[s][j] for s in range(k)), F(0))
              for j in range(cols)] for i in range(rows)]
 
@@ -73,8 +89,30 @@ thin = st.one_of(
     shapes.map(lambda s: [[F(0)] * s[1] for _ in range(s[0])]),  # zero
 )
 
+# Entries of up to 64 bits, and fractions with up to 40-bit numerators and
+# denominators: the RREF entries run far past Wang's 2^30 bound for one
+# prime, so the basis is combined by CRT from several.
+large_entries = st.one_of(
+    st.integers(-2 ** 64, 2 ** 64).map(F),
+    st.builds(F, st.integers(-2 ** 40, 2 ** 40), st.integers(1, 2 ** 40)),
+    st.sampled_from([F(0), F(P), F(Q1), F(P * Q1)]))
+
+
+@st.composite
+def large_entry_matrices(draw):
+    """Wide matrices, low-rank products and either with zero columns, all
+    of large entries."""
+    rows = draw(st.integers(1, 4))
+    wide = _matrix(rows, draw(st.integers(rows + 1, 7)), large_entries)
+    a = draw(st.one_of(wide, low_rank_products(large_entries)))
+    for j in draw(st.lists(st.integers(0, len(a[0])), max_size=2)):
+        for row in a:
+            row.insert(j, F(0))
+    return a
+
+
 matrices = st.one_of(random_matrices(), low_rank_products(), with_zero_rows(),
-                     thin)
+                     thin, large_entry_matrices())
 
 
 @settings(max_examples=300, deadline=None)
@@ -118,61 +156,137 @@ def test_fast_path_needs_no_rref(monkeypatch):
     assert calls == []
 
 
-def _counting_solves(monkeypatch) -> list:
-    calls = []
-    solve = linalg._integer_nullspace
+def _counting_stages(monkeypatch) -> dict:
+    """Per `nullspace` call: each prime's elimination as (prime, rows
+    eliminated), and the modulus and number of entries of each
+    reconstruction."""
+    seen = {"stages": [], "lifts": []}
+    scan, lift = linalg._independent_mod_p, linalg._lift
 
-    def counted(rows, ncols):
-        calls.append(len(rows))
-        return solve(rows, ncols)
+    def counted_scan(rows, cols, p):
+        seen["stages"].append((p, len(rows)))
+        return scan(rows, cols, p)
 
-    monkeypatch.setattr(linalg, "_integer_nullspace", counted)
-    return calls
+    def counted_lift(image, m, pivots, ncols):
+        seen["lifts"].append((m, len(image) * len(pivots)))
+        return lift(image, m, pivots, ncols)
+
+    monkeypatch.setattr(linalg, "_independent_mod_p", counted_scan)
+    monkeypatch.setattr(linalg, "_lift", counted_lift)
+    return seen
+
+
+def _at_most_primes(monkeypatch, count: int) -> None:
+    """Fail, instead of running on, a call that asks for more primes."""
+    primes = _first_primes(count)
+
+    def limited():
+        yield from primes
+        raise AssertionError(f"more than {count} primes after 2^61 - 1")
+
+    monkeypatch.setattr(linalg, "_primes", limited)
 
 
 def test_rows_dependent_mod_p_join_the_kept_rows(monkeypatch):
-    # [1, 0] and [1, p] are independent over Q but equal mod p, so only the
-    # first row is kept; (0, 1) fails the check against the second row,
-    # which joins the kept rows for a second solve.
+    # [1, 0] and [1, p] are independent over Q but equal mod p, so the scan
+    # keeps only the first row; (0, 1) kills it but fails the second row,
+    # which joins the kept rows, and the next prime, which keeps both, has
+    # every column a pivot
     calls = _counting_rref(monkeypatch)
-    solves = _counting_solves(monkeypatch)
+    seen = _counting_stages(monkeypatch)
     assert nullspace([[F(1), F(0)], [F(1), F(P)]]) == []
     assert calls == []
-    assert solves == [1, 2]
+    assert seen["stages"] == [(P, 2), (Q1, 2)]
 
 
 def test_row_missed_mod_p_leaves_a_smaller_basis(monkeypatch):
-    # the second row equals the first mod p; the first solve's (-1, 1, 0)
-    # fails against it, and the second solve gives the RREF basis
+    # the second row equals the first mod p; the scan's (-1, 1, 0) kills
+    # the kept first row but fails the second, which joins it, and the
+    # next prime's basis of both is the RREF basis
     a = [[F(1), F(1), F(0)], [F(1), F(1 + P), F(P)], [F(2), F(2), F(0)]]
     want = reference(a)
     calls = _counting_rref(monkeypatch)
-    solves = _counting_solves(monkeypatch)
+    seen = _counting_stages(monkeypatch)
     assert nullspace(a) == want == [[F(1), F(-1), F(1)]]
     assert calls == []
-    assert solves == [1, 2]
+    assert seen["stages"] == [(P, 3), (Q1, 2)]
+    assert [m for m, _ in seen["lifts"]] == [P, Q1]
 
 
 def test_row_divisible_by_p_is_made_primitive_first(monkeypatch):
     # [p, 0] is zero mod p as given, but scaling it to a primitive row
     # makes it [1, 0], so the modular choice keeps it; with both columns
-    # pivots mod p the nullspace is decided with no solve.
+    # pivots mod p the nullspace is decided by the scan alone
     calls = _counting_rref(monkeypatch)
-    solves = _counting_solves(monkeypatch)
+    seen = _counting_stages(monkeypatch)
     assert nullspace([[F(P), F(0)], [F(0), F(1)]]) == []
     assert calls == []
-    assert solves == []
+    assert seen == {"stages": [(P, 2)], "lifts": [(P, 0)]}
 
 
 def test_row_divisible_by_p_joins_a_single_solve(monkeypatch):
     # as above, with a free column: [p, 0, p] is kept as [1, 0, 1], and
-    # one solve over both kept rows gives the basis
+    # the scan's prime alone gives the basis of both kept rows
     calls = _counting_rref(monkeypatch)
-    solves = _counting_solves(monkeypatch)
+    seen = _counting_stages(monkeypatch)
     assert nullspace([[F(P), F(0), F(P)], [F(0), F(1), F(1)]]) == [
         [F(-1), F(-1), F(1)]]
     assert calls == []
-    assert solves == [2]
+    assert seen == {"stages": [(P, 2)], "lifts": [(P, 2)]}
+
+
+def test_large_basis_entries_need_crt(monkeypatch):
+    # the basis entries -X/3 and -Y/7 have 100-bit numerators, beyond
+    # Wang's bound sqrt(M/2) until the product M of the primes exceeds
+    # 2^201: the scan's prime and three more, combined by CRT
+    x, y = 2 ** 100 + 1, -(2 ** 99) + 5
+    a = [[3, 0, x], [0, 7, y]]
+    seen = _counting_stages(monkeypatch)
+    _at_most_primes(monkeypatch, 3)
+    assert nullspace(a) == reference(a) == [[F(-x, 3), F(-y, 7), F(1)]]
+    assert seen["stages"] == [(P, 2), (Q1, 2), (Q2, 2), (Q3, 2)]
+    assert [m for m, _ in seen["lifts"]] == [P, P * Q1, P * Q1 * Q2,
+                                             P * Q1 * Q2 * Q3]
+
+
+def test_wrong_reconstruction_adds_a_prime_not_a_row(monkeypatch):
+    # 2^40 = 2^-21 mod 2^61 - 1, so Wang's method reconstructs the scan's
+    # residue as 1/2^21: the vector fails the kept row over Z, and a prime
+    # is added.  Taking the kept row's dependent twin for a missed row
+    # would ask for a prime that keeps both, and there is none.
+    assert linalg._lift({1: [2 ** 40]}, P, [0], 2) == [
+        (1, [1, 2 ** 21], 2 ** 21)]
+    a = [[1, -2 ** 40], [2, -2 ** 41]]
+    seen = _counting_stages(monkeypatch)
+    _at_most_primes(monkeypatch, 1)
+    assert nullspace(a) == reference(a) == [[F(2 ** 40), F(1)]]
+    assert seen["stages"] == [(P, 2), (Q1, 1)]
+    assert [m for m, _ in seen["lifts"]] == [P, P * Q1]
+
+
+def test_prime_with_a_later_pivot_list_is_discarded(monkeypatch):
+    # the next prime after 2^61 - 1 divides the pivot entry Q1, so mod Q1
+    # the pivot moves from column 0 to column 1 and that prime is dropped;
+    # the 62-bit denominator Q1 needs three primes within Wang's bound
+    a = [[Q1, 1, 5]]
+    seen = _counting_stages(monkeypatch)
+    _at_most_primes(monkeypatch, 3)
+    assert nullspace(a) == reference(a) == [[F(-1, Q1), F(1), F(0)],
+                                            [F(-5, Q1), F(0), F(1)]]
+    assert seen["stages"] == [(P, 1), (Q1, 1), (Q2, 1), (Q3, 1)]
+    assert [m for m, _ in seen["lifts"]] == [P, P * Q2, P * Q2 * Q3]
+
+
+def test_scan_prime_with_a_later_pivot_list_is_replaced(monkeypatch):
+    # mod 2^61 - 1 the row [p, 1] has its pivot in column 1, so the scan's
+    # basis (1, 0) fails the row over Z; the next prime's pivot list [0]
+    # is earlier and replaces the scan's
+    a = [[P, 1]]
+    seen = _counting_stages(monkeypatch)
+    _at_most_primes(monkeypatch, 2)
+    assert nullspace(a) == reference(a) == [[F(-1, P), F(1)]]
+    assert seen["stages"] == [(P, 1), (Q1, 1), (Q2, 1)]
+    assert [m for m, _ in seen["lifts"]] == [P, Q1, Q1 * Q2]
 
 
 # Integer entries, again with multiples of the prime; each row is then
@@ -234,15 +348,17 @@ def test_nullspace_with_zero_columns_equals_rref_basis(a):
 def test_full_rank_on_the_nonzero_columns_needs_no_solve(monkeypatch):
     # columns 0 and 3 are zero and the others are independent mod p (the
     # first row once made primitive), so the basis is the unit vectors of
-    # columns 0 and 3
+    # columns 0 and 3, with no entry to reconstruct
     a = [[0, P, 2 * P, 0], [0, 3, 4, 0], [0, 5, 6, 0]]
     want = reference(a)
-    solves = _counting_solves(monkeypatch)
+    seen = _counting_stages(monkeypatch)
     assert nullspace(a) == want == [[1, 0, 0, 0], [0, 0, 0, 1]]
-    assert solves == []
+    assert seen == {"stages": [(P, 3)], "lifts": [(P, 0)]}
 
 
-def test_only_kept_rows_are_made_primitive(monkeypatch):
+def test_no_row_is_made_primitive_unless_zero_mod_p(monkeypatch):
+    # the kept rows [1, 2, 3] and [0, 1, 1] are eliminated as given, and
+    # the scan's prime alone gives the basis
     a = [[1, 2, 3], [2, 4, 6], [3, 6, 9], [0, 1, 1]]
     made = []
     primitive = linalg._integer_rows
@@ -252,5 +368,49 @@ def test_only_kept_rows_are_made_primitive(monkeypatch):
         return primitive(rows)
 
     monkeypatch.setattr(linalg, "_integer_rows", counted)
+    seen = _counting_stages(monkeypatch)
     assert nullspace(a) == reference(a) == [[-1, -1, 1]]
-    assert made == [[1, 2, 3], [0, 1, 1]]
+    assert made == []
+    assert seen == {"stages": [(P, 4)], "lifts": [(P, 2)]}
+
+
+@settings(deadline=None)
+@given(large_entry_matrices())
+def test_large_entry_nullspace_equals_rref_basis(a):
+    assert nullspace(a) == reference(a)
+
+
+@st.composite
+def full_row_rank(draw):
+    """Integer matrices of full row rank with entries in -6..6, so every
+    minor is below 2^28 in size (Hadamard's bound) and none is a multiple
+    of p: staircases in a drawn row order, whose pivots the scan meets out
+    of column order, and random rows."""
+    cols = draw(st.integers(1, 7))
+    small = st.integers(-6, 6)
+    if draw(st.booleans()):
+        starts = sorted(draw(st.sets(st.integers(0, cols - 1), min_size=1)))
+        return draw(st.permutations([
+            [0] * j + [draw(small.filter(bool))]
+            + draw(st.lists(small, min_size=cols - j - 1,
+                            max_size=cols - j - 1)) for j in starts]))
+    a = draw(st.lists(st.lists(small, min_size=cols, max_size=cols),
+                      min_size=1, max_size=cols))
+    assume(len(rref(a)[1]) == len(a))
+    return a
+
+
+@settings(deadline=None)
+@given(full_row_rank())
+@example([[0, 1, 2], [1, 0, 3]])  # pivots met as 1, then 0
+def test_scan_is_the_rref_mod_p(a):
+    # the scan keeps every row, and its pivots and free columns are those
+    # of the RREF over Q, reduced mod p
+    red, pivots = rref(a)
+    cols = [j for j, col in enumerate(zip(*a)) if any(col)]
+    kept, scan_pivots, image = linalg._independent_mod_p(a, cols, P)
+    assert kept == list(range(len(a))) and scan_pivots == pivots
+    assert image == {
+        f: [-red[k][f].numerator * pow(red[k][f].denominator, -1, P) % P
+            for k in range(len(pivots))]
+        for f in cols if f not in pivots}

@@ -258,51 +258,112 @@ def test_conjecture_a_at_order_eight():
                       "4a511b9bae67fdfcd88b8bfab2df652c")
 
 
-def _solves_per_attempt(monkeypatch) -> dict[int, int]:
-    """Number of `_integer_nullspace` calls made by each half-width's
-    find_operator."""
-    solves = []
-    solve, find = qkrall.linalg._integer_nullspace, qkrall.search.find_operator
-    per_h: dict[int, int] = {}
+def test_conjecture_a_at_order_ten():
+    # f3 = {1, 2, 3, 4}: 2 * 10 - 4 * 3 + 2
+    f3 = [1, 2, 3, 4]
+    expected = 2 * sum(f3) - len(f3) * (len(f3) - 1) + 2
+    report = check_conjecture_a(MeixnerParams(Q0, B0, C0), f3=f3)
+    assert report["conjectured_order"] == expected == 10
+    assert report["found_order"] == expected
+    assert [a["found"] for a in report["attempts"]] == [False] * 4 + [True]
+    digest = hashlib.sha256(
+        json.dumps(report, sort_keys=True).encode()).hexdigest()
+    assert digest == ("17d4003f0e0a4a88409eef515126dd85"
+                      "d0b9ba4e1003fd87eb0ce7000b4d599a")
 
-    def counted_solve(rows, ncols):
-        solves.append(len(rows))
-        return solve(rows, ncols)
+
+def test_conjecture_b2_one_mass_at_order_ten():
+    # one mass at alpha = 4: order 2 alpha + 2, the catalogued instance's
+    alpha = 4
+    report = check_conjecture_b2(LaguerreParams(Q0, Q0 ** alpha),
+                                 masses=(1,))
+    assert report["conjectured_order"] == 2 * alpha + 2 == 10
+    assert report["found_order"] == 10
+    assert report["theorem_agreement"] == {
+        "expected_order": 10, "order_agrees": True,
+        "eigenvalue_affine_match": True}
+    digest = hashlib.sha256(
+        json.dumps(report, sort_keys=True).encode()).hexdigest()
+    assert digest == ("a96fa6a04c8232e78885db1aa9b46033"
+                      "0277bddd7b53948b9e5b433a8f6471f6")
+
+
+def test_conjecture_a_at_order_twelve():
+    # f3 = {1, ..., 5}: 2 * 15 - 5 * 4 + 2
+    f3 = [1, 2, 3, 4, 5]
+    expected = 2 * sum(f3) - len(f3) * (len(f3) - 1) + 2
+    report = check_conjecture_a(MeixnerParams(Q0, B0, C0), f3=f3)
+    assert report["conjectured_order"] == expected == 12
+    assert report["found_order"] == expected
+    assert [a["found"] for a in report["attempts"]] == [False] * 5 + [True]
+    digest = hashlib.sha256(
+        json.dumps(report, sort_keys=True).encode()).hexdigest()
+    assert digest == ("7183882f558c6a0e3614f77a7b156634"
+                      "ca824f9202459ea130e926fe4a4f946c")
+
+
+def _stages_per_attempt(monkeypatch) -> dict[int, dict]:
+    """For each half-width's find_operator: every prime's elimination as
+    (prime, rows eliminated, rows kept), and the number of entries
+    reconstructed."""
+    stages, lifted = [], []
+    scan, lift = qkrall.linalg._independent_mod_p, qkrall.linalg._lift
+    find = qkrall.search.find_operator
+    per_h: dict[int, dict] = {}
+
+    def counted_scan(rows, cols, p):
+        kept, pivots, image = scan(rows, cols, p)
+        stages.append((p, len(rows), len(kept)))
+        return kept, pivots, image
+
+    def counted_lift(image, m, pivots, ncols):
+        lifted.append(len(image) * len(pivots))
+        return lift(image, m, pivots, ncols)
 
     def counted_find(problem):
-        start = len(solves)
+        start, lift_start = len(stages), len(lifted)
         result = find(problem)
-        per_h[problem.h] = len(solves) - start
+        per_h[problem.h] = {"stages": stages[start:],
+                            "entries": sum(lifted[lift_start:])}
         return result
 
-    monkeypatch.setattr(qkrall.linalg, "_integer_nullspace", counted_solve)
+    monkeypatch.setattr(qkrall.linalg, "_independent_mod_p", counted_scan)
+    monkeypatch.setattr(qkrall.linalg, "_lift", counted_lift)
     monkeypatch.setattr(qkrall.search, "find_operator", counted_find)
     return per_h
 
 
-@pytest.mark.parametrize("check, params, kwargs, digest", [
-    (check_conjecture_a, MeixnerParams(Q0, B0, C0), {"f3": [1, 2]},
+@pytest.mark.parametrize("check, params, kwargs, primes, digest", [
+    (check_conjecture_a, MeixnerParams(Q0, B0, C0), {"f3": [1, 2]}, 2,
      "6cdab6c3c274c4aa2cdc3ab4f3ba81608372ba5cd86f4959c611d2f8e877f769"),
     (check_conjecture_a, MeixnerParams(Q0, B0, C0), {"f1": [1], "h_max": 2},
-     "0a12937fcf1be470eb887d2c399268f91e07da874f67b400e20d5fbf422dfb2e"),
+     1, "0a12937fcf1be470eb887d2c399268f91e07da874f67b400e20d5fbf422dfb2e"),
     (check_conjecture_a, MeixnerParams(Q0, B0, C0), {"f3": [1], "h_max": 2},
-     "77d75a536f3538793f16809e3d6a78addb27e9e0bb7cd12db37d07faabcfe1d5"),
+     1, "77d75a536f3538793f16809e3d6a78addb27e9e0bb7cd12db37d07faabcfe1d5"),
     (check_conjecture_b1, LaguerreParams(Q0, T0), {"f_set": [1], "h_max": 2},
-     "418a193a3fbd06e484cbf271ef1160c603dac81155e5c3397f6aa5d2a24742e1")],
+     1, "418a193a3fbd06e484cbf271ef1160c603dac81155e5c3397f6aa5d2a24742e1")],
     ids=["A-f3=1,2", "A-f1=1", "A-f3=1", "B1-f=1"])
 def test_not_found_attempts_are_decided_without_a_solve(monkeypatch, check,
                                                         params, kwargs,
-                                                        digest):
+                                                        primes, digest):
     # below the found order only the identity solves the system, and its
-    # column g_{0,2h} is zero in every row, so the rank mod p certifies the
-    # attempt; the found attempt still solves and checks over Z
-    per_h = _solves_per_attempt(monkeypatch)
+    # column g_{0,2h} is zero in every row, so the scan mod 2^61 - 1
+    # certifies the attempt with no entry to reconstruct; the found
+    # attempt reads its basis off the scan, and the order-6 one adds one
+    # prime that eliminates only the kept rows
+    per_h = _stages_per_attempt(monkeypatch)
     report = check(params, **kwargs)
     *missed, hit = report["attempts"]
     for attempt in missed:
         assert attempt["found"] is False and attempt["nullspace_dim"] == 1
-        assert per_h[attempt["half_width"]] == 0
-    assert hit["found"] is True and per_h[hit["half_width"]] >= 1
+        [(p, _, _)] = per_h[attempt["half_width"]]["stages"]
+        assert p == (1 << 61) - 1
+        assert per_h[attempt["half_width"]]["entries"] == 0
+    assert hit["found"] is True
+    (p, _, kept), *more = per_h[hit["half_width"]]["stages"]
+    assert p == (1 << 61) - 1 and len(more) == primes - 1
+    assert all(rows == kept_q == kept for _, rows, kept_q in more)
+    assert per_h[hit["half_width"]]["entries"] > 0
     assert hashlib.sha256(
         json.dumps(report, sort_keys=True).encode()).hexdigest() == digest
 
