@@ -5,27 +5,30 @@ so that every run of the package produces identical output.
 
 `nullspace` is certified rather than computed by `rref` directly.  It reads
 each row over Z and scans the rows mod p = 2^61 - 1, keeping the r rows R
-independent mod p (so over Q) of those kept before them.  The scan holds R
-in reduced echelon form mod p, and a kept row stays zero at every free
-column left of its pivot: a new pivot is the leftmost nonzero of a
-residual, and an update only subtracts a row zero there.  So the scan's
-pivots and stored free columns (with a unit vector for each zero column)
-are the RREF of R mod p and its nullspace basis, each vector zero at the
-pivots right of its free column.  Further primes eliminate R alone.  Rank
-mod a prime is at most rank over Q, on every leading block of columns too,
-so no prime's pivot list is lexicographically earlier than the one over Q:
-a prime leaving R rank-deficient or giving a later list than one seen is
-dropped, and an earlier list replaces those kept.  The kept primes are
-combined by CRT and each entry reconstructed by Wang's method (|num|, den
-<= sqrt(M/2) for M the product of the primes).  The vectors are checked
-over Z.  One failing a row of R shows the reconstruction premature (or the
-pivots wrong): a prime is added.  Once all kill R, they are ncols - r
-independent vectors of nullspace(R), a basis of it, and with their zeros
-they give a reduced echelon form with that nullspace, the RREF of R; the
-RREF basis is unique, so they are it.  A vector failing another row proves
-that row outside the row space of R: it joins R, eliminated afresh mod the
-first prime keeping all its rows.  When all rows pass, nullspace(A) =
-nullspace(R), and the vectors are the basis `rref` gives.
+independent mod p (so over Q) of those kept before them; it stops at the
+first nonzero row dependent mod p on R, or once every nonzero column is a
+pivot.  The scan holds R in reduced echelon form mod p, and a kept row
+stays zero at every free column left of its pivot: a new pivot is the
+leftmost nonzero of a residual, and an update only subtracts a row zero
+there.  So the scan's pivots and stored free columns (with a unit vector
+for each zero column) are the RREF of R mod p and its nullspace basis, each
+vector zero at the pivots right of its free column.  Further primes
+eliminate R alone.  Rank mod a prime is at most rank over Q, on every
+leading block of columns too, so no prime's pivot list is lexicographically
+earlier than the one over Q: a prime leaving R rank-deficient or giving a
+later list than one seen is dropped, and an earlier list replaces those
+kept.  The kept primes are combined by CRT and each entry reconstructed by
+Wang's method (|num|, den <= sqrt(M/2) for M the product of the primes).
+The vectors are checked over Z.  One failing a row of R shows the
+reconstruction premature (or the pivots wrong): a prime is added.  Once all
+kill R, they are ncols - r independent vectors of nullspace(R), a basis of
+it, and with their zeros they give a reduced echelon form with that
+nullspace, the RREF of R; the RREF basis is unique, so they are it.  A
+vector failing another row proves that row outside the row space of R.  A
+row past the stop resumes the scan, once, over every row left (dependent
+ones passed over); any other joins R, eliminated afresh mod the first prime
+keeping all its rows.  When all rows pass, nullspace(A) = nullspace(R), and
+the vectors are the basis `rref` gives, whichever rows the scan read.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import repeat
-from operator import mul
+from operator import mul, sub
 
 from .errors import SingularSystem
 from .exact import _integer_rows, _over_common
@@ -114,7 +117,8 @@ def nullspace(a: Matrix) -> list[list[Fraction]]:
             else _over_common(row)[0] for row in a]
     zero = [j for j, col in enumerate(zip(*rows)) if not any(col)]
     cols = sorted(set(range(ncols)) - set(zero))
-    kept, pivots, image = _independent_mod_p(rows, cols, _PRIME)
+    scan = _independent_mod_p(rows, cols, _PRIME)
+    kept, pivots, image, stop = next(scan)
     modulus, primes = _PRIME, _primes()
     while True:
         basis = _lift(image, modulus, pivots, ncols)
@@ -127,10 +131,13 @@ def nullspace(a: Matrix) -> list[list[Fraction]]:
                 basis += [(j, [int(i == j) for i in range(ncols)], 1)
                           for j in zero]
                 return [[Fraction(c, d) for c in w] for _, w, d in sorted(basis)]
-            kept.append(missed)
-            pivots = None
+            if missed > stop:  # a row the scan never reached
+                (kept, pivots, image, stop), modulus = next(scan), _PRIME
+                continue
+            kept, pivots = [*kept, missed], None
         for q in primes:
-            got, piv, res = _independent_mod_p([rows[i] for i in kept], cols, q)
+            got, piv, res, _ = next(
+                _independent_mod_p([rows[i] for i in kept], cols, q))
             if len(got) == len(kept) and (pivots is None or piv <= pivots):
                 break
         if piv == pivots:
@@ -172,22 +179,30 @@ def _lift(image: dict, m: int, pivots: list[int], ncols: int) -> list | None:
     return basis
 
 
-def _independent_mod_p(rows: list[list[int]], cols: list[int],
-                       p: int) -> tuple[list[int], list[int], dict]:
+def _independent_mod_p(rows: list[list[int]], cols: list[int], p: int):
     """The rows independent, mod p, of the rows before them, as (their
     indices, the sorted pivot columns, each free column's RREF nullspace
-    vector mod p at those pivots); only `cols` may hold a nonzero entry.
+    vector mod p at those pivots, the row index it stopped at); only `cols`
+    may hold a nonzero entry.  Yielded at the first nonzero row dependent
+    mod p on the kept ones and, if resumed, once more after every row.
 
     A row is reduced as given, or made primitive first if that leaves it
     zero.  The kept rows are held in reduced echelon form mod p, stored by
     column: free column j holds, for each pivot in order, that pivot row's
     entry in column j (pivot columns are unit vectors and need no storage),
-    so a row's residual is nonzero only in free columns, and the scan stops
+    so a row's residual is nonzero only in free columns, and the scan ends
     once every column of `cols` is a pivot.
     """
     pivots: list[int] = []
     free: dict[int, list[int]] = {j: [] for j in cols}
     kept = []
+
+    def echelon(stop):
+        order = sorted(range(len(pivots)), key=pivots.__getitem__)
+        return kept[:], sorted(pivots), {j: [-col[k] % p for k in order]
+                                         for j, col in free.items()}, stop
+
+    stopped = False
     for i, row in enumerate(rows):
         if not free:
             break
@@ -201,18 +216,21 @@ def _independent_mod_p(rows: list[list[int]], cols: list[int],
                     for j, col in free.items()}
         new = next((j for j, v in residual.items() if v), None)
         if new is None:
+            if not stopped:
+                stopped = True
+                yield echelon(i)
             continue
         kept.append(i)
         inv = pow(residual[new], -1, p)
-        col_new = free.pop(new)
+        col_new = [y % p for y in free.pop(new)]
         for j, col in free.items():
+            # no % p per entry: the entries stay congruent mod p and below
+            # rank * p^2 + p in size, and are reduced where they are read
             n_j = residual[j] * inv % p
-            free[j] = [(x - y * n_j) % p for x, y in zip(col, col_new)]
+            free[j] = list(map(sub, col, map(mul, col_new, repeat(n_j))))
             free[j].append(n_j)
         pivots.append(new)
-    order = sorted(range(len(pivots)), key=pivots.__getitem__)
-    return kept, sorted(pivots), {j: [-col[k] % p for k in order]
-                                  for j, col in free.items()}
+    yield echelon(len(rows))
 
 
 def leading_principal_minors(h: Matrix) -> list[Fraction]:

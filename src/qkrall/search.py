@@ -16,7 +16,9 @@ s_t(n) and (E) sum_{k=1..min(t,n-r)} c_{n,r+k} s_{t-k}(r+k) + c_{n,r}
 (s_t(r) - s_t(n)) = 0 for r < n.  The unknowns are the g_{j,i} alone.  With
 q = a/b and each q_n scaled to integer c_{n,r}, (E) for n times (ab)^{hn}
 and (P) for e times (ab)^{he} are integer rows, since e <= n gives |je| <=
-hn in q^{je} (ab)^{hn} = a^{hn+je} b^{hn-je}.
+hn in q^{je} (ab)^{hn} = a^{hn+je} b^{hn-je}.  The rows (P) come first,
+then the rows (E) by rising n, so in every system measured the rows that
+`nullspace` keeps come first, and its scan stops at row `rank`.
 
 The solution is read off the RREF nullspace basis of the system in the
 g_{j,i} and l_n jointly, where each vector's last nonzero entry is a 1 at

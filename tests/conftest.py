@@ -32,9 +32,10 @@ wide_fracs = st.one_of(
 # forms against their Fraction forms, among them the Krall construction's
 # (build, the five displayed betas, _eval, the catalog's product-identity
 # cross-check, combine_with_point_mass and point_mass), the nullspace of
-# matrices with zero columns and of large-entry matrices against `rref`,
-# and the rank scan against the RREF mod p) on 2000 examples instead of
-# 100.
+# matrices with zero columns, of large-entry matrices and of matrices with
+# rows copied in front of them (the scan stops at a dependent row and
+# resumes) against `rref`, and the rank scan against the RREF mod p) on
+# 2000 examples instead of 100.
 settings.register_profile("deep", max_examples=2000)
 
 

@@ -19,7 +19,7 @@ def _first_primes(count: int) -> list[int]:
     return [next(primes) for _ in range(count)]
 
 
-Q1, Q2, Q3 = _first_primes(3)
+Q1, Q2, Q3, Q4 = _first_primes(4)
 
 
 def test_primes_are_those_just_below_2_62():
@@ -157,15 +157,16 @@ def test_fast_path_needs_no_rref(monkeypatch):
 
 
 def _counting_stages(monkeypatch) -> dict:
-    """Per `nullspace` call: each prime's elimination as (prime, rows
-    eliminated), and the modulus and number of entries of each
-    reconstruction."""
+    """Per `nullspace` call: each stop of each prime's elimination as
+    (prime, the row index it stopped at), and the modulus and number of
+    entries of each reconstruction."""
     seen = {"stages": [], "lifts": []}
     scan, lift = linalg._independent_mod_p, linalg._lift
 
     def counted_scan(rows, cols, p):
-        seen["stages"].append((p, len(rows)))
-        return scan(rows, cols, p)
+        for kept, pivots, image, stop in scan(rows, cols, p):
+            seen["stages"].append((p, stop))
+            yield kept, pivots, image, stop
 
     def counted_lift(image, m, pivots, ncols):
         seen["lifts"].append((m, len(image) * len(pivots)))
@@ -189,27 +190,57 @@ def _at_most_primes(monkeypatch, count: int) -> None:
 
 def test_rows_dependent_mod_p_join_the_kept_rows(monkeypatch):
     # [1, 0] and [1, p] are independent over Q but equal mod p, so the scan
-    # keeps only the first row; (0, 1) kills it but fails the second row,
-    # which joins the kept rows, and the next prime, which keeps both, has
-    # every column a pivot
+    # keeps only the first row and stops at the second; (0, 1) kills the
+    # first but fails the second, which joins the kept rows with no rescan,
+    # and the next prime, which keeps both, has every column a pivot
     calls = _counting_rref(monkeypatch)
     seen = _counting_stages(monkeypatch)
     assert nullspace([[F(1), F(0)], [F(1), F(P)]]) == []
     assert calls == []
-    assert seen["stages"] == [(P, 2), (Q1, 2)]
+    assert seen["stages"] == [(P, 1), (Q1, 2)]
+
+
+def test_stop_row_joins_and_the_rows_after_it_are_checked_over_z(monkeypatch):
+    # the scan stops at [1, p, 0], dependent mod p but not over Q; it fails
+    # the scan's (0, 1, 0) and joins the kept rows, and the rows after it,
+    # which the scan never reached, pass the Z check: the scan is not
+    # resumed, though [0, p, 0] made primitive would be a new pivot mod p
+    a = [[1, 0, 0], [1, P, 0], [2, 0, 0], [0, P, 0]]
+    seen = _counting_stages(monkeypatch)
+    _at_most_primes(monkeypatch, 1)
+    assert nullspace(a) == reference(a) == [[0, 0, 1]]
+    assert seen["stages"] == [(P, 1), (Q1, 2)]
+
+
+def test_rows_past_the_stop_resume_the_scan_once(monkeypatch):
+    # [2, 0, 0] stops the scan at row 1, and the scan's (0, 1, 0) fails
+    # row 2, which it never reached: the scan resumes from row 2 and reads
+    # every row left, with no row joined and no prime added
+    a = [[1, 0, 0], [2, 0, 0], [0, 1, 0]]
+    seen = _counting_stages(monkeypatch)
+    _at_most_primes(monkeypatch, 0)
+    assert nullspace(a) == reference(a) == [[0, 0, 1]]
+    assert seen["stages"] == [(P, 1), (P, 3)]
+    # past the stop, independent rows come after dependent ones: the one
+    # resume passes over row 3 and keeps rows 2 and 4
+    a = [[1, 0, 0, 0], [2, 0, 0, 0], [0, 1, 0, 0], [0, 3, 0, 0], [0, 0, 1, 0]]
+    seen["stages"].clear()
+    assert nullspace(a) == reference(a) == [[0, 0, 0, 1]]
+    assert seen["stages"] == [(P, 1), (P, 5)]
 
 
 def test_row_missed_mod_p_leaves_a_smaller_basis(monkeypatch):
-    # the second row equals the first mod p; the scan's (-1, 1, 0) kills
-    # the kept first row but fails the second, which joins it, and the
-    # next prime's basis of both is the RREF basis
+    # the second row equals the first mod p and stops the scan; the
+    # scan's (-1, 1, 0) kills the kept first row but fails the second,
+    # which joins it, and the next prime's basis of both is the RREF basis,
+    # which the third row, never scanned, passes over Z
     a = [[F(1), F(1), F(0)], [F(1), F(1 + P), F(P)], [F(2), F(2), F(0)]]
     want = reference(a)
     calls = _counting_rref(monkeypatch)
     seen = _counting_stages(monkeypatch)
     assert nullspace(a) == want == [[F(1), F(-1), F(1)]]
     assert calls == []
-    assert seen["stages"] == [(P, 3), (Q1, 2)]
+    assert seen["stages"] == [(P, 1), (Q1, 2)]
     assert [m for m, _ in seen["lifts"]] == [P, Q1]
 
 
@@ -260,7 +291,7 @@ def test_wrong_reconstruction_adds_a_prime_not_a_row(monkeypatch):
     seen = _counting_stages(monkeypatch)
     _at_most_primes(monkeypatch, 1)
     assert nullspace(a) == reference(a) == [[F(2 ** 40), F(1)]]
-    assert seen["stages"] == [(P, 2), (Q1, 1)]
+    assert seen["stages"] == [(P, 1), (Q1, 1)]
     assert [m for m, _ in seen["lifts"]] == [P, P * Q1]
 
 
@@ -275,6 +306,21 @@ def test_prime_with_a_later_pivot_list_is_discarded(monkeypatch):
                                             [F(-5, Q1), F(0), F(1)]]
     assert seen["stages"] == [(P, 1), (Q1, 1), (Q2, 1), (Q3, 1)]
     assert [m for m, _ in seen["lifts"]] == [P, P * Q2, P * Q2 * Q3]
+
+
+def test_prime_leaving_a_kept_row_dependent_stops_at_it(monkeypatch):
+    # the rows differ by Q1 [0, 1, 3], so mod Q1 the second is dependent
+    # on the first: that prime's elimination stops at it and the prime is
+    # dropped; the 101-bit entry -x needs three more primes within Wang's
+    # bound
+    x = 2 ** 100 + 1
+    a = [[1, 0, x], [1, Q1, x + 3 * Q1]]
+    seen = _counting_stages(monkeypatch)
+    _at_most_primes(monkeypatch, 4)
+    assert nullspace(a) == reference(a) == [[-x, -3, 1]]
+    assert seen["stages"] == [(P, 2), (Q1, 1), (Q2, 2), (Q3, 2), (Q4, 2)]
+    assert [m for m, _ in seen["lifts"]] == [P, P * Q2, P * Q2 * Q3,
+                                             P * Q2 * Q3 * Q4]
 
 
 def test_scan_prime_with_a_later_pivot_list_is_replaced(monkeypatch):
@@ -358,7 +404,8 @@ def test_full_rank_on_the_nonzero_columns_needs_no_solve(monkeypatch):
 
 def test_no_row_is_made_primitive_unless_zero_mod_p(monkeypatch):
     # the kept rows [1, 2, 3] and [0, 1, 1] are eliminated as given, and
-    # the scan's prime alone gives the basis
+    # the scan's prime alone gives the basis: [2, 4, 6] stops the scan,
+    # whose basis fails [0, 1, 1], so it resumes once and keeps that row
     a = [[1, 2, 3], [2, 4, 6], [3, 6, 9], [0, 1, 1]]
     made = []
     primitive = linalg._integer_rows
@@ -371,7 +418,7 @@ def test_no_row_is_made_primitive_unless_zero_mod_p(monkeypatch):
     seen = _counting_stages(monkeypatch)
     assert nullspace(a) == reference(a) == [[-1, -1, 1]]
     assert made == []
-    assert seen == {"stages": [(P, 4)], "lifts": [(P, 2)]}
+    assert seen == {"stages": [(P, 1), (P, 4)], "lifts": [(P, 2), (P, 2)]}
 
 
 @settings(deadline=None)
@@ -404,13 +451,34 @@ def full_row_rank(draw):
 @given(full_row_rank())
 @example([[0, 1, 2], [1, 0, 3]])  # pivots met as 1, then 0
 def test_scan_is_the_rref_mod_p(a):
-    # the scan keeps every row, and its pivots and free columns are those
-    # of the RREF over Q, reduced mod p
+    # the scan keeps every row with no stop before the end, and its pivots
+    # and free columns are those of the RREF over Q, reduced mod p
     red, pivots = rref(a)
     cols = [j for j, col in enumerate(zip(*a)) if any(col)]
-    kept, scan_pivots, image = linalg._independent_mod_p(a, cols, P)
-    assert kept == list(range(len(a))) and scan_pivots == pivots
+    [(kept, scan_pivots, image, stop)] = linalg._independent_mod_p(a, cols, P)
+    assert kept == list(range(len(a))) == list(range(stop))
+    assert scan_pivots == pivots
     assert image == {
         f: [-red[k][f].numerator * pow(red[k][f].denominator, -1, P) % P
             for k in range(len(pivots))]
         for f in cols if f not in pivots}
+
+
+@st.composite
+def dependent_rows_first(draw):
+    """A matrix with a drawn number of its rows, each scaled, copied in
+    front of it: the scan can meet a dependent row before independent ones,
+    and the rows after its stop are left to the Z check or a resume."""
+    a = draw(st.one_of(random_matrices(), low_rank_products(),
+                       integer_matrices(), large_entry_matrices()))
+    front = [[c * x for x in a[i]] for i, c in draw(st.lists(
+        st.tuples(st.integers(0, len(a) - 1), entries.filter(bool)),
+        min_size=1, max_size=4))]
+    return front + a
+
+
+@settings(deadline=None)
+@given(dependent_rows_first())
+@example([[1, 0], [2, 0], [1, 0], [0, 1]])
+def test_dependent_rows_first_give_the_rref_basis(a):
+    assert nullspace(a) == reference(a)

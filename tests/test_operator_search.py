@@ -242,6 +242,13 @@ def test_reduced_system_gives_the_joint_basis(inputs):
     assert _basis(problem) == nullspace(_assemble(problem))
 
 
+def _digest(report: dict) -> str:
+    """The whole report (operator, eigenvalues, nullspace dimensions)
+    hashed, so a pin does not depend on how the search solves its system."""
+    return hashlib.sha256(
+        json.dumps(report, sort_keys=True).encode()).hexdigest()
+
+
 def test_conjecture_a_at_order_eight():
     # f3 = {1, 2, 3}: sum (2 sum f - n (n - 1)) + 2 = 2 * 6 - 3 * 2 + 2
     f3 = [1, 2, 3]
@@ -250,12 +257,8 @@ def test_conjecture_a_at_order_eight():
     assert report["conjectured_order"] == expected == 8
     assert report["found_order"] == expected
     assert [a["found"] for a in report["attempts"]] == [False] * 3 + [True]
-    # the whole report (operator, eigenvalues, nullspace dimensions) does
-    # not depend on how the search reduces its system
-    digest = hashlib.sha256(
-        json.dumps(report, sort_keys=True).encode()).hexdigest()
-    assert digest == ("fe18553f402328d004f0ba0ea0119b99"
-                      "4a511b9bae67fdfcd88b8bfab2df652c")
+    assert _digest(report) == ("fe18553f402328d004f0ba0ea0119b99"
+                               "4a511b9bae67fdfcd88b8bfab2df652c")
 
 
 def test_conjecture_a_at_order_ten():
@@ -266,10 +269,8 @@ def test_conjecture_a_at_order_ten():
     assert report["conjectured_order"] == expected == 10
     assert report["found_order"] == expected
     assert [a["found"] for a in report["attempts"]] == [False] * 4 + [True]
-    digest = hashlib.sha256(
-        json.dumps(report, sort_keys=True).encode()).hexdigest()
-    assert digest == ("17d4003f0e0a4a88409eef515126dd85"
-                      "d0b9ba4e1003fd87eb0ce7000b4d599a")
+    assert _digest(report) == ("17d4003f0e0a4a88409eef515126dd85"
+                               "d0b9ba4e1003fd87eb0ce7000b4d599a")
 
 
 def test_conjecture_b2_one_mass_at_order_ten():
@@ -282,10 +283,8 @@ def test_conjecture_b2_one_mass_at_order_ten():
     assert report["theorem_agreement"] == {
         "expected_order": 10, "order_agrees": True,
         "eigenvalue_affine_match": True}
-    digest = hashlib.sha256(
-        json.dumps(report, sort_keys=True).encode()).hexdigest()
-    assert digest == ("a96fa6a04c8232e78885db1aa9b46033"
-                      "0277bddd7b53948b9e5b433a8f6471f6")
+    assert _digest(report) == ("a96fa6a04c8232e78885db1aa9b46033"
+                               "0277bddd7b53948b9e5b433a8f6471f6")
 
 
 def test_conjecture_a_at_order_twelve():
@@ -296,15 +295,62 @@ def test_conjecture_a_at_order_twelve():
     assert report["conjectured_order"] == expected == 12
     assert report["found_order"] == expected
     assert [a["found"] for a in report["attempts"]] == [False] * 5 + [True]
-    digest = hashlib.sha256(
-        json.dumps(report, sort_keys=True).encode()).hexdigest()
-    assert digest == ("7183882f558c6a0e3614f77a7b156634"
-                      "ca824f9202459ea130e926fe4a4f946c")
+    assert _digest(report) == ("7183882f558c6a0e3614f77a7b156634"
+                               "ca824f9202459ea130e926fe4a4f946c")
+
+
+def test_conjecture_a_mixed_factors_at_order_ten():
+    # f1 = {1, 2}, f3 = {1, 2}: 2 + (2 * 3 - 2 * 1) + (2 * 3 - 2 * 1)
+    f1, f3 = [1, 2], [1, 2]
+    expected = 2 + sum(2 * sum(f) - len(f) * (len(f) - 1) for f in (f1, f3))
+    report = check_conjecture_a(MeixnerParams(Q0, B0, C0), f1=f1, f3=f3)
+    assert report["conjectured_order"] == expected == 10
+    assert report["found_order"] == expected
+    assert _digest(report) == ("82aae0a7fc7cc911f837e713a1ad6e99"
+                               "22cbdf4a76412470b5d0233f4b093f1c")
+
+
+def test_conjecture_b1_at_order_ten():
+    # f = {1, 2, 3, 4} at t = 3/4: 2 * 10 - 4 * 3 + 2
+    f = [1, 2, 3, 4]
+    expected = 2 * sum(f) - len(f) * (len(f) - 1) + 2
+    report = check_conjecture_b1(LaguerreParams(Q0, T0), f_set=f)
+    assert report["conjectured_order"] == expected == 10
+    assert report["found_order"] == expected
+    assert _digest(report) == ("cdeadc4999d3e7ec5d8a713afbc92469"
+                               "a8f205400c2d18f6e227548f447280bb")
+
+
+def test_conjecture_b2_one_mass_at_order_twelve():
+    # one mass at alpha = 5: order 2 alpha + 2, the catalogued instance's
+    alpha = 5
+    report = check_conjecture_b2(LaguerreParams(Q0, Q0 ** alpha),
+                                 masses=(1,))
+    assert report["conjectured_order"] == 2 * alpha + 2 == 12
+    assert report["found_order"] == 12
+    assert report["theorem_agreement"] == {
+        "expected_order": 12, "order_agrees": True,
+        "eigenvalue_affine_match": True}
+    assert _digest(report) == ("db9cc9308d61c532be244b0dfddb211a"
+                               "02434838c83d27b63162781fff7bd6ee")
+
+
+def test_conjecture_a_at_order_fourteen():
+    # f3 = {1, ..., 6}: 2 * 21 - 6 * 5 + 2
+    f3 = [1, 2, 3, 4, 5, 6]
+    expected = 2 * sum(f3) - len(f3) * (len(f3) - 1) + 2
+    report = check_conjecture_a(MeixnerParams(Q0, B0, C0), f3=f3)
+    assert report["conjectured_order"] == expected == 14
+    assert report["found_order"] == expected
+    assert [a["found"] for a in report["attempts"]] == [False] * 6 + [True]
+    assert _digest(report) == ("fb651f644dde05718fb64df9671f715b"
+                               "a02768a04cc9cf9906daf0911e0c8f4c")
 
 
 def _stages_per_attempt(monkeypatch) -> dict[int, dict]:
-    """For each half-width's find_operator: every prime's elimination as
-    (prime, rows eliminated, rows kept), and the number of entries
+    """For each half-width's find_operator: each stop of every prime's
+    elimination as (prime, rows given, columns that may hold a pivot, rows
+    kept, the row index it stopped at), and the number of entries
     reconstructed."""
     stages, lifted = [], []
     scan, lift = qkrall.linalg._independent_mod_p, qkrall.linalg._lift
@@ -312,9 +358,9 @@ def _stages_per_attempt(monkeypatch) -> dict[int, dict]:
     per_h: dict[int, dict] = {}
 
     def counted_scan(rows, cols, p):
-        kept, pivots, image = scan(rows, cols, p)
-        stages.append((p, len(rows), len(kept)))
-        return kept, pivots, image
+        for kept, pivots, image, stop in scan(rows, cols, p):
+            stages.append((p, len(rows), len(cols), kept, stop))
+            yield kept, pivots, image, stop
 
     def counted_lift(image, m, pivots, ncols):
         lifted.append(len(image) * len(pivots))
@@ -341,31 +387,43 @@ def _stages_per_attempt(monkeypatch) -> dict[int, dict]:
     (check_conjecture_a, MeixnerParams(Q0, B0, C0), {"f3": [1], "h_max": 2},
      1, "77d75a536f3538793f16809e3d6a78addb27e9e0bb7cd12db37d07faabcfe1d5"),
     (check_conjecture_b1, LaguerreParams(Q0, T0), {"f_set": [1], "h_max": 2},
-     1, "418a193a3fbd06e484cbf271ef1160c603dac81155e5c3397f6aa5d2a24742e1")],
-    ids=["A-f3=1,2", "A-f1=1", "A-f3=1", "B1-f=1"])
+     1, "418a193a3fbd06e484cbf271ef1160c603dac81155e5c3397f6aa5d2a24742e1"),
+    (check_conjecture_a, MeixnerParams(Q0, B0, C0), {"f3": [1, 2, 3]}, 2,
+     "fe18553f402328d004f0ba0ea0119b994a511b9bae67fdfcd88b8bfab2df652c"),
+    (check_conjecture_a, MeixnerParams(Q0, B0, C0), {"f1": [1], "f3": [1, 2]},
+     2, "44f0aeed3fa4718e33efc5c74793cdfcd73ac4418e3385519e8157e1ca1dbd07"),
+    (check_conjecture_b1, LaguerreParams(Q0, T0), {"f_set": [1, 2, 3]}, 2,
+     "04608fa91661543c56a74054a1efb247059b3570f6b1341549e9a2a5ce9d49c9"),
+    (check_conjecture_b2, LaguerreParams(Q0, Q0 ** 3), {"masses": (1,)}, 2,
+     "8f936240ca32eeb78302a9537ec0c05c70d1d041afd7d4075f13cdbd2ed81a7d")],
+    ids=["A-f3=1,2", "A-f1=1", "A-f3=1", "B1-f=1", "A-f3=1,2,3",
+         "A-f1=1-f3=1,2", "B1-f=1,2,3", "B2-alpha=3"])
 def test_not_found_attempts_are_decided_without_a_solve(monkeypatch, check,
                                                         params, kwargs,
                                                         primes, digest):
     # below the found order only the identity solves the system, and its
-    # column g_{0,2h} is zero in every row, so the scan mod 2^61 - 1
-    # certifies the attempt with no entry to reconstruct; the found
-    # attempt reads its basis off the scan, and the order-6 one adds one
-    # prime that eliminates only the kept rows
+    # column g_{0,2h} is zero in every row, so the scan mod 2^61 - 1 ends
+    # by full rank on the other columns, with no row found dependent and
+    # no entry to reconstruct; the found attempt's scan keeps rows
+    # 0..rank-1 and stops at row rank, the Z check decides every row after
+    # it with no resume, and the order-6 and order-8 attempts add one prime
+    # that eliminates only the kept rows
     per_h = _stages_per_attempt(monkeypatch)
     report = check(params, **kwargs)
     *missed, hit = report["attempts"]
     for attempt in missed:
         assert attempt["found"] is False and attempt["nullspace_dim"] == 1
-        [(p, _, _)] = per_h[attempt["half_width"]]["stages"]
-        assert p == (1 << 61) - 1
+        [(p, rows, cols, kept, stop)] = per_h[attempt["half_width"]]["stages"]
+        assert p == (1 << 61) - 1 and len(kept) == cols and stop == rows
         assert per_h[attempt["half_width"]]["entries"] == 0
     assert hit["found"] is True
-    (p, _, kept), *more = per_h[hit["half_width"]]["stages"]
-    assert p == (1 << 61) - 1 and len(more) == primes - 1
-    assert all(rows == kept_q == kept for _, rows, kept_q in more)
+    (p, _, _, kept, stop), *more = per_h[hit["half_width"]]["stages"]
+    assert p == (1 << 61) - 1 and kept == list(range(stop))
+    assert len(more) == primes - 1
+    assert all(p_q != p and rows == len(kept_q) == stop_q == stop
+               for p_q, rows, _, kept_q, stop_q in more)
     assert per_h[hit["half_width"]]["entries"] > 0
-    assert hashlib.sha256(
-        json.dumps(report, sort_keys=True).encode()).hexdigest() == digest
+    assert _digest(report) == digest
 
 
 def test_conjecture_a_mixed_factors_at_order_eight():
