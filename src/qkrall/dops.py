@@ -9,9 +9,10 @@ combination
         + sum_{j=1}^{n} (-1)^{j+1} sigma_{n+1-j} (prod_{i=1}^{j} eps_{n-i+1}) p_{n-j}.
 
 Its sum T_n is 0 at n = 0 and eps_n (sigma_n p_{n-1} - T_{n-1}) after, so
-the actions on p_0..p_N take one pass of O(N) polynomial operations.  Each
+the actions on p_0..p_N take one pass, each step one integer pass.  Each
 catalogued spec also carries a closed form: an explicit q-difference
-operator, composed when it is first read, whose action on p_n reproduces
+operator, composed when it is first read from the family operator and
+(D_q, D_{1/q}), each built once per family, whose action on p_n reproduces
 that combination exactly.  The two realizations are kept side by side so
 they can be checked against each other at any depth: ``verify_dop`` reads
 each residual closed_form(p_n) - action(n), or None, off one application
@@ -24,7 +25,7 @@ from functools import cached_property
 from typing import Callable, Iterator
 
 from .errors import UnsupportedFamily
-from .exact import Poly, _power, check_depth
+from .exact import Poly, _add, _poly, _power, check_depth
 from .families import (LAGUERRE, MEIXNER, PolynomialFamily, family_operator,
                        per_family)
 from .operators import QDiffOperator, q_derivative_ops
@@ -60,12 +61,26 @@ class DOperatorSpec:
 
 def _actions(spec: DOperatorSpec, family: PolynomialFamily,
              n_top: int) -> Iterator[Poly]:
-    """The defining actions on p_0..p_{n_top}, by the running sum T_n."""
-    tail = Poly.zero()
+    """The defining actions on p_0..p_{n_top}, by the running sum T_n.
+
+    Each step is one integer pass at sigma_n = s/d = v u^n / w^n, q = u/w:
+    T_n = eps_n (sigma_n p_{n-1} - T_{n-1}) over the product of the
+    denominators, and the action T_n - (s / 2d) p_n (`_add`), each reduced
+    once.
+    """
+    u, w = spec.q.numerator, spec.q.denominator
+    s, d = spec.v.numerator, spec.v.denominator  # sigma_0
+    tail = prev = Poly.zero()
     for n in range(n_top + 1):
         if n:
-            tail = spec.eps(n) * (spec.sigma(n) * family.poly(n - 1) - tail)
-        yield Fraction(-1, 2) * spec.sigma(n + 1) * family.poly(n) + tail
+            e = spec.eps(n)
+            x, y = e.numerator * s * tail.den, e.numerator * d * prev.den
+            out = [x * c for c in prev.nums]
+            for k, c in enumerate(tail.nums):
+                out[k] -= y * c
+            tail = _poly(out, e.denominator * d * prev.den * tail.den)
+        prev, s, d = family.poly(n), s * u, d * w
+        yield _add(tail, prev, 0, -s, 2 * d)
 
 
 def dop_action(spec: DOperatorSpec, family: PolynomialFamily, n: int) -> Poly:
@@ -86,10 +101,16 @@ def _inverse_gap(x: Fraction, q: Fraction) -> Callable[[int], Fraction]:
     return eps
 
 
+@per_family
+def _derivatives(family: PolynomialFamily) -> tuple[QDiffOperator,
+                                                    QDiffOperator]:
+    """(D_q, D_{1/q}) at the family's base, built once per family."""
+    return q_derivative_ops(family.q)
+
+
 def _meixner_specs(family: PolynomialFamily) -> tuple[DOperatorSpec, ...]:
     q, b, c = family.params.q, family.params.b, family.params.c
     bn, bd, cn, cd = b.numerator, b.denominator, c.numerator, c.denominator
-    second_order = family_operator(family)
 
     def eps3(n: int) -> Fraction:         # (c + q^n) / (c (1 - b q^n))
         s, t = _power(q, n)
@@ -98,8 +119,8 @@ def _meixner_specs(family: PolynomialFamily) -> tuple[DOperatorSpec, ...]:
     def ladder(edge: Poly) -> QDiffOperator:
         # edge D_q + (D_fam - 2) / (2 (q - 1))
         ident = QDiffOperator.identity(q)
-        return (q_derivative_ops(q)[0].mul_fn(edge)
-                + (second_order - 2 * ident)
+        return (_derivatives(family)[0].mul_fn(edge)
+                + (family_operator(family) - 2 * ident)
                 * (Fraction(1, 2) / (q - 1)))
 
     return (
@@ -107,8 +128,8 @@ def _meixner_specs(family: PolynomialFamily) -> tuple[DOperatorSpec, ...]:
                       lambda: ladder(Poly((1, -1)))),
         DOperatorSpec(
             "q-meixner-2", _inverse_gap(b, q), 1 / (c * (1 - q)), q,
-            lambda: (q_derivative_ops(q)[1]
-                     + second_order * (q / (2 * c * (q - 1))))),
+            lambda: (_derivatives(family)[1] + family_operator(family)
+                     * (q / (2 * c * (q - 1))))),
         DOperatorSpec("q-meixner-3", eps3, 1 / (q * (q - 1)), q,
                       lambda: ladder(Poly((-b * c, -1)))),
     )
@@ -119,7 +140,7 @@ def _laguerre_specs(family: PolynomialFamily) -> tuple[DOperatorSpec, ...]:
 
     def ladder(edge: Poly, scale: Fraction) -> QDiffOperator:
         # (scale edge D_q + D_{1/q} (1 - q) / (t q) - 1) / 2
-        d_q, d_qinv = q_derivative_ops(q)
+        d_q, d_qinv = _derivatives(family)
         return (d_q.mul_fn(edge) * scale + d_qinv * ((1 - q) / (t * q))
                 - QDiffOperator.identity(q)) * Fraction(1, 2)
 

@@ -14,7 +14,8 @@ recurrence (Koekoek, Lesky and Swarttouw 2010, sections 14.13, 14.21 and
 14.25).
 ``meixner``, ``laguerre`` and ``alsalam_carlitz`` return the one family of
 their parameters from a process-wide least-recently-used table, and each
-family builds its polynomials, operator and ladders once, under its lock.
+family builds its recurrence, polynomials, operator, ladders and moment
+sequence once, under its lock.
 """
 
 from __future__ import annotations
@@ -175,7 +176,8 @@ class PolynomialFamily:
         return f"PolynomialFamily({self.kind!r}, {self.params!r})"
 
 
-# The last 128 families named (a benchmark cli-mix pass names 61).  Two
+# The last 128 families named (a benchmark cli-mix pass names 65, a
+# catalog-sweep pass 16, with the moment sequences kept per family).  Two
 # threads naming new parameters at once may get two equal families.
 @functools.lru_cache(maxsize=128)
 def _family(kind: str, params: FamilyParams) -> PolynomialFamily:
@@ -333,8 +335,10 @@ def alsalam_carlitz_recurrence(
         lambda n: Fraction(u ** n - v ** n, u ** n))
 
 
+@per_family
 def family_recurrence(family: PolynomialFamily) -> ThreeTermRecurrence:
-    """The closed-form recurrence of any of the three families."""
+    """The closed-form recurrence of any of the three families, built once
+    per family."""
     if family.kind == MEIXNER:
         return meixner_recurrence(family.params)
     if family.kind == LAGUERRE:

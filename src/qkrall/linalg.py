@@ -3,6 +3,15 @@
 Pivoting is deterministic (first nonzero column, then smallest row index)
 so that every run of the package produces identical output.
 
+`rref` is fraction-free (E. H. Bareiss, Math. Comp. 22 (1968)): with the
+rows scaled to integers, each pivot p replaces every other row r by
+(p r - f t) / p', for t the pivot row, f the entry of r in its column and
+p' the pivot before.  After k steps an entry is a k x k or (k + 1) x
+(k + 1) minor of the integer rows (of a pivot row, by Cramer's rule, the
+pivots' minor with that row's pivot column swapped for the entry's), so
+the division is exact, and every pivot row holds the last pivot d at its
+pivot: the RREF is the matrix over d.
+
 `nullspace` is certified rather than computed by `rref` directly.  It reads
 each row over Z and scans the rows mod p = 2^61 - 1, keeping the r rows R
 independent mod p (so over Q) of those kept before them; it stops at the
@@ -51,33 +60,33 @@ def _copy(rows: Matrix) -> Matrix:
 
 
 def rref(rows: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form.  Returns (matrix, pivot column indices)."""
-    m = _copy(rows)
-    if not m:
-        return m, []
-    ncols = len(m[0])
+    """Reduced row echelon form.  Returns (matrix, pivot column indices).
+
+    Entries may be `int` or `Fraction`.  The rows are scaled to integers
+    and eliminated fraction-free (module docstring); each entry of the
+    result is made a `Fraction` once, at the end.
+    """
+    m = [list(row) if all(map(isinstance, row, repeat(int)))
+         else _over_common(row)[0] for row in rows]
     pivots: list[int] = []
-    row = 0
-    for col in range(ncols):
-        if row >= len(m):
+    prev = 1  # the last pivot, which divides every entry of the next step
+    for col in range(len(m[0]) if m else 0):
+        row = len(pivots)
+        if row == len(m):
             break
-        pivot_row = None
-        for r in range(row, len(m)):
-            if m[r][col] != 0:
-                pivot_row = r
-                break
+        pivot_row = next((r for r in range(row, len(m)) if m[r][col]), None)
         if pivot_row is None:
             continue
         m[row], m[pivot_row] = m[pivot_row], m[row]
-        inv = Fraction(1) / m[row][col]
-        m[row] = [c * inv for c in m[row]]
-        for r in range(len(m)):
-            if r != row and m[r][col] != 0:
-                factor = m[r][col]
-                m[r] = [a - factor * b for a, b in zip(m[r], m[row])]
+        top = m[row]
+        p = top[col]
+        for r, other in enumerate(m):
+            if r != row:
+                f = other[col]
+                m[r] = [(p * x - f * y) // prev for x, y in zip(other, top)]
         pivots.append(col)
-        row += 1
-    return m, pivots
+        prev = p
+    return [[Fraction(x, prev) for x in row] for row in m], pivots
 
 
 def solve_exact(a: Matrix, b: list[Fraction]) -> list[Fraction]:

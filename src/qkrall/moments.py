@@ -5,6 +5,12 @@ lazily by a provider: a family's moment recurrence, a three-term
 recurrence, a Christoffel or Geronimus transform, a (derivative of a)
 point mass, a shift, a dilation, a scalar multiple, or a sum.  Moments are
 exact rationals throughout; no representing measure is ever constructed.
+
+The q-Meixner and q-Laguerre moment sequences are kept per family: each
+parameter set's one unbounded sequence is built with its family
+(``families.per_family``), and ``meixner_moments`` and ``laguerre_moments``
+return views of it, each bounded at its own depth, that share its moment
+list, provider and lock.
 """
 
 from __future__ import annotations
@@ -18,9 +24,10 @@ from .errors import (CrossCheckFailed, DenominatorVanishes, NotQuasiDefinite,
                      ParamDegeneracy, UnknownTheorem, ZeroDilation)
 from .exact import (Poly, Record, _add, _eval, _over_common, _power,
                     check_depth, qpochhammer, rational)
-from .families import (LaguerreParams, MeixnerParams, ThreeTermRecurrence,
-                       _derived, _recurrence_step, meixner,
-                       meixner_recurrence, q_power_exponent)
+from .families import (LAGUERRE, MEIXNER, LaguerreParams, MeixnerParams,
+                       PolynomialFamily, ThreeTermRecurrence, _derived,
+                       _family, _recurrence_step, family_recurrence, meixner,
+                       per_family, q_power_exponent)
 
 Provider = Callable[[int, list[Fraction]], Fraction]
 
@@ -57,6 +64,13 @@ class MomentFunctional:
 
     def moments(self, n_top: int) -> list[Fraction]:
         return [self.moment(n) for n in range(n_top + 1)]
+
+    def _view(self, max_n: int | None) -> MomentFunctional:
+        """This functional bounded at max_n: its moment list, provider and
+        lock, shared."""
+        view = MomentFunctional(self._provider, max_n)
+        view._cache, view._lock = self._cache, self._lock
+        return view
 
     def pair(self, p: Poly) -> Fraction:
         """<mu, p> = sum of coeff_n * mu_n, summed over integers."""
@@ -350,13 +364,19 @@ def meixner_moments(params: MeixnerParams, n_depth: int = 64) -> MomentFunctiona
     case n = -1, gives the same value: the coefficient of mu_{-1} is 0.)
     Both sides are rational in q, b and c, and so are the moments of the
     normalized functional (moments_from_recurrence), so the recurrence
-    holds for every admissible parameter set.
+    holds for every admissible parameter set.  The sequence is kept with
+    the family of params; the result is a view of it bounded at n_depth.
     """
+    return _family_moments(_family(MEIXNER, params))._view(n_depth)
+
+
+def _meixner_provider(family: PolynomialFamily) -> Provider:
+    params = family.params
     u, v = params.q.numerator, params.q.denominator
     cn, cd = params.c.numerator, params.c.denominator
     bc = params.b * params.c
     en, ed = bc.numerator, bc.denominator
-    mu_1 = meixner_recurrence(params).b(0)
+    mu_1 = family_recurrence(family).b(0)
 
     def provider(n: int, prev: list[Fraction]) -> Fraction:
         if n < 2:
@@ -373,7 +393,7 @@ def meixner_moments(params: MeixnerParams, n_depth: int = 64) -> MomentFunctiona
                         + b * p2.numerator * p1.denominator,
                         cd * ed * u * U * p1.denominator * p2.denominator)
 
-    return MomentFunctional(provider, max_n=n_depth)
+    return provider
 
 
 def laguerre_moments(params: LaguerreParams,
@@ -393,10 +413,15 @@ def laguerre_moments(params: LaguerreParams,
     so mu_n = (tq; q)_n / (t^n q^(n(n+1)/2)).  Both sides are rational in
     q and t, and so are the moments of the normalized functional
     (moments_from_recurrence), so the recurrence holds for every
-    admissible (q, t).
+    admissible (q, t).  The sequence is kept with the family of params;
+    the result is a view of it bounded at n_depth.
     """
-    u, v = params.q.numerator, params.q.denominator
-    tn, td = params.t.numerator, params.t.denominator
+    return _family_moments(_family(LAGUERRE, params))._view(n_depth)
+
+
+def _laguerre_provider(family: PolynomialFamily) -> Provider:
+    u, v = family.params.q.numerator, family.params.q.denominator
+    tn, td = family.params.t.numerator, family.params.t.denominator
 
     def provider(n: int, prev: list[Fraction]) -> Fraction:
         if n == 0:
@@ -406,7 +431,14 @@ def laguerre_moments(params: LaguerreParams,
         p = prev[n - 1]
         return Fraction(p.numerator * (td * V - tn * U), p.denominator * tn * U)
 
-    return MomentFunctional(provider, max_n=n_depth)
+    return provider
+
+
+@per_family
+def _family_moments(family: PolynomialFamily) -> MomentFunctional:
+    """The unbounded moment sequence of a q-Meixner or q-Laguerre family."""
+    make = _meixner_provider if family.kind == MEIXNER else _laguerre_provider
+    return MomentFunctional(make(family))
 
 
 def _product(factors: Iterable[Poly]) -> Poly:

@@ -24,7 +24,8 @@ The solution is read off the RREF nullspace basis of the system in the
 g_{j,i} and l_n jointly, where each vector's last nonzero entry is a 1 at
 its free column and the others are 0 there.  It depends only on the
 solution space, so `_basis` appends l_n = s_t(n) to each reduced nullspace
-vector and row-reduces the few vectors with their columns reversed.  A
+vector and row-reduces the few vectors, as integer rows, with their columns
+reversed.  A
 solution only counts when g_{-h} and g_h are both nonzero (otherwise its
 order is lower than the window) and scalar multiples of the identity are
 excluded automatically by that same requirement.
@@ -130,21 +131,24 @@ def _reduced_rows(problem: SearchProblem) -> list[list[int]]:
 
 def _basis(problem: SearchProblem) -> list[list[Fraction]]:
     """The RREF nullspace basis of the joint system in the g_{j,i} and the
-    l_n, found from the reduced one (module docstring); each l_n = s_t(n)
-    is one integer sum, sum_j a^{(h+j)n} b^{(h-j)n} g_{j,t}, over (ab)^{hn}
-    and the vector's denominator."""
+    l_n, found from the reduced one (module docstring).  `rref` reads each
+    vector as integers: its numerators over its denominator, then each
+    l_n = s_t(n) as one sum, sum_j a^{hN+jn} b^{hN-jn} g_{j,t}, all times
+    (ab)^{hN} for N the last index n (|jn| <= hN keeps the powers whole)."""
     h, q = problem.h, problem.q
     t = 2 * h
     a, b = q.numerator, q.denominator
+    top = h * (len(problem.eigenpolys) - 1)
+    scale = (a * b) ** top
     joint = []
     for v in nullspace(_reduced_rows(problem)):
-        g, den = _over_common(v[t::t + 1])  # g_{j,t} for j = -h..h
-        joint.append(v + [
-            Fraction(sum(a ** ((h + j) * n) * b ** ((h - j) * n) * g_j
-                         for j, g_j in enumerate(g, -h)),
-                     den * (a * b) ** (h * n))
-            for n in range(len(problem.eigenpolys))])
-    return [v[::-1] for v in reversed(rref([v[::-1] for v in joint])[0])]
+        w, _ = _over_common(v)
+        g = w[t::t + 1]  # g_{j,t} for j = -h..h
+        joint.append([sum(a ** (top + j * n) * b ** (top - j * n) * g_j
+                          for j, g_j in enumerate(g, -h))
+                      for n in reversed(range(len(problem.eigenpolys)))]
+                     + [x * scale for x in reversed(w)])
+    return [v[::-1] for v in reversed(rref(joint)[0])]
 
 
 def _g_block(vec: Sequence[Fraction], j: int, h: int) -> tuple:

@@ -34,8 +34,9 @@ wide_fracs = st.one_of(
 # cross-check, combine_with_point_mass and point_mass), the nullspace of
 # matrices with zero columns, of large-entry matrices and of matrices with
 # rows copied in front of them (the scan stops at a dependent row and
-# resumes) against `rref`, and the rank scan against the RREF mod p) on
-# 2000 examples instead of 100.
+# resumes) against the RREF, the rank scan against the RREF mod p, and the
+# fraction-free `rref` against Gauss-Jordan elimination over `Fraction`s)
+# on 2000 examples instead of 100.
 settings.register_profile("deep", max_examples=2000)
 
 

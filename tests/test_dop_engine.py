@@ -4,10 +4,15 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
-from qkrall import (DOperatorSpec, Poly, UnsupportedFamily, alsalam_carlitz,
-                    dop_action, dop_catalog, laguerre, meixner,
-                    q_derivative_ops, qpochhammer, verify_dop)
+from qkrall import (MEIXNER, MEIXNER_II, DOperatorSpec, MeixnerParams,
+                    ParamDegeneracy, Poly, PolynomialFamily,
+                    UnsupportedFamily, alsalam_carlitz, build, dops,
+                    dop_action, dop_catalog, families, family_operator,
+                    gram_matrix, laguerre, meixner, q_derivative_ops,
+                    qpochhammer, theorem_catalog, verify_dop)
 from conftest import B0, C0, Q0, T0, apply_by_shifts, count_image_sums
 
 F = Fraction
@@ -23,6 +28,72 @@ def _defining_action(spec, family, n) -> Poly:
         acc = acc + (F(-1) ** (j + 1)) * spec.sigma(n + 1 - j) * chain \
             * family.poly(n - j)
     return acc
+
+
+def _poly_running_sum(spec, family, n_top):
+    """The running sum T_n = eps_n (sigma_n p_(n-1) - T_(n-1)) in `Poly` and
+    `Fraction` arithmetic, one operation at a time: the oracle for the
+    integer pass of dops._actions."""
+    tail = Poly.zero()
+    for n in range(n_top + 1):
+        if n:
+            tail = spec.eps(n) * (spec.sigma(n) * family.poly(n - 1) - tail)
+        yield -F(1, 2) * spec.sigma(n + 1) * family.poly(n) + tail
+
+
+bases = st.fractions(min_value=-4, max_value=4, max_denominator=9).filter(
+    lambda q: q not in (0, 1, -1))
+nonzero = st.fractions(min_value=-4, max_value=4,
+                       max_denominator=9).filter(bool)
+
+
+@settings(max_examples=60, deadline=None)
+@given(bases, nonzero, nonzero, st.booleans())
+@example(F(-3, 7), B0, C0, True)
+@example(F(5, 3), B0, C0, True)
+@example(F(-3, 7), T0, C0, False)
+@example(F(5, 3), T0, C0, False)
+def test_actions_equal_the_poly_running_sum(q, x, y, is_meixner):
+    # q below zero and above one as well as in (0, 1); x and y are b and c,
+    # or t with y unused
+    try:
+        family = meixner(q, x, y) if is_meixner else laguerre(q, x)
+    except ParamDegeneracy:
+        assume(False)
+    for spec in dop_catalog(family):
+        assert (list(dops._actions(spec, family, 9))
+                == list(_poly_running_sum(spec, family, 9))), spec.spec_id
+
+
+def test_family_set_up_builds_each_piece_once(monkeypatch):
+    # a family outside the family table: one recurrence for every p_n
+    params = MeixnerParams(F(3, 13), F(5, 17), F(19, 7))
+    recurrences, derivatives = [], []
+    real_rec = families.meixner_recurrence
+    monkeypatch.setattr(families, "meixner_recurrence",
+                        lambda p: recurrences.append(p) or real_rec(p))
+    monkeypatch.setattr(dops, "q_derivative_ops",
+                        lambda q: derivatives.append(q)
+                        or q_derivative_ops(q))
+    fam = PolynomialFamily(MEIXNER, params)
+    specs = dop_catalog(fam)
+    build(fam, specs[2], Poly((1, 1)), 8)
+    assert recurrences == [params]
+    # no ladder data is composed until a closed form is read, and then
+    # the family operator and (D_q, D_(1/q)) once for all three ladders
+    kept = fam._kept
+    assert family_operator.__wrapped__ not in kept
+    assert dops._derivatives.__wrapped__ not in kept
+    for spec in specs:
+        assert spec.closed_form.q == params.q
+    assert derivatives == [params.q]
+    assert family_operator.__wrapped__ in kept
+    # the orthogonality check of an instance composes nothing
+    td = theorem_catalog(MEIXNER_II, params, 2, n_depth=8)
+    kc = build(td.family, td.spec, td.p2, 5)
+    gram_matrix(td.measure, kc.qpolys())
+    assert family_operator.__wrapped__ not in td.family._kept
+    assert dops._derivatives.__wrapped__ not in td.family._kept
 
 
 @pytest.mark.parametrize("maker", [

@@ -1,4 +1,5 @@
-"""The certified nullspace against the basis read off `rref`."""
+"""The certified nullspace against the basis read off the RREF, and the
+fraction-free `rref` against Gauss-Jordan elimination over `Fraction`s."""
 from __future__ import annotations
 
 from fractions import Fraction
@@ -28,10 +29,34 @@ def test_primes_are_those_just_below_2_62():
         57, 87, 117, 143, 153, 167, 171, 195, 203, 273]
 
 
+def fraction_rref(rows):
+    """Gauss-Jordan elimination over `Fraction`s, pivoting on the first
+    nonzero column, then the smallest row index: the oracle for `rref` and
+    the nullspace reference, sharing no code with `linalg`."""
+    m = [list(map(F, r)) for r in rows]
+    pivots = []
+    for col in range(len(m[0]) if m else 0):
+        row = len(pivots)
+        if row == len(m):
+            break
+        pivot_row = next((r for r in range(row, len(m)) if m[r][col]), None)
+        if pivot_row is None:
+            continue
+        m[row], m[pivot_row] = m[pivot_row], m[row]
+        inv = 1 / m[row][col]
+        m[row] = [c * inv for c in m[row]]
+        for r in range(len(m)):
+            if r != row and m[r][col]:
+                factor = m[r][col]
+                m[r] = [x - factor * y for x, y in zip(m[r], m[row])]
+        pivots.append(col)
+    return m, pivots
+
+
 def reference(a):
-    """The nullspace basis read off `rref` of all rows."""
+    """The nullspace basis read off the RREF of all rows."""
     ncols = len(a[0])
-    red, pivots = rref(a)
+    red, pivots = fraction_rref(a)
     basis = []
     for f in sorted(set(range(ncols)) - set(pivots)):
         v = [F(0)] * ncols
@@ -443,7 +468,7 @@ def full_row_rank(draw):
                             max_size=cols - j - 1)) for j in starts]))
     a = draw(st.lists(st.lists(small, min_size=cols, max_size=cols),
                       min_size=1, max_size=cols))
-    assume(len(rref(a)[1]) == len(a))
+    assume(len(fraction_rref(a)[1]) == len(a))
     return a
 
 
@@ -453,7 +478,7 @@ def full_row_rank(draw):
 def test_scan_is_the_rref_mod_p(a):
     # the scan keeps every row with no stop before the end, and its pivots
     # and free columns are those of the RREF over Q, reduced mod p
-    red, pivots = rref(a)
+    red, pivots = fraction_rref(a)
     cols = [j for j, col in enumerate(zip(*a)) if any(col)]
     [(kept, scan_pivots, image, stop)] = linalg._independent_mod_p(a, cols, P)
     assert kept == list(range(len(a))) == list(range(stop))
@@ -482,3 +507,40 @@ def dependent_rows_first(draw):
 @example([[1, 0], [2, 0], [1, 0], [0, 1]])
 def test_dependent_rows_first_give_the_rref_basis(a):
     assert nullspace(a) == reference(a)
+
+
+# Entries up to 10^12, zeros often: ints, or fractions with denominators up
+# to 10^12.
+int_entries = st.one_of(st.integers(-10 ** 12, 10 ** 12), st.just(0))
+fraction_entries = st.one_of(
+    st.builds(F, st.integers(-10 ** 12, 10 ** 12), st.integers(1, 10 ** 12)),
+    st.just(F(0)))
+
+
+@st.composite
+def rref_inputs(draw):
+    """int or Fraction matrices, wide and tall, full-rank or products of
+    a lower inner size, with zero rows put in."""
+    values = draw(st.sampled_from([int_entries, fraction_entries]))
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        a = draw(_matrix(rows, cols, values))
+    else:
+        k = draw(st.integers(1, min(rows, cols)))
+        right = draw(_matrix(k, cols, values))
+        a = [[sum(x * y for x, y in zip(left, col)) for col in zip(*right)]
+             for left in draw(_matrix(rows, k, values))]
+    for i in draw(st.lists(st.integers(0, len(a)), max_size=2)):
+        a.insert(i, [0 * a[0][0]] * cols)
+    return a
+
+
+@settings(deadline=None)
+@given(rref_inputs())
+@example([])
+@example([[0, 0], [0, 0]])
+@example([[2, 4, 6], [1, 2, 3], [0, 0, 5]])
+def test_rref_equals_fraction_gauss_jordan(a):
+    red, pivots = rref(a)
+    assert (red, pivots) == fraction_rref(a)
+    assert all(type(x) is F for row in red for x in row)

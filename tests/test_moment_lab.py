@@ -113,6 +113,27 @@ def test_laguerre_moment_recurrence_equals_the_walk(q, t):
     assert agree_up_to(mu, walk, ORACLE_DEPTH) is None
 
 
+@pytest.mark.parametrize("moments, params, recurrence", [
+    (meixner_moments, (Q0, F(2, 9), F(7, 4)), meixner_recurrence),
+    (laguerre_moments, (Q0, F(9, 4)), laguerre_recurrence),
+])
+def test_views_of_one_parameter_set_share_its_moments(moments, params,
+                                                      recurrence):
+    kind = MeixnerParams if moments is meixner_moments else LaguerreParams
+    short, deep = moments(kind(*params), 6), moments(kind(*params), 12)
+    assert (short.max_n, deep.max_n) == (6, 12)
+    assert all(short.moment(n) is deep.moment(n) for n in range(7))
+    walk = moments_from_recurrence(recurrence(kind(*params)), 12)
+    assert short.moments(6) == walk.moments(6)
+    assert deep.moments(12) == walk.moments(12)
+    # the sequence holds moment 12 now, and the short view still refuses it
+    for view, bound in ((short, 6), (deep, 12)):
+        with pytest.raises(ValueError,
+                           match=f"moment {bound + 1} beyond available "
+                           f"depth {bound}$"):
+            view.moment(bound + 1)
+
+
 def test_christoffel_is_polynomial_multiplication():
     mu = meixner_moments(MeixnerParams(Q0, B0, C0))
     r = Poly((F(1, 2), -2, 1))
