@@ -16,19 +16,31 @@ s_t(n) and (E) sum_{k=1..min(t,n-r)} c_{n,r+k} s_{t-k}(r+k) + c_{n,r}
 (s_t(r) - s_t(n)) = 0 for r < n.  The unknowns are the g_{j,i} alone.  With
 q = a/b and each q_n scaled to integer c_{n,r}, (E) for n times (ab)^{hn}
 and (P) for e times (ab)^{he} are integer rows, since e <= n gives |je| <=
-hn in q^{je} (ab)^{hn} = a^{hn+je} b^{hn-je}.  The rows (P) come first,
-then the rows (E) by rising n, so in every system measured the rows that
-`nullspace` keeps come first, and its scan stops at row `rank`.
+hn in q^{je} (ab)^{hn} = a^{hn+je} b^{hn-je}.
+
+The leading rows and the certificate.  `nullspace` gets the rows (P) and
+(E) of q_0..q_m only, m = 2h + 2 the least index with more rows than the
+(2h + 1)^2 unknowns (h(2h + 1) + m(m + 1)/2 > (2h + 1)^2); in every system
+measured its scan keeps their first `rank` rows and stops at row `rank`.
+Each basis vector w (numerators) is then certified on each later q_n by
+D(q_n) = s_t(n) q_n over Z, with no row formed: for s[i][e] = (ab)^{hN}
+s_i(e) = sum_j a^{hN+je} b^{hN-je} w_{j,i}, N the last index, the x^r
+coefficient of D(q_n) - s_t(n) q_n is c_{n,r} (s[t][r] - s[t][n]) +
+sum_{k=1..min(t,n-r)} c_{n,r+k} s[t-k][r+k], (ab)^{h(N-n)} times the row
+(E) of (n, r) times w.  This is exact, so vectors passing every n solve the
+window, whose nullspace lies in the prefix's: the two, and their RREF
+bases, are equal.  A failure at n extends the prefix through q_n, solved
+again and certified on the q_n after it.
 
 The solution is read off the RREF nullspace basis of the system in the
 g_{j,i} and l_n jointly, where each vector's last nonzero entry is a 1 at
 its free column and the others are 0 there.  It depends only on the
-solution space, so `_basis` appends l_n = s_t(n) to each reduced nullspace
-vector and row-reduces the few vectors, as integer rows, with their columns
-reversed.  A
-solution only counts when g_{-h} and g_h are both nonzero (otherwise its
-order is lower than the window) and scalar multiples of the identity are
-excluded automatically by that same requirement.
+solution space, so `_basis` appends l_n = s_t(n), the table's s[t][n], to
+each reduced nullspace vector and row-reduces the few vectors, as integer
+rows, with their columns reversed.  A solution only counts when g_{-h} and
+g_h are both nonzero (otherwise its order is lower than the window) and
+scalar multiples of the identity are excluded automatically by that same
+requirement.
 
 The conjecture checkers build a perturbed moment functional, extract its
 monic orthogonal polynomials from its moments (``moments.hankel_orthogonal``,
@@ -40,11 +52,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
+from operator import add as int_add, mul
 from typing import Callable, Iterable, Sequence
 
 from .errors import CrossCheckFailed, NotQuasiDefinite, ParamDegeneracy
-from .exact import (Laurent, Poly, Record, _integer_rows, _over_common,
-                    check_base, rational, rational_str)
+from .exact import (Laurent, Poly, Record, _over_common, check_base,
+                    rational, rational_str)
 from .families import (LaguerreParams, MeixnerParams, q_power_exponent)
 from .krall import build, theorem_catalog
 from .linalg import nullspace, rref
@@ -91,14 +104,14 @@ class SearchResult(Record):
     nullspace_dim: int
 
 
-def _reduced_rows(problem: SearchProblem) -> list[list[int]]:
-    """The rows (P) and (E) over the g_{j,i}, column (j + h)(2h + 1) + i,
-    scaled to integers (module docstring)."""
+def _reduced_rows(problem: SearchProblem, last: int) -> list[list[int]]:
+    """The rows (P), then (E) for q_0..q_last, over the g_{j,i}, column
+    (j + h)(2h + 1) + i, scaled to integers (module docstring)."""
     h, q = problem.h, problem.q
     t = 2 * h
     a, b = q.numerator, q.denominator
-    polys = _integer_rows([p.nums for p in problem.eigenpolys])
-    top = 2 * h * (len(polys) - 1)
+    polys = [p.nums for p in problem.eigenpolys[:last + 1]]
+    top = 2 * h * last
     a_pow = [a ** k for k in range(top + 1)]
     b_pow = [b ** k for k in range(top + 1)]
     n_cols = (2 * h + 1) * (t + 1)
@@ -131,23 +144,41 @@ def _reduced_rows(problem: SearchProblem) -> list[list[int]]:
 
 def _basis(problem: SearchProblem) -> list[list[Fraction]]:
     """The RREF nullspace basis of the joint system in the g_{j,i} and the
-    l_n, found from the reduced one (module docstring).  `rref` reads each
-    vector as integers: its numerators over its denominator, then each
-    l_n = s_t(n) as one sum, sum_j a^{hN+jn} b^{hN-jn} g_{j,t}, all times
-    (ab)^{hN} for N the last index n (|jn| <= hN keeps the powers whole)."""
+    l_n, solved on the rows of q_0..q_last and certified on each later q_n
+    by each vector's table s (module docstring); a failure at n moves
+    `last` to n.  `rref` reads each vector as its numerators w times
+    (ab)^{hN}, then each l_n = s[t][n]."""
     h, q = problem.h, problem.q
     t = 2 * h
     a, b = q.numerator, q.denominator
-    top = h * (len(problem.eigenpolys) - 1)
+    polys = [p.nums for p in problem.eigenpolys]
+    top = h * (len(polys) - 1)
+    powers = [[a ** (top + j * e) * b ** (top - j * e)
+               for j in range(-h, h + 1)] for e in range(len(polys))]
+    zero = [0] * len(polys)  # the row s[i] of every g_{j,i} = 0, skipped
+
+    def eigen(n: int, s: list[list[int]]) -> bool:
+        """Every x^r coefficient of D(q_n) - s_t(n) q_n is 0."""
+        c, lam = polys[n], s[t][n]
+        out = [x * (y - lam) for x, y in zip(c, s[t])]
+        for k in range(1, min(t, n) + 1):
+            if s[t - k] is not zero:
+                out[:n + 1 - k] = map(int_add, out,
+                                      map(mul, c[k:], s[t - k][k:]))
+        return not any(out)
+
+    last = t + 2  # h(2h + 1) + last(last + 1)/2 > (2h + 1)^2 first here
+    while last is not None:
+        vecs = [_over_common(v)[0]
+                for v in nullspace(_reduced_rows(problem, last))]
+        tables = [[[sum(map(mul, p_e, g)) for p_e in powers] if any(g)
+                   else zero for g in (w[i::t + 1] for i in range(t + 1))]
+                  for w in vecs]
+        last = next((n for n in range(last + 1, len(polys))
+                     if not all(eigen(n, s) for s in tables)), None)
     scale = (a * b) ** top
-    joint = []
-    for v in nullspace(_reduced_rows(problem)):
-        w, _ = _over_common(v)
-        g = w[t::t + 1]  # g_{j,t} for j = -h..h
-        joint.append([sum(a ** (top + j * n) * b ** (top - j * n) * g_j
-                          for j, g_j in enumerate(g, -h))
-                      for n in reversed(range(len(problem.eigenpolys)))]
-                     + [x * scale for x in reversed(w)])
+    joint = [s[t][::-1] + [x * scale for x in reversed(w)]
+             for w, s in zip(vecs, tables)]
     return [v[::-1] for v in reversed(rref(joint)[0])]
 
 

@@ -19,6 +19,8 @@ from qkrall import (LAGUERRE_I, MEIXNER_I, CrossCheckFailed, GammaVanishes,
                     hankel_orthogonal, laguerre_moments, measure_catalog,
                     meixner_moments, minimal_even_order, nullspace,
                     theorem_catalog)
+from qkrall.exact import _over_common
+from qkrall.linalg import rref
 from qkrall.search import _basis, _reduced_rows, _window_size
 from conftest import B0, C0, Q0, T0
 
@@ -200,12 +202,61 @@ def _search_inputs(draw):
             mu = christoffel(base, Poly((-root, F(1))))
             polys = hankel_orthogonal(mu, count - 1).polys
         else:
-            small = st.fractions(min_value=-4, max_value=4, max_denominator=4)
-            polys = [Poly(draw(st.lists(small, min_size=n, max_size=n))
-                          + [draw(small.filter(bool))]) for n in range(count)]
+            polys = [_random_poly(draw, n) for n in range(count)]
     except (ParamDegeneracy, GammaVanishes, NotQuasiDefinite):
         assume(False)
     return polys, h, q
+
+
+def _random_poly(draw, n: int) -> Poly:
+    """A polynomial of degree exactly n with coefficients k/d, |k| <= 16
+    and 1 <= d <= 4 (integers drawn: Hypothesis draws them far faster than
+    `st.fractions`)."""
+    nums = draw(st.lists(st.integers(-16, 16), min_size=n, max_size=n))
+    top = draw(st.integers(1, 16)) * draw(st.sampled_from([1, -1]))
+    return Poly([F(k, draw(st.integers(1, 4))) for k in nums + [top]])
+
+
+def _leading_rows(h: int) -> int:
+    """The rows (P) and the rows (E) of q_0..q_{2h+2}: what `nullspace` is
+    given first."""
+    return h * (2 * h + 1) + (2 * h + 2) * (2 * h + 3) // 2
+
+
+def _whole_window_basis(problem: SearchProblem) -> list[list[F]]:
+    """The oracle for `_basis`: the nullspace of every row (P) and (E) of
+    the window, each vector extended by l_n = s_t(n) as one integer sum at
+    the scale (ab)^{hN}, and the joint basis put in RREF."""
+    h, q = problem.h, problem.q
+    t = 2 * h
+    a, b = q.numerator, q.denominator
+    top = h * (len(problem.eigenpolys) - 1)
+    scale = (a * b) ** top
+    joint = []
+    for v in nullspace(_reduced_rows(problem, len(problem.eigenpolys) - 1)):
+        w, _ = _over_common(v)
+        g = w[t::t + 1]  # g_{j,t} for j = -h..h
+        joint.append([sum(a ** (top + j * n) * b ** (top - j * n) * g_j
+                          for j, g_j in enumerate(g, -h))
+                      for n in reversed(range(len(problem.eigenpolys)))]
+                     + [x * scale for x in reversed(w)])
+    return [v[::-1] for v in reversed(rref(joint)[0])]
+
+
+@st.composite
+def _prefix_inputs(draw):
+    """`_search_inputs`, or monomials, with every q_n from a drawn index
+    past the leading rows' q_{2h+2} on replaced by a random polynomial: the
+    eigenpolynomials of an operator through the leading rows that stop
+    being ones after them, so that `_basis` extends its prefix."""
+    if draw(st.booleans()):
+        polys, h, q = draw(_search_inputs())
+    else:
+        h, q = draw(st.integers(1, 2)), draw(_QS)
+        polys = [Poly.monomial(n) for n in range(_window_size(h))]
+    cut = draw(st.integers(2 * h + 3, len(polys)))
+    return (polys[:cut] + [_random_poly(draw, n)
+                           for n in range(cut, len(polys))], h, q)
 
 
 @settings(max_examples=16, deadline=None)
@@ -236,10 +287,67 @@ def test_reduced_system_gives_the_joint_basis(inputs):
     # and put in normal form, has the joint system's RREF nullspace basis
     polys, h, q = inputs
     problem = SearchProblem(tuple(polys), h, q)
-    rows = _reduced_rows(problem)
+    rows = _reduced_rows(problem, len(polys) - 1)
     assert all(type(c) is int for row in rows for c in row)
     assert len(rows[0]) == (2 * h + 1) ** 2
     assert _basis(problem) == nullspace(_assemble(problem))
+
+
+@settings(deadline=None)
+@given(_prefix_inputs())
+@example(([Poly.monomial(n) for n in range(13)], 1, F(-1, 2)))
+@example(([Poly.monomial(n) for n in range(8)]
+          + [Poly((1,) + (0,) * n + (1,)) for n in range(7, 12)], 1, F(7, 3)))
+def test_leading_rows_basis_equals_whole_window_basis(inputs):
+    # the basis solved on the leading rows and certified on every later q_n
+    # by one integer eigen-check (extending the prefix where one fails) is
+    # the whole window's: planted, perturbed, random and monomial q_n, with
+    # the ones past a drawn index replaced by random polynomials, at q < 0,
+    # 0 < q < 1 and q > 1
+    polys, h, q = inputs
+    problem = SearchProblem(tuple(polys), h, q)
+    assert _basis(problem) == _whole_window_basis(problem)
+
+
+def _counting_nullspace(monkeypatch) -> list[int]:
+    """Log the number of rows of each system `search` gives `nullspace`."""
+    calls, real = [], qkrall.search.nullspace
+
+    def counted(rows):
+        calls.append(len(rows))
+        return real(rows)
+
+    monkeypatch.setattr(qkrall.search, "nullspace", counted)
+    return calls
+
+
+@pytest.mark.parametrize("h, added, dim", [
+    (1, {5: Poly.one(), 6: Poly.one()}, 1), (2, {7: Poly.one()}, 4),
+    (2, {7: Poly.monomial(3), 8: Poly.monomial(2)}, 3)])
+def test_failed_eigen_check_extends_the_leading_rows(monkeypatch, h, added,
+                                                     dim):
+    # monomials are eigenfunctions of every sum_j g_j S^j (g_{j,i} = 0 for
+    # i < 2h), whose eigenvalue on x^e is s(X) = sum_j g_j X^j at X = q^e,
+    # and the leading rows of monomials leave just these; x^n + x^r asks
+    # s(q^r) = s(q^n), so each such q_n fails the check, extends the prefix
+    # through it and is solved again.  Certifying only the first or only
+    # the last vector would keep a failing one: at h = 1, x^5 + 1 leaves
+    # the identity first and X - c X^-1, c = -q^5, after it, which fails
+    # x^6 + 1; at h = 2, x^7 + x^3 leaves, last, X^2 - c X^-2 with c =
+    # q^20, equal at X and Y when X^2 Y^2 = q^20: it passes x^8 + x^2,
+    # where the vectors before it fail
+    polys = [Poly.monomial(n) for n in range(_window_size(h))]
+    for n, p in added.items():
+        polys[n] = polys[n] + p
+    problem = SearchProblem(tuple(polys), h, Q0)
+    assert len(nullspace(_reduced_rows(problem, 2 * h + 2))) == 2 * h + 1
+    calls = _counting_nullspace(monkeypatch)
+    basis = _basis(problem)
+    assert calls == [_leading_rows(h) + sum(range(2 * h + 3, n + 1))
+                     for n in [2 * h + 2, *added]]
+    assert len(basis) == dim
+    assert basis == _whole_window_basis(problem) == nullspace(
+        _assemble(problem))
 
 
 def _digest(report: dict) -> str:
@@ -379,7 +487,9 @@ def _stages_per_attempt(monkeypatch) -> dict[int, dict]:
     return per_h
 
 
-@pytest.mark.parametrize("check, params, kwargs, primes, digest", [
+# search-scan's three shapes (h_max = 2), the order-6 A f3={1,2} and the
+# order-8 pins: (check, params, kwargs, primes of the found attempt, digest)
+_PINNED = [
     (check_conjecture_a, MeixnerParams(Q0, B0, C0), {"f3": [1, 2]}, 2,
      "6cdab6c3c274c4aa2cdc3ab4f3ba81608372ba5cd86f4959c611d2f8e877f769"),
     (check_conjecture_a, MeixnerParams(Q0, B0, C0), {"f1": [1], "h_max": 2},
@@ -395,19 +505,24 @@ def _stages_per_attempt(monkeypatch) -> dict[int, dict]:
     (check_conjecture_b1, LaguerreParams(Q0, T0), {"f_set": [1, 2, 3]}, 2,
      "04608fa91661543c56a74054a1efb247059b3570f6b1341549e9a2a5ce9d49c9"),
     (check_conjecture_b2, LaguerreParams(Q0, Q0 ** 3), {"masses": (1,)}, 2,
-     "8f936240ca32eeb78302a9537ec0c05c70d1d041afd7d4075f13cdbd2ed81a7d")],
-    ids=["A-f3=1,2", "A-f1=1", "A-f3=1", "B1-f=1", "A-f3=1,2,3",
-         "A-f1=1-f3=1,2", "B1-f=1,2,3", "B2-alpha=3"])
+     "8f936240ca32eeb78302a9537ec0c05c70d1d041afd7d4075f13cdbd2ed81a7d")]
+_PINNED_IDS = ["A-f3=1,2", "A-f1=1", "A-f3=1", "B1-f=1", "A-f3=1,2,3",
+               "A-f1=1-f3=1,2", "B1-f=1,2,3", "B2-alpha=3"]
+
+
+@pytest.mark.parametrize("check, params, kwargs, primes, digest", _PINNED,
+                         ids=_PINNED_IDS)
 def test_not_found_attempts_are_decided_without_a_solve(monkeypatch, check,
                                                         params, kwargs,
                                                         primes, digest):
-    # below the found order only the identity solves the system, and its
-    # column g_{0,2h} is zero in every row, so the scan mod 2^61 - 1 ends
-    # by full rank on the other columns, with no row found dependent and
-    # no entry to reconstruct; the found attempt's scan keeps rows
-    # 0..rank-1 and stops at row rank, the Z check decides every row after
-    # it with no resume, and the order-6 and order-8 attempts add one prime
-    # that eliminates only the kept rows
+    # `nullspace` is given only the leading rows; below the found order
+    # only the identity solves them, and its column g_{0,2h} is zero in
+    # every row, so the scan mod 2^61 - 1 ends by full rank on the other
+    # columns, with no row found dependent and no entry to reconstruct; the
+    # found attempt's scan keeps rows 0..rank-1 and stops at row rank, the
+    # Z check decides every leading row after it with no resume, and the
+    # order-6 and order-8 attempts add one prime that eliminates only the
+    # kept rows
     per_h = _stages_per_attempt(monkeypatch)
     report = check(params, **kwargs)
     *missed, hit = report["attempts"]
@@ -415,15 +530,29 @@ def test_not_found_attempts_are_decided_without_a_solve(monkeypatch, check,
         assert attempt["found"] is False and attempt["nullspace_dim"] == 1
         [(p, rows, cols, kept, stop)] = per_h[attempt["half_width"]]["stages"]
         assert p == (1 << 61) - 1 and len(kept) == cols and stop == rows
+        assert rows == _leading_rows(attempt["half_width"])
         assert per_h[attempt["half_width"]]["entries"] == 0
     assert hit["found"] is True
-    (p, _, _, kept, stop), *more = per_h[hit["half_width"]]["stages"]
+    (p, rows, _, kept, stop), *more = per_h[hit["half_width"]]["stages"]
     assert p == (1 << 61) - 1 and kept == list(range(stop))
+    assert rows == _leading_rows(hit["half_width"])
     assert len(more) == primes - 1
     assert all(p_q != p and rows == len(kept_q) == stop_q == stop
                for p_q, rows, _, kept_q, stop_q in more)
     assert per_h[hit["half_width"]]["entries"] > 0
     assert _digest(report) == digest
+
+
+@pytest.mark.parametrize("check, params, kwargs",
+                         [case[:3] for case in _PINNED], ids=_PINNED_IDS)
+def test_each_attempt_solves_its_leading_rows_once(monkeypatch, check,
+                                                   params, kwargs):
+    # every later q_n passes the integer eigen-check in these searches, so
+    # each attempt calls `nullspace` once, on its leading rows alone
+    calls = _counting_nullspace(monkeypatch)
+    report = check(params, **kwargs)
+    assert calls == [_leading_rows(attempt["half_width"])
+                     for attempt in report["attempts"]]
 
 
 def test_conjecture_a_mixed_factors_at_order_eight():
