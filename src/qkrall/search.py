@@ -13,30 +13,41 @@ g_{j,i} and q_n = sum_r c_{n,r} x^r: D(x^e) = sum_{k=0..t} s_{t-k}(e) x^{e-k},
 so D(q_n) = l_n q_n for all n exactly when (P) s_{t-k}(e) = 0 for e < k <= t
 (the preservation above) and, reading the x^n and x^r coefficients, l_n =
 s_t(n) and (E) sum_{k=1..min(t,n-r)} c_{n,r+k} s_{t-k}(r+k) + c_{n,r}
-(s_t(r) - s_t(n)) = 0 for r < n.  The unknowns are the g_{j,i} alone.  With
-q = a/b and each q_n scaled to integer c_{n,r}, (E) for n times (ab)^{hn}
-and (P) for e times (ab)^{he} are integer rows, since e <= n gives |je| <=
-hn in q^{je} (ab)^{hn} = a^{hn+je} b^{hn-je}.
+(s_t(r) - s_t(n)) = 0 for r < n.
 
-The leading rows and the certificate.  `nullspace` gets the rows (P) and
-(E) of q_0..q_m only, m = 2h + 2 the least index with more rows than the
-(2h + 1)^2 unknowns (h(2h + 1) + m(m + 1)/2 > (2h + 1)^2); in every system
+(P) in closed form.  s_i(e) = q^{-he} X^h S_i(X) at X = q^e, for X^h S_i =
+sum_j g_{j,i} X^{j+h} of degree <= t, so (P) says that X^h S_i vanishes at
+q^0..q^{t-i-1}.  These nodes are distinct (q is outside {0, 1, -1}), so with
+q = a/b that holds exactly when X^h S_i = V_i U_i, V_i = prod_{e<t-i} (b^e X
+- a^e), deg U_i <= i.  The unknowns are the (2h + 1)(h + 1) coefficients
+u_{i,m} of the U_i; g_{.,i} = M_i u_i, the convolution with V_i, is
+injective, so no solution of (P) is lost or added.  V_i(q^e) = b^{-(t-i)e}
+N_{i,e}, N_{i,e} = prod_{e'<t-i} (a^e b^{e'} - a^{e'} b^e), so with q_n
+scaled to integer c_{n,r}, (E) for n times (ab)^{hn} is an integer row with
+no product by M: u_{i,m} enters (ab)^{hn} s_i(e) as (ab)^{h(n-e)} a^{me}
+b^{(i-m)e} N_{i,e}, e <= n.  The identity's column u_{t,h} = g_{0,t} is
+zero in every row.
+
+The leading rows and the certificate.  `nullspace` gets the rows (E) of
+q_0..q_m only, m = 2h + 2 the least index with more rows than the
+(2h + 1)(h + 1) unknowns (m(m + 1)/2 > (2h + 1)(h + 1)); in every system
 measured its scan keeps their first `rank` rows and stops at row `rank`.
-Each basis vector w (numerators) is then certified on each later q_n by
-D(q_n) = s_t(n) q_n over Z, with no row formed: for s[i][e] = (ab)^{hN}
-s_i(e) = sum_j a^{hN+je} b^{hN-je} w_{j,i}, N the last index, the x^r
-coefficient of D(q_n) - s_t(n) q_n is c_{n,r} (s[t][r] - s[t][n]) +
-sum_{k=1..min(t,n-r)} c_{n,r+k} s[t-k][r+k], (ab)^{h(N-n)} times the row
-(E) of (n, r) times w.  This is exact, so vectors passing every n solve the
-window, whose nullspace lies in the prefix's: the two, and their RREF
-bases, are equal.  A failure at n extends the prefix through q_n, solved
-again and certified on the q_n after it.
+Each basis vector, mapped through M to the g_{j,i} as numerators w, is then
+certified on each later q_n by D(q_n) = s_t(n) q_n over Z, with no row
+formed: for s[i][e] = (ab)^{hN} s_i(e) = sum_j a^{hN+je} b^{hN-je} w_{j,i},
+N the last index, the x^r coefficient of D(q_n) - s_t(n) q_n is c_{n,r}
+(s[t][r] - s[t][n]) + sum_{k=1..min(t,n-r)} c_{n,r+k} s[t-k][r+k],
+(ab)^{h(N-n)} times the row (E) of (n, r) over the g's times w.  This is
+exact, so vectors passing every n solve the window, whose nullspace lies in
+the prefix's: the two, and their RREF bases, are equal.  A failure at n
+extends the prefix through q_n, solved again and certified on the q_n
+after it.
 
 The solution is read off the RREF nullspace basis of the system in the
 g_{j,i} and l_n jointly, where each vector's last nonzero entry is a 1 at
 its free column and the others are 0 there.  It depends only on the
 solution space, so `_basis` appends l_n = s_t(n), the table's s[t][n], to
-each reduced nullspace vector and row-reduces the few vectors, as integer
+each mapped nullspace vector and row-reduces the few vectors, as integer
 rows, with their columns reversed.  A solution only counts when g_{-h} and
 g_h are both nonzero (otherwise its order is lower than the window) and
 scalar multiples of the identity are excluded automatically by that same
@@ -104,50 +115,54 @@ class SearchResult(Record):
     nullspace_dim: int
 
 
-def _reduced_rows(problem: SearchProblem, last: int) -> list[list[int]]:
-    """The rows (P), then (E) for q_0..q_last, over the g_{j,i}, column
-    (j + h)(2h + 1) + i, scaled to integers (module docstring)."""
+def _eigen_rows(problem: SearchProblem, last: int) -> list[list[int]]:
+    """The rows (E) of q_0..q_last over the u_{i,m}, column i(i + 1)/2 + m,
+    scaled to integers (module docstring)."""
     h, q = problem.h, problem.q
     t = 2 * h
     a, b = q.numerator, q.denominator
-    polys = [p.nums for p in problem.eigenpolys[:last + 1]]
-    top = 2 * h * last
-    a_pow = [a ** k for k in range(top + 1)]
-    b_pow = [b ** k for k in range(top + 1)]
-    n_cols = (2 * h + 1) * (t + 1)
-
-    def s_row(e: int, scale: int) -> list[int]:
-        """(ab)^scale q^{je} for j = -h..h: s_i(e)'s coefficients."""
-        return [a_pow[scale + j * e] * b_pow[scale - j * e]
-                for j in range(-h, h + 1)]
-
+    ab = [(a * b) ** (h * d) for d in range(last + 1)]
+    blocks = []  # blocks[e][i][m] = a^{me} b^{(i-m)e} N_{i,e}
+    for e in range(last + 1):
+        x, y, norm, block = a ** e, b ** e, 1, []
+        for i in range(t, -1, -1):
+            block.insert(0, [x ** m * y ** (i - m) * norm
+                             for m in range(i + 1)])
+            norm *= x * b ** (t - i) - a ** (t - i) * y
+        blocks.append(block)
     rows = []
-    for e in range(t):
-        s_e = s_row(e, h * e)
-        for k in range(e + 1, t + 1):
-            row = [0] * n_cols
-            row[t - k::t + 1] = s_e
-            rows.append(row)
-    for n, c in enumerate(polys):
-        s_n = [s_row(e, h * n) for e in range(n + 1)]
+    for n, c in enumerate(p.nums for p in problem.eigenpolys[:last + 1]):
         for r in range(n):
-            row = [0] * n_cols
-            for k in range(1, min(t, n - r) + 1):
-                if c[r + k]:
-                    row[t - k::t + 1] = [c[r + k] * x for x in s_n[r + k]]
-            if c[r]:
-                row[t::t + 1] = [c[r] * (x - y)
-                                 for x, y in zip(s_n[r], s_n[n])]
-            rows.append(row)
+            row = []
+            for i in range(t):  # the term k = t - i, at e = r + k
+                e = r + t - i
+                f = c[e] * ab[n - e] if e <= n else 0
+                row += [f * x for x in blocks[e][i]] if f else [0] * (i + 1)
+            rows.append(row + [c[r] * (ab[n - r] * x - y) for x, y in
+                               zip(blocks[r][t], blocks[n][t])])
     return rows
+
+
+def _g_of_u(u: Sequence[int], q: Fraction, t: int) -> list[int]:
+    """The g_{j,i}, column (j + h)(t + 1) + i, of the u_{i,m}: g_{.,i} is
+    the convolution of u_i with V_i (module docstring)."""
+    a, b = q.numerator, q.denominator
+    g, v = [0] * (t + 1) ** 2, [1]  # v = V_i, lowest degree first
+    for i in range(t, -1, -1):
+        for m, x in enumerate(u[i * (i + 1) // 2:][:i + 1]):
+            for d, y in enumerate(v, m):
+                g[d * (t + 1) + i] += x * y
+        e = t - i  # V_{i-1} = V_i (b^e X - a^e)
+        v = [b ** e * x - a ** e * y for x, y in zip([0] + v, v + [0])]
+    return g
 
 
 def _basis(problem: SearchProblem) -> list[list[Fraction]]:
     """The RREF nullspace basis of the joint system in the g_{j,i} and the
-    l_n, solved on the rows of q_0..q_last and certified on each later q_n
-    by each vector's table s (module docstring); a failure at n moves
-    `last` to n.  `rref` reads each vector as its numerators w times
-    (ab)^{hN}, then each l_n = s[t][n]."""
+    l_n, solved over the u's on the rows of q_0..q_last, mapped through M
+    and certified on each later q_n by each vector's table s (module
+    docstring); a failure at n moves `last` to n.  `rref` reads each
+    vector as its numerators w times (ab)^{hN}, then each l_n = s[t][n]."""
     h, q = problem.h, problem.q
     t = 2 * h
     a, b = q.numerator, q.denominator
@@ -167,10 +182,10 @@ def _basis(problem: SearchProblem) -> list[list[Fraction]]:
                                       map(mul, c[k:], s[t - k][k:]))
         return not any(out)
 
-    last = t + 2  # h(2h + 1) + last(last + 1)/2 > (2h + 1)^2 first here
+    last = t + 2  # last(last + 1)/2 > (2h + 1)(h + 1) first here
     while last is not None:
-        vecs = [_over_common(v)[0]
-                for v in nullspace(_reduced_rows(problem, last))]
+        vecs = [_g_of_u(_over_common(v)[0], q, t)
+                for v in nullspace(_eigen_rows(problem, last))]
         tables = [[[sum(map(mul, p_e, g)) for p_e in powers] if any(g)
                    else zero for g in (w[i::t + 1] for i in range(t + 1))]
                   for w in vecs]
@@ -297,8 +312,8 @@ def _half_width_max(h_max: int | None, conjectured: int | None) -> int:
     order's; an empty range h = 1..h_max would decide nothing."""
     if h_max is None:
         if conjectured is None:
-            raise ParamDegeneracy(
-                "no conjectured order for this shape; give h_max")
+            raise ParamDegeneracy("no conjectured order for this shape; "
+                                  "give h_max (--order-max in the CLI)")
         h_max = conjectured // 2 + 1
     if h_max < 1:
         raise ParamDegeneracy(

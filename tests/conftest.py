@@ -36,9 +36,10 @@ wide_fracs = st.one_of(
 # rows copied in front of them (the scan stops at a dependent row and
 # resumes) against the RREF, the rank scan against the RREF mod p, the
 # fraction-free `rref` against Gauss-Jordan elimination over `Fraction`s,
-# and the search's basis from its leading rows and integer eigen-checks,
-# extended where a check fails, against the whole window's) on 2000
-# examples instead of 100.
+# the search's basis from its leading rows and integer eigen-checks,
+# extended where a check fails, against the whole window's, and the basis
+# of its rows (E) over the closed-form unknowns against that of the rows
+# (P) and (E) over the g_{j,i}) on 2000 examples instead of 100.
 settings.register_profile("deep", max_examples=2000)
 
 

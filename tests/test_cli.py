@@ -349,6 +349,16 @@ def test_empty_mass_list_is_not_replaced_by_the_default(capsys, tmp_path):
     assert code == 2 and "need 1 masses" in err
 
 
+def test_shape_without_a_conjectured_order_names_the_order_bound(capsys):
+    # B2 has a conjectured order only for one mass and no factors; the
+    # error names both the library's h_max and the CLI's --order-max
+    code, out, err = _run(capsys, "conjecture", "b2", "--alpha", "3",
+                          "--f", "1")
+    assert code == 2 and not out and "Traceback" not in err
+    assert "no conjectured order for this shape" in err
+    assert "h_max" in err and "--order-max" in err
+
+
 def test_perturb_index_past_the_depth_is_invalid_input(capsys):
     code, _, err = _run(capsys, "verify-eigen", "--theorem", "meixner-i",
                         "--n", "0", "--perturb-beta", "1", "7")

@@ -4,6 +4,7 @@ from __future__ import annotations
 import hashlib
 import json
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -21,8 +22,8 @@ from qkrall import (LAGUERRE_I, MEIXNER_I, CrossCheckFailed, GammaVanishes,
                     theorem_catalog)
 from qkrall.exact import _over_common
 from qkrall.linalg import rref
-from qkrall.search import _basis, _reduced_rows, _window_size
-from conftest import B0, C0, Q0, T0
+from qkrall.search import _basis, _eigen_rows, _g_of_u, _window_size
+from conftest import B0, C0, Q0, T0, reference_configs
 
 F = Fraction
 
@@ -178,10 +179,10 @@ def _planted(name, params, count):
 
 
 @st.composite
-def _search_inputs(draw):
-    """(eigenpolys, h, q): planted meixner-i and laguerre-i q_n, monic
-    orthogonal polynomials of perturbed functionals, or random ones."""
-    h = draw(st.integers(1, 2))
+def _search_inputs(draw, h_max: int = 2):
+    """(eigenpolys, h, q), h <= h_max: planted meixner-i and laguerre-i q_n,
+    monic orthogonal polynomials of perturbed functionals, or random ones."""
+    h = draw(st.integers(1, h_max))
     q = draw(_QS)
     count = _window_size(h)
     kind = draw(st.sampled_from(
@@ -218,22 +219,61 @@ def _random_poly(draw, n: int) -> Poly:
 
 
 def _leading_rows(h: int) -> int:
-    """The rows (P) and the rows (E) of q_0..q_{2h+2}: what `nullspace` is
-    given first."""
-    return h * (2 * h + 1) + (2 * h + 2) * (2 * h + 3) // 2
+    """The rows (E) of q_0..q_{2h+2}: what `nullspace` is given first."""
+    return (2 * h + 2) * (2 * h + 3) // 2
+
+
+def _g_rows(problem: SearchProblem, last: int) -> list[list[int]]:
+    """The rows (P), then (E) for q_0..q_last, over the g_{j,i}, column
+    (j + h)(2h + 1) + i, scaled to integers: (P) for e times (ab)^{he} and
+    (E) for n times (ab)^{hn} (the `search` module docstring)."""
+    h, q = problem.h, problem.q
+    t = 2 * h
+    a, b = q.numerator, q.denominator
+    polys = [p.nums for p in problem.eigenpolys[:last + 1]]
+    top = 2 * h * last
+    a_pow = [a ** k for k in range(top + 1)]
+    b_pow = [b ** k for k in range(top + 1)]
+    n_cols = (2 * h + 1) * (t + 1)
+
+    def s_row(e: int, scale: int) -> list[int]:
+        """(ab)^scale q^{je} for j = -h..h: s_i(e)'s coefficients."""
+        return [a_pow[scale + j * e] * b_pow[scale - j * e]
+                for j in range(-h, h + 1)]
+
+    rows = []
+    for e in range(t):
+        s_e = s_row(e, h * e)
+        for k in range(e + 1, t + 1):
+            row = [0] * n_cols
+            row[t - k::t + 1] = s_e
+            rows.append(row)
+    for n, c in enumerate(polys):
+        s_n = [s_row(e, h * n) for e in range(n + 1)]
+        for r in range(n):
+            row = [0] * n_cols
+            for k in range(1, min(t, n - r) + 1):
+                if c[r + k]:
+                    row[t - k::t + 1] = [c[r + k] * x for x in s_n[r + k]]
+            if c[r]:
+                row[t::t + 1] = [c[r] * (x - y)
+                                 for x, y in zip(s_n[r], s_n[n])]
+            rows.append(row)
+    return rows
 
 
 def _whole_window_basis(problem: SearchProblem) -> list[list[F]]:
     """The oracle for `_basis`: the nullspace of every row (P) and (E) of
     the window, each vector extended by l_n = s_t(n) as one integer sum at
-    the scale (ab)^{hN}, and the joint basis put in RREF."""
+    the scale (ab)^{hN}, and the joint basis put in RREF: the system over
+    the g_{j,i} with the rows (P), which `_basis` solves in closed form."""
     h, q = problem.h, problem.q
     t = 2 * h
     a, b = q.numerator, q.denominator
     top = h * (len(problem.eigenpolys) - 1)
     scale = (a * b) ** top
     joint = []
-    for v in nullspace(_reduced_rows(problem, len(problem.eigenpolys) - 1)):
+    for v in nullspace(_g_rows(problem, len(problem.eigenpolys) - 1)):
         w, _ = _over_common(v)
         g = w[t::t + 1]  # g_{j,t} for j = -h..h
         joint.append([sum(a ** (top + j * n) * b ** (top - j * n) * g_j
@@ -283,14 +323,51 @@ def test_derived_budgets_keep_the_wide_solution_space(inputs):
 @given(_search_inputs())
 @example(([Poly.monomial(n) for n in range(13)], 1, Q0))  # a 3-dim basis
 def test_reduced_system_gives_the_joint_basis(inputs):
-    # the integer system over the g_{j,i} alone, extended by l_n = s_t(n)
-    # and put in normal form, has the joint system's RREF nullspace basis
+    # the integer rows (E) over the u_{i,m} alone, whose basis is mapped
+    # to the g_{j,i}, extended by l_n = s_t(n) and put in normal form, give
+    # the joint system's RREF nullspace basis; the identity's column
+    # u_{t,h} = g_{0,t} is zero in every row
     polys, h, q = inputs
     problem = SearchProblem(tuple(polys), h, q)
-    rows = _reduced_rows(problem, len(polys) - 1)
+    rows = _eigen_rows(problem, len(polys) - 1)
     assert all(type(c) is int for row in rows for c in row)
-    assert len(rows[0]) == (2 * h + 1) ** 2
+    assert {len(row) for row in rows} == {(2 * h + 1) * (h + 1)}
+    identity = (2 * h) * (2 * h + 1) // 2 + h
+    assert not any(row[identity] for row in rows)
     assert _basis(problem) == nullspace(_assemble(problem))
+
+
+@pytest.mark.parametrize("q", [F(2, 5), F(3, 7), F(7, 3), F(-1, 2)])
+@pytest.mark.parametrize("h", [1, 2, 3])
+def test_every_closed_form_column_solves_the_rows_p(h, q):
+    # each column of M (the unit u_{i,m} mapped to the g_{j,i}) satisfies
+    # every row (P) exactly, and the (2h + 1)(h + 1) columns are
+    # independent, so they span the whole nullspace of the rows (P)
+    t = 2 * h
+    problem = SearchProblem(tuple(Poly.monomial(n)
+                                  for n in range(_window_size(h))), h, q)
+    rows_p = _g_rows(problem, t)[:h * (t + 1)]
+    n_u = (t + 1) * (h + 1)
+    columns = [_g_of_u([int(k == m) for k in range(n_u)], q, t)
+               for m in range(n_u)]
+    for g in columns:
+        assert not any(sum(map(mul, row, g)) for row in rows_p)
+    assert len(rref(columns)[1]) == n_u == len(nullspace(rows_p))
+
+
+@settings(deadline=None)
+@given(_search_inputs(h_max=3))
+@example(([Poly.monomial(n) for n in range(21)], 3, F(-1, 2)))
+def test_closed_form_rows_give_the_g_systems_basis(inputs):
+    # the nullspace of the rows (E) over the u_{i,m}, mapped through M,
+    # spans the nullspace of the rows (P) and (E) over the g_{j,i}: their
+    # row-reduced bases are equal, over the whole window, for h = 1..3
+    polys, h, q = inputs
+    problem = SearchProblem(tuple(polys), h, q)
+    last = len(polys) - 1
+    mapped = [_g_of_u(_over_common(v)[0], q, 2 * h)
+              for v in nullspace(_eigen_rows(problem, last))]
+    assert rref(mapped) == rref(nullspace(_g_rows(problem, last)))
 
 
 @settings(deadline=None)
@@ -340,7 +417,7 @@ def test_failed_eigen_check_extends_the_leading_rows(monkeypatch, h, added,
     for n, p in added.items():
         polys[n] = polys[n] + p
     problem = SearchProblem(tuple(polys), h, Q0)
-    assert len(nullspace(_reduced_rows(problem, 2 * h + 2))) == 2 * h + 1
+    assert len(nullspace(_eigen_rows(problem, 2 * h + 2))) == 2 * h + 1
     calls = _counting_nullspace(monkeypatch)
     basis = _basis(problem)
     assert calls == [_leading_rows(h) + sum(range(2 * h + 3, n + 1))
@@ -355,6 +432,53 @@ def _digest(report: dict) -> str:
     hashed, so a pin does not depend on how the search solves its system."""
     return hashlib.sha256(
         json.dumps(report, sort_keys=True).encode()).hexdigest()
+
+
+def _search_own_qpolys(name, params, k, mass, bump=0):
+    """The construction and the search at h = expected_order / 2 on its
+    own q_0..q_{4h+8}, with beta_{2h+3} raised by `bump`:
+    q_{2h+3} + bump p_{2h+2}."""
+    td = theorem_catalog(name, params, k, mass=mass)
+    h = td.expected_order // 2
+    kc = build(td.family, td.spec, td.p2, 4 * h + 8)
+    polys = [kc.qpoly(n) for n in range(_window_size(h))]
+    polys[2 * h + 3] += td.family.poly(2 * h + 2) * bump
+    return td, kc, minimal_even_order(polys, params.q, h_max=h)
+
+
+_REFERENCE = reference_configs()
+_REFERENCE_IDS = [f"{name}-{k}" + (f"-M{mass}" if mass else "")
+                  for name, _, k, mass in _REFERENCE]
+
+
+@pytest.mark.parametrize("name, params, k, mass", _REFERENCE,
+                         ids=_REFERENCE_IDS)
+def test_search_finds_each_reference_operator(name, params, k, mass):
+    # on each reference instance's own q_n the search finds exactly the
+    # theorem's order, and its operator is A D + B I for the construction's
+    # D (A from the eigenvalues, then the operators compared exactly)
+    td, kc, (found_order, result, _) = _search_own_qpolys(name, params, k,
+                                                         mass)
+    assert found_order == td.expected_order == kc.operator.order()
+    ells, lams = result.eigenvalues, [kc.lam(0), kc.lam(1)]
+    a_coef = (ells[1] - ells[0]) / (lams[1] - lams[0])
+    b_coef = ells[0] - a_coef * lams[0]
+    assert a_coef != 0
+    assert result.operator == (kc.operator * a_coef
+                               + QDiffOperator.identity(params.q) * b_coef)
+
+
+@pytest.mark.parametrize("name, params, k, mass", [
+    pytest.param(*c, id=i) for c, i in zip(_REFERENCE, _REFERENCE_IDS)
+    if c[2] == 1 and not c[3]])
+def test_a_perturbed_beta_has_no_operator_at_the_theorems_order(name, params,
+                                                                k, mass):
+    # one beta_n off by one inside the window: no operator of order up to
+    # the theorem's has these q_n as eigenfunctions
+    _, _, (found_order, result, attempts) = _search_own_qpolys(
+        name, params, k, mass, bump=1)
+    assert found_order is None and result is None
+    assert [a["found"] for a in attempts] == [False, False]
 
 
 def test_conjecture_a_at_order_eight():
@@ -490,7 +614,7 @@ def _stages_per_attempt(monkeypatch) -> dict[int, dict]:
 # search-scan's three shapes (h_max = 2), the order-6 A f3={1,2} and the
 # order-8 pins: (check, params, kwargs, primes of the found attempt, digest)
 _PINNED = [
-    (check_conjecture_a, MeixnerParams(Q0, B0, C0), {"f3": [1, 2]}, 2,
+    (check_conjecture_a, MeixnerParams(Q0, B0, C0), {"f3": [1, 2]}, 1,
      "6cdab6c3c274c4aa2cdc3ab4f3ba81608372ba5cd86f4959c611d2f8e877f769"),
     (check_conjecture_a, MeixnerParams(Q0, B0, C0), {"f1": [1], "h_max": 2},
      1, "0a12937fcf1be470eb887d2c399268f91e07da874f67b400e20d5fbf422dfb2e"),
@@ -504,7 +628,7 @@ _PINNED = [
      2, "44f0aeed3fa4718e33efc5c74793cdfcd73ac4418e3385519e8157e1ca1dbd07"),
     (check_conjecture_b1, LaguerreParams(Q0, T0), {"f_set": [1, 2, 3]}, 2,
      "04608fa91661543c56a74054a1efb247059b3570f6b1341549e9a2a5ce9d49c9"),
-    (check_conjecture_b2, LaguerreParams(Q0, Q0 ** 3), {"masses": (1,)}, 2,
+    (check_conjecture_b2, LaguerreParams(Q0, Q0 ** 3), {"masses": (1,)}, 1,
      "8f936240ca32eeb78302a9537ec0c05c70d1d041afd7d4075f13cdbd2ed81a7d")]
 _PINNED_IDS = ["A-f3=1,2", "A-f1=1", "A-f3=1", "B1-f=1", "A-f3=1,2,3",
                "A-f1=1-f3=1,2", "B1-f=1,2,3", "B2-alpha=3"]
@@ -521,8 +645,8 @@ def test_not_found_attempts_are_decided_without_a_solve(monkeypatch, check,
     # columns, with no row found dependent and no entry to reconstruct; the
     # found attempt's scan keeps rows 0..rank-1 and stops at row rank, the
     # Z check decides every leading row after it with no resume, and the
-    # order-6 and order-8 attempts add one prime that eliminates only the
-    # kept rows
+    # found attempts of A f3={1,2,3}, A f1={1} f3={1,2} and B1 f={1,2,3}
+    # add one prime that eliminates only the kept rows
     per_h = _stages_per_attempt(monkeypatch)
     report = check(params, **kwargs)
     *missed, hit = report["attempts"]
